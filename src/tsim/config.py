@@ -87,23 +87,25 @@ def _lattice(doc: dict) -> LatticeSpec:
     sites = _int(sec, "lattice", "sites", None)
     if sites is None or sites < 1:
         raise ConfigError("lattice.sites: must be a positive integer")
-    if "edges" in sec and sec.get("chain"):
-        raise ConfigError("lattice.edges: conflicts with lattice.chain")
-    if "edges" in sec:
-        raw = sec["edges"]
-        if not isinstance(raw, list):
+    chain = _bool(sec, "lattice", "chain", "edges" not in sec)
+    if chain == ("edges" in sec):
+        raise ConfigError("lattice.edges: conflicts with lattice.chain" if chain
+                          else "lattice.chain: false needs lattice.edges")
+    if chain:
+        return LatticeSpec.chain(sites)
+    raw = sec["edges"]
+    if not isinstance(raw, list):
+        raise ConfigError("lattice.edges: expected a list of site pairs")
+    edges = []
+    for e in raw:
+        if (not isinstance(e, list) or len(e) != 2
+                or any(isinstance(v, bool) or not isinstance(v, int) for v in e)):
             raise ConfigError("lattice.edges: expected a list of site pairs")
-        edges = []
-        for e in raw:
-            if (not isinstance(e, list) or len(e) != 2
-                    or any(isinstance(v, bool) or not isinstance(v, int) for v in e)):
-                raise ConfigError("lattice.edges: expected a list of site pairs")
-            edges.append((e[0], e[1]))
-        try:
-            return LatticeSpec(sites=sites, edges=tuple(edges))
-        except ValueError as exc:
-            raise ConfigError(f"lattice.edges: {exc}") from exc
-    return LatticeSpec.chain(sites)
+        edges.append((e[0], e[1]))
+    try:
+        return LatticeSpec(sites=sites, edges=tuple(edges))
+    except ValueError as exc:
+        raise ConfigError(f"lattice.edges: {exc}") from exc
 
 
 def parse_config(text: str) -> tuple[ProtocolConfig, OutputOptions]:

@@ -161,11 +161,8 @@ class SparseHermitianOperator:
             self._dense = self.to_csr().toarray()
         return self._dense
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self.to_csr() @ v
-
     def expectation(self, v: np.ndarray) -> float:
-        return float(np.vdot(v, self.matvec(v)).real)
+        return float(np.vdot(v, self.to_csr() @ v).real)
 
     def norm_bound(self) -> float:
         """Gershgorin bound on the spectral radius: max absolute row sum."""
@@ -289,31 +286,24 @@ def _hop_entries_upsilon(table, j, d_x, d_y, rows, cols, vals):
 
 
 def _diag_entries(basis_tau, basis_upsilon, params, include, rows, cols, vals):
-    """Diagonal part, accumulated per site in a fixed term order:
+    """Diagonal part over (m, n), accumulated per site in a fixed term order:
     tau potential, upsilon potential, cross coupling (as selected)."""
-    sites = basis_tau.sites
-    d_y = basis_upsilon.dim
-    for m, x in enumerate(basis_tau.configs):
-        for n, y in enumerate(basis_upsilon.configs):
-            diag = 0.0
-            if "u_tau" in include:
-                for i in range(sites):
-                    if (x >> i) & 1:
-                        diag += params.u_tau[i]
-            if "u_upsilon" in include:
-                for i in range(sites):
-                    if (y >> i) & 1:
-                        diag += params.u_upsilon[i]
-            if "cross" in include:
-                both = x & y
-                for i in range(sites):
-                    if (both >> i) & 1:
-                        diag += params.u_cross
-            if diag != 0.0:
-                k = m * d_y + n
-                rows.append(np.array([k], dtype=np.int64))
-                cols.append(np.array([k], dtype=np.int64))
-                vals.append(np.array([diag], dtype=np.complex128))
+    occ_x, occ_y = ((np.array(b.configs)[:, None] >> np.arange(b.sites)) & 1 == 1
+                    for b in (basis_tau, basis_upsilon))
+    diag = np.zeros((basis_tau.dim, basis_upsilon.dim))
+    if "u_tau" in include:
+        for i, u in enumerate(params.u_tau):
+            diag += np.where(occ_x[:, i], u, 0.0)[:, None]
+    if "u_upsilon" in include:
+        for i, u in enumerate(params.u_upsilon):
+            diag += np.where(occ_y[:, i], u, 0.0)[None, :]
+    if "cross" in include:
+        for i in range(basis_tau.sites):
+            diag += np.where(np.outer(occ_x[:, i], occ_y[:, i]), params.u_cross, 0.0)
+    k = np.flatnonzero(diag)
+    rows.append(k)
+    cols.append(k)
+    vals.append(diag.ravel()[k].astype(np.complex128))
 
 
 def _assemble(dim, rows, cols, vals, blocks=None) -> SparseHermitianOperator:

@@ -1,12 +1,12 @@
 """Time evolution exp(-i*H*t) applied to state vectors.
 
-Small operators go through exact scaling-and-squaring exponentiation; larger
-ones through a Lanczos Krylov projection with full reorthogonalization,
-adaptive subspace growth, and time substepping.  Block-tagged operators have
-a fast path that propagates each frozen-configuration block independently.
-
-Repeated applications with the same (operator, duration) reuse a small cache
-of dense stage propagators kept on the operator object.
+Real operators up to ``dense_threshold`` in dimension, and block-tagged ones
+with blocks that small, are stacked into blocks (the whole operator is one
+block) and factored by one cached ``np.linalg.eigh`` call on first use; each
+stage propagator, cached too, serves t and -t, and a stage is one batched
+matmul on the state's blocks.  Larger operators, and larger blocks one at a
+time, go through a Lanczos Krylov projection with full reorthogonalization,
+adaptive subspace growth, and time substepping.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, expm
+from scipy.linalg import eigh_tridiagonal
 
 from .model import SparseHermitianOperator
 
@@ -87,14 +87,45 @@ class ManyBodyState:
         return self.amplitudes.reshape(self.dims)
 
 
-def _dense_propagator(op: SparseHermitianOperator, t: float) -> np.ndarray:
-    cache = op._prop_cache
-    key = ("dense", t)
-    if key not in cache:
-        if len(cache) >= _PROP_CACHE_MAX:
-            cache.pop(next(iter(cache)))
-        cache[key] = expm(-1j * t * op.to_dense())
-    return cache[key]
+def _eigensystem(op: SparseHermitianOperator, blockwise: bool):
+    """(gather index, eigenvalues, eigenvectors, stage propagators by |t|);
+    row k of the (n_blocks, b) gather index lists the indices of block k."""
+    kind = "blocks" if blockwise else "flat"
+    if kind not in op._prop_cache:
+        if op.vals.imag.any():
+            raise ValueError("exact propagation needs a real symmetric operator")
+        if blockwise:
+            op.validate_blocks()
+            idx = np.array([blk.indices() for blk in op.blocks])
+        else:
+            idx = np.arange(op.dim)[None, :]
+        b = idx.shape[1]
+        pos = np.argsort(idx.ravel())  # flat index -> position in the stack
+        stack = np.zeros((len(idx), b, b))
+        np.add.at(stack, (pos[op.rows] // b, pos[op.rows] % b, pos[op.cols] % b),
+                  op.vals.real)
+        op._prop_cache[kind] = (idx, *np.linalg.eigh(stack), {})
+    return op._prop_cache[kind]
+
+
+def _apply_eigen(op: SparseHermitianOperator, amps: np.ndarray, t: float,
+                 blockwise: bool) -> np.ndarray:
+    idx, w, v, props = _eigensystem(op, blockwise)
+    key = abs(t)
+    if key not in props:
+        if len(props) >= _PROP_CACHE_MAX:
+            props.pop(next(iter(props)))
+        # V diag(exp(-i*w*t)) V^T by real matmuls, which copy no V to complex
+        u = np.empty(v.shape, dtype=np.complex128)
+        u.real = (v * np.cos(key * w)[:, None, :]) @ v.swapaxes(1, 2)
+        u.imag = (v * -np.sin(key * w)[:, None, :]) @ v.swapaxes(1, 2)
+        props[key] = u
+    # V is real, so U(-t) x = conj(U(t) conj(x)) and one propagator serves both
+    sub = amps[idx] if t > 0 else amps[idx].conj()
+    sub = (props[key] @ sub[..., None])[..., 0]
+    out = np.empty_like(amps)
+    out[idx] = sub if t > 0 else sub.conj()
+    return out
 
 
 def _lanczos_expv(op: SparseHermitianOperator, v: np.ndarray, t: float,
@@ -157,15 +188,6 @@ def _krylov_apply(op: SparseHermitianOperator, amps: np.ndarray, t: float,
     return out
 
 
-def _apply_flat(op: SparseHermitianOperator, amps: np.ndarray, t: float,
-                settings: PropagatorSettings) -> np.ndarray:
-    if t == 0.0:
-        return amps.copy()
-    if op.dim <= settings.dense_threshold:
-        return _dense_propagator(op, t) @ amps
-    return _krylov_apply(op, amps, t, settings)
-
-
 def evolve(state: ManyBodyState, op: SparseHermitianOperator, t: float,
            settings: PropagatorSettings = DEFAULT_SETTINGS) -> ManyBodyState:
     """exp(-i*op*t) applied to ``state``; negative t reverses the evolution."""
@@ -176,20 +198,12 @@ def evolve(state: ManyBodyState, op: SparseHermitianOperator, t: float,
         )
     if t == 0.0:
         return ManyBodyState(state.amplitudes.copy(), state.dims)
-    out = _apply_flat(op, state.amplitudes, t, settings)
+    if op.dim <= settings.dense_threshold:
+        out = _apply_eigen(op, state.amplitudes, t, blockwise=False)
+    else:
+        out = _krylov_apply(op, state.amplitudes, t, settings)
     out /= np.linalg.norm(out)
     return ManyBodyState(out, state.dims)
-
-
-def _block_propagators(op: SparseHermitianOperator, t: float):
-    """Dense per-block stage propagators, cached on the operator."""
-    cache = op._prop_cache
-    key = ("blocks", t)
-    if key not in cache:
-        if len(cache) >= _PROP_CACHE_MAX:
-            cache.pop(next(iter(cache)))
-        cache[key] = [expm(-1j * t * op.extract_block(b)) for b in op.blocks]
-    return cache[key]
 
 
 def evolve_blockwise(state: ManyBodyState, op: SparseHermitianOperator, t: float,
@@ -206,16 +220,10 @@ def evolve_blockwise(state: ManyBodyState, op: SparseHermitianOperator, t: float
         )
     if t == 0.0:
         return ManyBodyState(state.amplitudes.copy(), state.dims)
-    out = state.amplitudes.copy()
-    block_dim = max(b.count for b in op.blocks)
-    if block_dim <= settings.dense_threshold:
-        props = _block_propagators(op, t)
-        for b, u in zip(op.blocks, props):
-            idx = b.indices()
-            sub = out[idx]
-            if np.any(sub):
-                out[idx] = u @ sub
+    if max(b.count for b in op.blocks) <= settings.dense_threshold:
+        out = _apply_eigen(op, state.amplitudes, t, blockwise=True)
     else:
+        out = state.amplitudes.copy()
         for b in op.blocks:
             idx = b.indices()
             sub = out[idx]

@@ -106,6 +106,18 @@ def sector_hamiltonian(sites, edges, n_tau, n_upsilon, j_tau, j_upsilon,
     return project_sector(full, sites, n_tau, n_upsilon)
 
 
+def species_sector_hamiltonian(sites, edges, particles, j, u) -> np.ndarray:
+    """One species with hopping j and per-site potential u, restricted to
+    ``particles`` particles over ascending masks.  With u = base potential +
+    u_cross * occupancy of a frozen configuration of the other species, this
+    is one diagonal block of a stepwise Hamiltonian."""
+    h = _hop_matrix(sites, edges, j)
+    for i in range(sites):
+        h += u[i] * number_matrix(sites, i)
+    sel = sector_masks(sites, particles)
+    return h[np.ix_(sel, sel)]
+
+
 def two_site_hop_amplitudes(j: float, t: float) -> tuple[complex, complex]:
     """Closed form for H = [[0, J], [J, 0]] starting from (1, 0):
     amplitudes (cos Jt, -i sin Jt)."""

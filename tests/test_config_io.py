@@ -179,3 +179,19 @@ def test_operator_export_file(tmp_path):
     lines = path.read_text().splitlines()
     dim, nnz = (int(x) for x in lines[0].split())
     assert dim == 9 and nnz == len(lines) - 1 == op.nnz
+
+
+@pytest.mark.parametrize("chain", ["false", '"no"', "1"])
+def test_chain_without_edges_must_be_true(chain):
+    doc = ('{"lattice": {"sites": 4, "chain": %s}, '
+           '"particles": {"tau": 1, "upsilon": 1}}' % chain)
+    with pytest.raises(ConfigError, match="lattice.chain"):
+        parse_config(doc)
+
+
+def test_chain_false_with_edges_uses_edges():
+    doc = json.dumps({"lattice": {"sites": 3, "chain": False,
+                                  "edges": [[0, 2], [1, 2]]},
+                      "particles": {"tau": 1, "upsilon": 1}})
+    config, _ = parse_config(doc)
+    assert config.lattice.edges == ((0, 2), (1, 2))

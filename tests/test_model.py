@@ -194,3 +194,30 @@ def test_coordinate_text_export():
         r, c, re, im = line.split()
         rebuilt[int(r), int(c)] = float(re) + 1j * float(im)
     assert np.array_equal(rebuilt, h.to_dense())
+
+
+@pytest.mark.parametrize("sites,n_tau,n_upsilon", [(7, 3, 2), (8, 4, 4)])
+def test_diagonal_matches_scalar_accumulation(sites, n_tau, n_upsilon):
+    # the scalar per-(m, n), per-site loop in the builders' term order is the
+    # reference at sizes the dense oracle cannot reach
+    rng = np.random.default_rng(sites)
+    lattice, bt, bu, params = _operators(sites, n_tau, n_upsilon, _params(sites, rng))
+    terms = {"full": ("u_tau", "u_upsilon", "cross"), "h1": ("u_tau", "cross"),
+             "h2": ("u_upsilon", "cross")}
+    for name, build in (("full", build_full), ("h1", build_h1), ("h2", build_h2)):
+        got = build(lattice, params, bt, bu).to_csr().diagonal()
+        expected = np.zeros(bt.dim * bu.dim, dtype=complex)
+        for m, x in enumerate(bt.configs):
+            for n, y in enumerate(bu.configs):
+                diag = 0.0
+                for i in range(sites):
+                    if "u_tau" in terms[name] and (x >> i) & 1:
+                        diag += params.u_tau[i]
+                for i in range(sites):
+                    if "u_upsilon" in terms[name] and (y >> i) & 1:
+                        diag += params.u_upsilon[i]
+                for i in range(sites):
+                    if ((x & y) >> i) & 1:
+                        diag += params.u_cross
+                expected[m * bu.dim + n] = diag
+        assert np.array_equal(got, expected)

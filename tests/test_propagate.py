@@ -7,8 +7,8 @@ from scipy.linalg import expm
 import oracles
 from conftest import random_state
 from tsim.fock import enumerate_basis
-from tsim.model import (LatticeSpec, ModelParams, build_full, build_h1,
-                        build_h2)
+from tsim.model import (LatticeSpec, ModelParams, SparseHermitianOperator,
+                        build_full, build_h1, build_h2, hop_sign)
 from tsim.propagate import (ManyBodyState, PropagationError,
                             PropagatorSettings, evolve, evolve_blockwise)
 
@@ -194,3 +194,93 @@ def test_unitarity_property(seed, t):
     psi = random_state((bt.dim, bu.dim), seed)
     out = evolve(psi, h, t)
     assert abs(out.norm() - 1.0) < 1e-12
+
+
+def _ring(sites):
+    return LatticeSpec(sites, tuple((i, (i + 1) % sites) for i in range(sites)))
+
+
+def _ladder(rungs):
+    # sites r and r + rungs form rung r; legs run along each row
+    legs = [(r, r + 1) for r in range(rungs - 1)]
+    legs += [(rungs + r, rungs + r + 1) for r in range(rungs - 1)]
+    return LatticeSpec(2 * rungs, tuple(legs + [(r, r + rungs) for r in range(rungs)]))
+
+
+@pytest.mark.parametrize("lattice,n_tau,n_upsilon", [
+    (_ring(6), 3, 2), (_ladder(3), 2, 3),
+])
+def test_blockwise_matches_per_block_expm_off_chain(lattice, n_tau, n_upsilon):
+    sites = lattice.sites
+    rng = np.random.default_rng(sites + n_tau)
+    params = ModelParams(j_tau=0.9, j_upsilon=1.2,
+                         u_tau=tuple(rng.uniform(-1, 1, sites)),
+                         u_upsilon=tuple(rng.uniform(-1, 1, sites)),
+                         u_cross=1.3)
+    bt, bu = enumerate_basis(sites, n_tau), enumerate_basis(sites, n_upsilon)
+    # bonds that skip an occupied site carry a fermionic sign of -1
+    assert any(hop_sign(mask, i, j) == -1
+               for basis in (bt, bu) for mask in basis.configs
+               for i, j in lattice.edges if (mask >> i) & 1 != (mask >> j) & 1)
+    d_x, d_y = bt.dim, bu.dim
+
+    def block(frozen, n_mobile, j, u):
+        eff = [u[i] + params.u_cross * ((frozen >> i) & 1) for i in range(sites)]
+        return oracles.species_sector_hamiltonian(sites, lattice.edges, n_mobile,
+                                                  j, eff)
+
+    # (flat indices, dense block) of every frozen-configuration block
+    blocks = {
+        "h1": [(n + d_y * np.arange(d_x), block(y, n_tau, params.j_tau, params.u_tau))
+               for n, y in enumerate(bu.configs)],
+        "h2": [(m * d_y + np.arange(d_y),
+                block(x, n_upsilon, params.j_upsilon, params.u_upsilon))
+               for m, x in enumerate(bt.configs)],
+    }
+    ops = {"h1": build_h1(lattice, params, bt, bu),
+           "h2": build_h2(lattice, params, bt, bu)}
+    psi = random_state((d_x, d_y), 79)
+    for name, op in ops.items():
+        for t in (1.7, -1.7):
+            expected = np.empty_like(psi.amplitudes)
+            for idx, h in blocks[name]:
+                expected[idx] = expm(-1j * t * h) @ psi.amplitudes[idx]
+            out = evolve_blockwise(psi, op, t)
+            assert np.max(np.abs(out.amplitudes - expected)) < 1e-12
+
+
+def test_factorization_is_lazy_and_shared(monkeypatch):
+    from tsim.protocol import ProtocolConfig, prepare, run_cycle
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a):
+        calls.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    cfg = ProtocolConfig(lattice=LatticeSpec.chain(6), n_tau=2, n_upsilon=2,
+                         params=ModelParams.defaults(6), t1=1.5, t2=2.5)
+    ctx = prepare(cfg)
+    assert ctx.h1._prop_cache == {} and ctx.h2._prop_cache == {}
+    assert calls == []
+    run_cycle(ctx.initial, ctx, 1)
+    # fwd1/rev1 share one factorization of H1, fwd2/rev2 one of H2
+    assert calls == [(15, 15, 15), (15, 15, 15)]
+    for op, t in ((ctx.h1, cfg.t1), (ctx.h2, cfg.t2)):
+        assert set(op._prop_cache) == {"blocks"}
+        # the reverse stage reuses the forward propagator
+        assert set(op._prop_cache["blocks"][3]) == {t}
+    run_cycle(ctx.initial, ctx, 2)
+    assert len(calls) == 2
+
+
+def test_complex_operator_needs_krylov():
+    # the eigendecomposition path factors real symmetric matrices only
+    h = SparseHermitianOperator.from_entries(2, [0, 1], [1, 0], [0.5j, -0.5j])
+    psi = ManyBodyState(np.array([1.0, 0.0], dtype=complex), (2, 1))
+    with pytest.raises(ValueError, match="real symmetric"):
+        evolve(psi, h, 1.0)
+    out = evolve(psi, h, 1.0, KRYLOV)
+    exact = expm(-1j * h.to_dense()) @ psi.amplitudes
+    assert np.max(np.abs(out.amplitudes - exact)) < 1e-9
