@@ -3,10 +3,9 @@ and entropy trajectories."""
 
 from .erasure import (ErasureSpec, apply_random_phases, apply_site_phase,
                       draw_phases)
-from .fock import FockBasis, composite_index, composite_split, enumerate_basis
-from .model import (BlockSlice, LatticeSpec, ModelParams,
-                    SparseHermitianOperator, build_full, build_h1, build_h2,
-                    effective_potential)
+from .fock import FockBasis, enumerate_basis
+from .model import (Hamiltonian, LatticeSpec, ModelParams, build_full,
+                    build_h1, build_h2)
 from .observables import (EntropyReport, entanglement_entropy, fidelity,
                           measure, occupation_density, shannon_entropies)
 from .propagate import (ManyBodyState, PropagationError, PropagatorSettings,
@@ -17,10 +16,10 @@ from .protocol import (ProtocolConfig, ProtocolResult, StageRecord,
                        stepwise_generator)
 
 __all__ = [
-    "BlockSlice",
     "EntropyReport",
     "ErasureSpec",
     "FockBasis",
+    "Hamiltonian",
     "LatticeSpec",
     "ManyBodyState",
     "ModelParams",
@@ -28,7 +27,6 @@ __all__ = [
     "PropagatorSettings",
     "ProtocolConfig",
     "ProtocolResult",
-    "SparseHermitianOperator",
     "StageRecord",
     "apply_random_phases",
     "apply_site_phase",
@@ -36,10 +34,7 @@ __all__ = [
     "build_h1",
     "build_h2",
     "build_initial_state",
-    "composite_index",
-    "composite_split",
     "draw_phases",
-    "effective_potential",
     "entanglement_entropy",
     "enumerate_basis",
     "evolve",

@@ -1,4 +1,4 @@
-"""Fermionic Fock bases as occupation bitmasks, with rank/unrank and composite indexing.
+"""Fermionic Fock bases as occupation bitmasks, with rank/unrank.
 
 A basis state for one spinless-fermion species on ``L`` sites is an integer
 whose bit ``i`` is set iff site ``i`` is occupied.  Bases are enumerated in
@@ -75,22 +75,3 @@ def enumerate_basis(sites: int, particles: int) -> FockBasis:
     )
     return FockBasis(sites=sites, particles=particles, configs=tuple(configs))
 
-
-def composite_index(m: int, n: int, d_y: int) -> int:
-    """Flat index of the composite basis state (|x_m>, |y_n>): k = m*d_y + n."""
-    if d_y <= 0:
-        raise ValueError(f"d_y must be positive, got {d_y}")
-    if m < 0:
-        raise ValueError(f"m must be nonnegative, got {m}")
-    if not 0 <= n < d_y:
-        raise ValueError(f"n {n} out of range [0, {d_y})")
-    return m * d_y + n
-
-
-def composite_split(k: int, d_y: int) -> tuple[int, int]:
-    """Inverse of :func:`composite_index`."""
-    if d_y <= 0:
-        raise ValueError(f"d_y must be positive, got {d_y}")
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
-    return divmod(k, d_y)

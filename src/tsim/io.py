@@ -12,7 +12,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import SparseHermitianOperator
 from .propagate import ManyBodyState
 
 TRAJECTORY_HEADER = "cycle,stage,model_time,S_tau,S_upsilon,S_total,S_ent,fidelity"
@@ -99,14 +98,6 @@ def read_state(path) -> ManyBodyState:
     pairs = np.frombuffer(raw[24:], dtype="<f8")
     amps = pairs[0::2] + 1j * pairs[1::2]
     return ManyBodyState(amps, (int(d_x), int(d_y)))
-
-
-def write_operator(op: SparseHermitianOperator, path) -> Path:
-    """Coordinate-list text export: header 'dim nnz', then 'row col re im'."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(op.to_coordinate_text(), encoding="ascii")
-    return path
 
 
 def state_dump_name(cycle: int) -> str:

@@ -1,12 +1,17 @@
 """Time evolution exp(-i*H*t) applied to state vectors.
 
-Real operators up to ``dense_threshold`` in dimension, and block-tagged ones
-with blocks that small, are stacked into blocks (the whole operator is one
-block) and factored by one cached ``np.linalg.eigh`` call on first use; each
-stage propagator, cached too, serves t and -t, and a stage is one batched
-matmul on the state's blocks.  Larger operators, and larger blocks one at a
-time, go through a Lanczos Krylov projection with full reorthogonalization,
-adaptive subspace growth, and time substepping.
+Operators are :class:`~tsim.model.Hamiltonian` pieces (hop_x, hop_y, D)
+acting on the coefficient matrix gamma.  Small problems are solved exactly
+by one cached ``np.linalg.eigh`` call per operator on first use: an operator
+of dimension up to ``dense_threshold`` is factored whole, and a stepwise one
+with blocks that small has all its blocks (the mobile species' hop matrix
+plus one column of D for H1, one row for H2) stacked and factored together.
+Each stage propagator U(|t|) is cached too and serves t and -t, and a stage
+is one batched matmul on the columns or rows of gamma.  Larger operators,
+and stepwise ones with larger blocks, go through a Lanczos Krylov projection
+on the whole of gamma, using the structured apply, with full
+reorthogonalization, adaptive subspace growth, and time substepping.  No
+step renormalizes its output.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .model import SparseHermitianOperator
+from .model import Hamiltonian
 
 _PROP_CACHE_MAX = 8
 
@@ -87,30 +92,27 @@ class ManyBodyState:
         return self.amplitudes.reshape(self.dims)
 
 
-def _eigensystem(op: SparseHermitianOperator, blockwise: bool):
-    """(gather index, eigenvalues, eigenvectors, stage propagators by |t|);
-    row k of the (n_blocks, b) gather index lists the indices of block k."""
+def _eigensystem(op: Hamiltonian, blockwise: bool):
+    """(eigenvalues, eigenvectors, stage propagators by |t|) of the stacked
+    blocks: one per column of gamma for H1, per row for H2, or the whole
+    operator as one block."""
     kind = "blocks" if blockwise else "flat"
-    if kind not in op._prop_cache:
-        if op.vals.imag.any():
-            raise ValueError("exact propagation needs a real symmetric operator")
-        if blockwise:
-            op.validate_blocks()
-            idx = np.array([blk.indices() for blk in op.blocks])
+    if kind not in op._cache:
+        if not blockwise:
+            stack = op.to_dense()[None]
         else:
-            idx = np.arange(op.dim)[None, :]
-        b = idx.shape[1]
-        pos = np.argsort(idx.ravel())  # flat index -> position in the stack
-        stack = np.zeros((len(idx), b, b))
-        np.add.at(stack, (pos[op.rows] // b, pos[op.rows] % b, pos[op.cols] % b),
-                  op.vals.real)
-        op._prop_cache[kind] = (idx, *np.linalg.eigh(stack), {})
-    return op._prop_cache[kind]
+            # block k is the mobile hop matrix plus the diagonal of D's row k
+            hop, diag = (op.hop_x, op.D.T) if op.hop_y is None else (op.hop_y, op.D)
+            stack = np.repeat(hop.toarray()[None], len(diag), axis=0)
+            i = np.arange(hop.shape[0])
+            stack[:, i, i] += diag
+        op._cache[kind] = (*np.linalg.eigh(stack), {})
+    return op._cache[kind]
 
 
-def _apply_eigen(op: SparseHermitianOperator, amps: np.ndarray, t: float,
+def _apply_eigen(op: Hamiltonian, amps: np.ndarray, t: float,
                  blockwise: bool) -> np.ndarray:
-    idx, w, v, props = _eigensystem(op, blockwise)
+    w, v, props = _eigensystem(op, blockwise)
     key = abs(t)
     if key not in props:
         if len(props) >= _PROP_CACHE_MAX:
@@ -120,15 +122,18 @@ def _apply_eigen(op: SparseHermitianOperator, amps: np.ndarray, t: float,
         u.real = (v * np.cos(key * w)[:, None, :]) @ v.swapaxes(1, 2)
         u.imag = (v * -np.sin(key * w)[:, None, :]) @ v.swapaxes(1, 2)
         props[key] = u
+    # the blocks of H1 act on the columns of gamma, all others on its rows
+    by_column = blockwise and op.hop_y is None
+    g = amps.reshape(-1, len(w)).T if by_column else amps.reshape(len(w), -1)
     # V is real, so U(-t) x = conj(U(t) conj(x)) and one propagator serves both
-    sub = amps[idx] if t > 0 else amps[idx].conj()
+    sub = np.ascontiguousarray(g if t > 0 else g.conj())
     sub = (props[key] @ sub[..., None])[..., 0]
-    out = np.empty_like(amps)
-    out[idx] = sub if t > 0 else sub.conj()
-    return out
+    if t < 0:
+        sub = sub.conj()
+    return (sub.T if by_column else sub).ravel()
 
 
-def _lanczos_expv(op: SparseHermitianOperator, v: np.ndarray, t: float,
+def _lanczos_expv(op: Hamiltonian, v: np.ndarray, t: float,
                   tol: float, max_dim: int) -> tuple[np.ndarray, int, float]:
     """One Krylov solve: w ~= exp(-i*t*H) v, with v assumed unit norm.
 
@@ -136,14 +141,13 @@ def _lanczos_expv(op: SparseHermitianOperator, v: np.ndarray, t: float,
     beta * |last component of exp(-i*t*T) e1| a posteriori bound with the
     norm of the change between successive approximants.
     """
-    csr = op.to_csr()
     basis = [v]
     alphas: list[float] = []
     betas: list[float] = []
     residual = np.inf
     prev_small = None
     for j in range(max_dim):
-        w = csr @ basis[j]
+        w = op.apply(basis[j])
         a = float(np.vdot(basis[j], w).real)
         alphas.append(a)
         w -= a * basis[j]
@@ -174,7 +178,7 @@ def _lanczos_expv(op: SparseHermitianOperator, v: np.ndarray, t: float,
     )
 
 
-def _krylov_apply(op: SparseHermitianOperator, amps: np.ndarray, t: float,
+def _krylov_apply(op: Hamiltonian, amps: np.ndarray, t: float,
                   settings: PropagatorSettings) -> np.ndarray:
     scale = abs(t) * op.norm_bound()
     steps = max(1, int(np.ceil(scale / settings.substep_cap)))
@@ -188,60 +192,35 @@ def _krylov_apply(op: SparseHermitianOperator, amps: np.ndarray, t: float,
     return out
 
 
-def evolve(state: ManyBodyState, op: SparseHermitianOperator, t: float,
+def evolve(state: ManyBodyState, op: Hamiltonian, t: float,
            settings: PropagatorSettings = DEFAULT_SETTINGS) -> ManyBodyState:
     """exp(-i*op*t) applied to ``state``; negative t reverses the evolution."""
-    if op.dim != state.amplitudes.shape[0]:
+    return _evolve(state, op, t, settings, blockwise=False)
+
+
+def evolve_blockwise(state: ManyBodyState, op: Hamiltonian, t: float,
+                     settings: PropagatorSettings = DEFAULT_SETTINGS) -> ManyBodyState:
+    """Blockwise exp(-i*op*t) for a stepwise operator: each block (one per
+    configuration of the frozen species) evolves independently.  Identical
+    to :func:`evolve` with the flat operator up to the Krylov tolerance."""
+    if (op.hop_x is None) == (op.hop_y is None):
+        raise ValueError("blockwise evolution needs exactly one mobile species")
+    return _evolve(state, op, t, settings, blockwise=True)
+
+
+def _evolve(state: ManyBodyState, op: Hamiltonian, t: float,
+            settings: PropagatorSettings, blockwise: bool) -> ManyBodyState:
+    if op.D.shape != state.dims:
         raise ValueError(
-            f"operator dim {op.dim} does not match state length "
-            f"{state.amplitudes.shape[0]}"
+            f"operator dims {op.D.shape} do not match state dims {state.dims}"
         )
     if t == 0.0:
         return ManyBodyState(state.amplitudes.copy(), state.dims)
-    if op.dim <= settings.dense_threshold:
-        out = _apply_eigen(op, state.amplitudes, t, blockwise=False)
+    # a block of a stepwise operator has the size of its mobile hop matrix
+    mobile = op.hop_x if op.hop_y is None else op.hop_y
+    block = mobile.shape[0] if blockwise else op.dim
+    if block <= settings.dense_threshold:
+        out = _apply_eigen(op, state.amplitudes, t, blockwise)
     else:
         out = _krylov_apply(op, state.amplitudes, t, settings)
-    out /= np.linalg.norm(out)
     return ManyBodyState(out, state.dims)
-
-
-def evolve_blockwise(state: ManyBodyState, op: SparseHermitianOperator, t: float,
-                     settings: PropagatorSettings = DEFAULT_SETTINGS) -> ManyBodyState:
-    """Blockwise exp(-i*op*t): each frozen-configuration block evolves
-    independently.  Identical to :func:`evolve` with the flat operator up to
-    the Krylov tolerance."""
-    if op.blocks is None:
-        raise ValueError("operator carries no block tags")
-    if op.dim != state.amplitudes.shape[0]:
-        raise ValueError(
-            f"operator dim {op.dim} does not match state length "
-            f"{state.amplitudes.shape[0]}"
-        )
-    if t == 0.0:
-        return ManyBodyState(state.amplitudes.copy(), state.dims)
-    if max(b.count for b in op.blocks) <= settings.dense_threshold:
-        out = _apply_eigen(op, state.amplitudes, t, blockwise=True)
-    else:
-        out = state.amplitudes.copy()
-        for b in op.blocks:
-            idx = b.indices()
-            sub = out[idx]
-            if not np.any(sub):
-                continue
-            sub_op = SparseHermitianOperator.from_entries(
-                b.count, *_local_entries(op, b)
-            )
-            out[idx] = _krylov_apply(sub_op, sub, t, settings)
-    out /= np.linalg.norm(out)
-    return ManyBodyState(out, state.dims)
-
-
-def _local_entries(op: SparseHermitianOperator, b):
-    inside = np.zeros(op.dim, dtype=bool)
-    local = np.zeros(op.dim, dtype=np.int64)
-    idx = b.indices()
-    inside[idx] = True
-    local[idx] = np.arange(b.count)
-    sel = inside[op.rows] & inside[op.cols]
-    return local[op.rows[sel]], local[op.cols[sel]], op.vals[sel]

@@ -32,14 +32,14 @@ sum differs from the full Hamiltonian); ``stepwise_generator`` exposes it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import erasure as er
 from . import model, observables
 from .fock import FockBasis, enumerate_basis
-from .model import LatticeSpec, ModelParams, SparseHermitianOperator
+from .model import Hamiltonian, LatticeSpec, ModelParams
 from .propagate import (DEFAULT_SETTINGS, ManyBodyState, PropagatorSettings,
                         evolve, evolve_blockwise)
 
@@ -108,12 +108,12 @@ class ProtocolContext:
     config: ProtocolConfig
     basis_tau: FockBasis
     basis_upsilon: FockBasis
-    h1: SparseHermitianOperator
-    h2: SparseHermitianOperator
+    h1: Hamiltonian
+    h2: Hamiltonian
     initial: ManyBodyState
-    _h_full: SparseHermitianOperator | None = field(default=None, repr=False)
+    _h_full: Hamiltonian | None = field(default=None, repr=False)
 
-    def full_operator(self) -> SparseHermitianOperator:
+    def full_operator(self) -> Hamiltonian:
         if self._h_full is None:
             c = self.config
             self._h_full = model.build_full(c.lattice, c.params,
@@ -258,14 +258,10 @@ def run_trotter(config: ProtocolConfig, n_steps: int | None = None) -> ProtocolR
     return ProtocolResult(tuple(records), state, ())
 
 
-def stepwise_generator(ctx: ProtocolContext) -> SparseHermitianOperator:
+def stepwise_generator(ctx: ProtocolContext) -> Hamiltonian:
     """Generator of the small-step limit of the alternating scheme: the
     duration-weighted mean of the two stepwise Hamiltonians."""
     t1, t2 = ctx.config.t1, ctx.config.t2
-    w = t1 + t2
-    return model.weighted_sum([ctx.h1, ctx.h2], [t1 / w, t2 / w])
-
-
-def disable_erasure(config: ProtocolConfig) -> ProtocolConfig:
-    """Control-run variant of a configuration."""
-    return replace(config, no_erasure_run=True)
+    w1, w2 = t1 / (t1 + t2), t2 / (t1 + t2)
+    return Hamiltonian(w1 * ctx.h1.hop_x, w2 * ctx.h2.hop_y,
+                       w1 * ctx.h1.D + w2 * ctx.h2.D)

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from tsim.config import ConfigError, OutputOptions, parse_config, serialize_config
-from tsim.io import (read_state, read_trajectory, write_operator, write_phases,
-                     write_state, write_trajectory)
-from tsim.model import LatticeSpec, ModelParams, build_full
-from tsim.fock import enumerate_basis
+from tsim.io import (read_state, read_trajectory, write_phases, write_state,
+                     write_trajectory)
+from tsim.model import LatticeSpec, ModelParams
 from tsim.propagate import ManyBodyState
 from tsim.protocol import ProtocolConfig, run_protocol
 
@@ -170,15 +169,6 @@ def test_phase_dump(tmp_path):
     cycle, index, theta = lines[1].split(",")
     assert (int(cycle), int(index)) == (1, 0)
     assert float(theta) == result.phases[0][1][0]
-
-
-def test_operator_export_file(tmp_path):
-    bt, bu = enumerate_basis(3, 1), enumerate_basis(3, 1)
-    op = build_full(LatticeSpec.chain(3), ModelParams.defaults(3), bt, bu)
-    path = write_operator(op, tmp_path / "h.coo")
-    lines = path.read_text().splitlines()
-    dim, nnz = (int(x) for x in lines[0].split())
-    assert dim == 9 and nnz == len(lines) - 1 == op.nnz
 
 
 @pytest.mark.parametrize("chain", ["false", '"no"', "1"])

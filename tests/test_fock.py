@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tsim.fock import (composite_index, composite_split, enumerate_basis)
+from tsim.fock import enumerate_basis
 
 
 def test_dimension_small():
@@ -74,29 +74,3 @@ def test_enumeration_properties(sites, data):
     for idx, mask in enumerate(basis.configs):
         assert basis.rank(mask) == idx
 
-
-def test_composite_index_examples():
-    assert composite_index(2, 3, 5) == 13
-    assert composite_index(0, 0, 7) == 0
-    d_x, d_y = 4, 5
-    assert composite_index(d_x - 1, d_y - 1, d_y) == d_x * d_y - 1
-
-
-def test_composite_index_errors():
-    with pytest.raises(ValueError):
-        composite_index(0, 5, 5)
-    with pytest.raises(ValueError):
-        composite_index(-1, 0, 5)
-    with pytest.raises(ValueError):
-        composite_index(0, 0, 0)
-
-
-@given(st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=40))
-def test_composite_bijection(d_x, d_y):
-    seen = set()
-    for m in range(d_x):
-        for n in range(d_y):
-            k = composite_index(m, n, d_y)
-            assert composite_split(k, d_y) == (m, n)
-            seen.add(k)
-    assert seen == set(range(d_x * d_y))

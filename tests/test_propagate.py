@@ -7,8 +7,8 @@ from scipy.linalg import expm
 import oracles
 from conftest import random_state
 from tsim.fock import enumerate_basis
-from tsim.model import (LatticeSpec, ModelParams, SparseHermitianOperator,
-                        build_full, build_h1, build_h2, hop_sign)
+from tsim.model import (LatticeSpec, ModelParams, build_full, build_h1,
+                        build_h2, hop_sign)
 from tsim.propagate import (ManyBodyState, PropagationError,
                             PropagatorSettings, evolve, evolve_blockwise)
 
@@ -125,7 +125,7 @@ def test_per_species_number_conservation():
 def test_blockwise_single_block_matches_evolve():
     lattice, params, bt, bu = _chain_setup(4, 0, 2, seed=41)
     h2 = build_h2(lattice, params, bt, bu)
-    assert len(h2.blocks) == 1
+    assert bt.dim == 1  # one tau configuration, so H2 is one block
     psi = random_state((bt.dim, bu.dim), 43)
     flat = evolve(psi, h2, 1.3)
     block = evolve_blockwise(psi, h2, 1.3)
@@ -148,14 +148,13 @@ def test_blockwise_matches_flat_h1_h2():
 def test_blockwise_zero_block_stays_zero():
     lattice, params, bt, bu = _chain_setup(4, 1, 1, seed=53)
     h1 = build_h1(lattice, params, bt, bu)
-    amps = np.zeros(bt.dim * bu.dim, dtype=complex)
-    live = h1.blocks[0].indices()
+    # only the block of the first upsilon configuration, column 0 of gamma, lives
+    gamma = np.zeros((bt.dim, bu.dim), dtype=complex)
     rng = np.random.default_rng(59)
-    amps[live] = rng.standard_normal(len(live)) + 1j * rng.standard_normal(len(live))
-    psi = ManyBodyState.normalized(amps, (bt.dim, bu.dim))
+    gamma[:, 0] = rng.standard_normal(bt.dim) + 1j * rng.standard_normal(bt.dim)
+    psi = ManyBodyState.normalized(gamma.ravel(), (bt.dim, bu.dim))
     out = evolve_blockwise(psi, h1, 2.2)
-    for b in h1.blocks[1:]:
-        assert np.all(out.amplitudes[b.indices()] == 0)
+    assert np.all(out.gamma()[:, 1:] == 0)
 
 
 def test_blockwise_requires_tags():
@@ -207,10 +206,16 @@ def _ladder(rungs):
     return LatticeSpec(2 * rungs, tuple(legs + [(r, r + rungs) for r in range(rungs)]))
 
 
-@pytest.mark.parametrize("lattice,n_tau,n_upsilon", [
-    (_ring(6), 3, 2), (_ladder(3), 2, 3),
+@pytest.mark.parametrize("lattice,n_tau,n_upsilon,settings_used,tol", [
+    pytest.param(_ring(6), 3, 2, PropagatorSettings(), 1e-12, id="lattice0-3-2"),
+    pytest.param(_ladder(3), 2, 3, PropagatorSettings(), 1e-12, id="lattice1-2-3"),
+    # blocks above the dense threshold: Lanczos on the whole of gamma, at
+    # criterion 8's iterative-vs-dense bound
+    pytest.param(_ring(6), 3, 2, KRYLOV, 1e-9, id="lattice0-3-2-krylov"),
+    pytest.param(_ladder(3), 2, 3, KRYLOV, 1e-9, id="lattice1-2-3-krylov"),
 ])
-def test_blockwise_matches_per_block_expm_off_chain(lattice, n_tau, n_upsilon):
+def test_blockwise_matches_per_block_expm_off_chain(lattice, n_tau, n_upsilon,
+                                                    settings_used, tol):
     sites = lattice.sites
     rng = np.random.default_rng(sites + n_tau)
     params = ModelParams(j_tau=0.9, j_upsilon=1.2,
@@ -245,42 +250,34 @@ def test_blockwise_matches_per_block_expm_off_chain(lattice, n_tau, n_upsilon):
             expected = np.empty_like(psi.amplitudes)
             for idx, h in blocks[name]:
                 expected[idx] = expm(-1j * t * h) @ psi.amplitudes[idx]
-            out = evolve_blockwise(psi, op, t)
-            assert np.max(np.abs(out.amplitudes - expected)) < 1e-12
+            out = evolve_blockwise(psi, op, t, settings_used)
+            assert np.max(np.abs(out.amplitudes - expected)) < tol
 
 
 def test_factorization_is_lazy_and_shared(monkeypatch):
     from tsim.protocol import ProtocolConfig, prepare, run_cycle
-    calls = []
-    eigh = np.linalg.eigh
+    calls, builds = [], []
+    eigh, cos = np.linalg.eigh, np.cos
 
     def counting_eigh(a):
         calls.append(a.shape)
         return eigh(a)
 
+    def counting_cos(x):
+        # in a cycle only the build of a stage propagator U(|t|) calls np.cos
+        builds.append(np.shape(x))
+        return cos(x)
+
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(np, "cos", counting_cos)
     cfg = ProtocolConfig(lattice=LatticeSpec.chain(6), n_tau=2, n_upsilon=2,
                          params=ModelParams.defaults(6), t1=1.5, t2=2.5)
     ctx = prepare(cfg)
-    assert ctx.h1._prop_cache == {} and ctx.h2._prop_cache == {}
-    assert calls == []
+    assert calls == [] and builds == []
     run_cycle(ctx.initial, ctx, 1)
     # fwd1/rev1 share one factorization of H1, fwd2/rev2 one of H2
     assert calls == [(15, 15, 15), (15, 15, 15)]
-    for op, t in ((ctx.h1, cfg.t1), (ctx.h2, cfg.t2)):
-        assert set(op._prop_cache) == {"blocks"}
-        # the reverse stage reuses the forward propagator
-        assert set(op._prop_cache["blocks"][3]) == {t}
+    # and the reverse stage reuses the forward propagator
+    assert builds == [(15, 15), (15, 15)]
     run_cycle(ctx.initial, ctx, 2)
-    assert len(calls) == 2
-
-
-def test_complex_operator_needs_krylov():
-    # the eigendecomposition path factors real symmetric matrices only
-    h = SparseHermitianOperator.from_entries(2, [0, 1], [1, 0], [0.5j, -0.5j])
-    psi = ManyBodyState(np.array([1.0, 0.0], dtype=complex), (2, 1))
-    with pytest.raises(ValueError, match="real symmetric"):
-        evolve(psi, h, 1.0)
-    out = evolve(psi, h, 1.0, KRYLOV)
-    exact = expm(-1j * h.to_dense()) @ psi.amplitudes
-    assert np.max(np.abs(out.amplitudes - exact)) < 1e-9
+    assert len(calls) == 2 and len(builds) == 2

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,9 +8,9 @@ from tsim.fock import enumerate_basis
 from tsim.model import LatticeSpec, ModelParams
 from tsim.propagate import evolve
 from tsim.protocol import (CYCLE_STAGES, STAGE_ERASE, STAGE_INIT,
-                           ProtocolConfig, build_initial_state,
-                           disable_erasure, prepare, run_cycle,
-                           run_full_hamiltonian, run_protocol, run_trotter)
+                           ProtocolConfig, build_initial_state, prepare,
+                           run_cycle, run_full_hamiltonian, run_protocol,
+                           run_trotter)
 
 
 def desk_config(**overrides):
@@ -98,7 +100,7 @@ def test_stage_order_and_single_erase_record():
     times = [r.model_time for r in result.records]
     assert times == sorted(times)
     # control runs drop exactly the erase stage
-    control = run_protocol(disable_erasure(cfg))
+    control = run_protocol(replace(cfg, no_erasure_run=True))
     stages = [r.stage for r in control.records if r.cycle == 1]
     assert stages == [s for s in CYCLE_STAGES if s != STAGE_ERASE]
 
