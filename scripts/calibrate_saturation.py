@@ -77,6 +77,12 @@ def main():
     parser.add_argument("--cycles", type=int, default=50)
     parser.add_argument("--t", type=float, default=2.0)
     args = parser.parse_args()
+    # the smoothed curve needs 2 points for one difference, and the t-test
+    # needs 2 seeds for a standard error
+    if args.cycles < 6:
+        parser.error("--cycles must be at least 6")
+    if args.seeds < 2:
+        parser.error("--seeds must be at least 2")
 
     sel = sector_indices(args.sites, args.particles, args.particles)
     h1_full, h2_full = stepwise_hamiltonians(args.sites, 1.0, 1.0)

@@ -8,8 +8,8 @@ from .model import (Hamiltonian, LatticeSpec, ModelParams, build_full,
                     build_h1, build_h2)
 from .observables import (EntropyReport, entanglement_entropy, fidelity,
                           measure, occupation_density, shannon_entropies)
-from .propagate import (ManyBodyState, PropagationError, PropagatorSettings,
-                        evolve, evolve_blockwise)
+from .propagate import (ManyBodyState, PropagatorSettings, evolve,
+                        evolve_blockwise)
 from .protocol import (ProtocolConfig, ProtocolResult, StageRecord,
                        build_initial_state, prepare, run_cycle,
                        run_full_hamiltonian, run_protocol, run_trotter,
@@ -23,7 +23,6 @@ __all__ = [
     "LatticeSpec",
     "ManyBodyState",
     "ModelParams",
-    "PropagationError",
     "PropagatorSettings",
     "ProtocolConfig",
     "ProtocolResult",

@@ -130,14 +130,15 @@ class Hamiltonian:
     def expectation(self, v: np.ndarray) -> float:
         return float(np.vdot(v, self.apply(v)).real)
 
-    def norm_bound(self) -> float:
-        """Gershgorin bound on the spectral radius: max absolute row sum."""
-        rows = np.abs(self.D)
+    def spectral_bounds(self) -> tuple[float, float]:
+        """Gershgorin interval [lo, hi] that holds every eigenvalue: D plus
+        or minus the absolute row sums of the hop matrices."""
+        r = np.zeros(self.D.shape)
         if self.hop_x is not None:
-            rows = rows + abs(self.hop_x).sum(axis=1)[:, None]
+            r = r + abs(self.hop_x).sum(axis=1)[:, None]
         if self.hop_y is not None:
-            rows = rows + abs(self.hop_y).sum(axis=1)[None, :]
-        return float(rows.max())
+            r = r + abs(self.hop_y).sum(axis=1)[None, :]
+        return float((self.D - r).min()), float((self.D + r).max())
 
     def to_dense(self) -> np.ndarray:
         d_x, d_y = self.D.shape

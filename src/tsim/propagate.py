@@ -1,17 +1,16 @@
 """Time evolution exp(-i*H*t) applied to state vectors.
 
 Operators are :class:`~tsim.model.Hamiltonian` pieces (hop_x, hop_y, D)
-acting on the coefficient matrix gamma.  Small problems are solved exactly
-by one cached ``np.linalg.eigh`` call per operator on first use: an operator
-of dimension up to ``dense_threshold`` is factored whole, and a stepwise one
-with blocks that small has all its blocks (the mobile species' hop matrix
-plus one column of D for H1, one row for H2) stacked and factored together.
-Each stage propagator U(|t|) is cached too and serves t and -t, and a stage
-is one batched matmul on the columns or rows of gamma.  Larger operators,
-and stepwise ones with larger blocks, go through a Lanczos Krylov projection
-on the whole of gamma, using the structured apply, with full
-reorthogonalization, adaptive subspace growth, and time substepping.  No
-step renormalizes its output.
+acting on the coefficient matrix gamma.  Small blocks are solved exactly: on
+the blockwise path, a stepwise operator with blocks of at most
+``dense_threshold`` (the mobile species' hop matrix plus one column of D for
+H1, one row for H2) has them all stacked and factored by one cached
+``np.linalg.eigh`` call on first use.  Each stage propagator U(|t|) is cached
+too, serves t and -t, and is one batched matmul on the columns or rows of
+gamma.  Everything else runs the Chebyshev expansion of Tal-Ezer & Kosloff,
+J. Chem. Phys. 81, 3967 (1984), on the whole of gamma through the structured
+apply, over the operator's Gershgorin interval, with a term count fixed a
+priori.  No step renormalizes its output.
 """
 
 from __future__ import annotations
@@ -19,41 +18,29 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.special import jv
 
 from .model import Hamiltonian
 
 _PROP_CACHE_MAX = 8
-
-
-class PropagationError(RuntimeError):
-    """Krylov iteration failed to reach the requested accuracy."""
-
-    def __init__(self, message: str, *, subspace_dim: int, substeps: int,
-                 residual: float):
-        super().__init__(
-            f"{message} (subspace_dim={subspace_dim}, substeps={substeps}, "
-            f"residual={residual:.3e})"
-        )
-        self.subspace_dim = subspace_dim
-        self.substeps = substeps
-        self.residual = residual
+# Chebyshev terms end at the last Bessel coefficient above _CHEB_CUTOFF; one
+# substep spans at most _CHEB_SPAN interval half-widths, which keeps the
+# coefficient set of a long evolution to a few hundred terms
+_CHEB_CUTOFF = 1e-15
+_CHEB_SPAN = 250.0
 
 
 @dataclass(frozen=True)
 class PropagatorSettings:
+    """``dense_threshold`` is the largest block factored exactly: a stepwise
+    operator whose blocks have at most that many configurations takes the
+    cached block eigendecomposition in :func:`evolve_blockwise`."""
+
     dense_threshold: int = 512
-    krylov_tol: float = 1e-10
-    krylov_max_dim: int = 48
-    substep_cap: float = 16.0  # max |t| * ||H|| handled by one Krylov solve
 
     def __post_init__(self):
-        if self.dense_threshold <= 0 or self.krylov_max_dim <= 0:
-            raise ValueError("dimension settings must be positive")
-        if self.substep_cap <= 0:
-            raise ValueError("substep_cap must be positive")
-        if self.krylov_tol < 1e-14:
-            raise ValueError("krylov_tol below 1e-14 is not achievable")
+        if self.dense_threshold <= 0:
+            raise ValueError("dense_threshold must be positive")
 
 
 DEFAULT_SETTINGS = PropagatorSettings()
@@ -92,27 +79,22 @@ class ManyBodyState:
         return self.amplitudes.reshape(self.dims)
 
 
-def _eigensystem(op: Hamiltonian, blockwise: bool):
+def _eigensystem(op: Hamiltonian):
     """(eigenvalues, eigenvectors, stage propagators by |t|) of the stacked
-    blocks: one per column of gamma for H1, per row for H2, or the whole
-    operator as one block."""
-    kind = "blocks" if blockwise else "flat"
-    if kind not in op._cache:
-        if not blockwise:
-            stack = op.to_dense()[None]
-        else:
-            # block k is the mobile hop matrix plus the diagonal of D's row k
-            hop, diag = (op.hop_x, op.D.T) if op.hop_y is None else (op.hop_y, op.D)
-            stack = np.repeat(hop.toarray()[None], len(diag), axis=0)
-            i = np.arange(hop.shape[0])
-            stack[:, i, i] += diag
-        op._cache[kind] = (*np.linalg.eigh(stack), {})
-    return op._cache[kind]
+    blocks of a stepwise operator: one per column of gamma for H1, per row
+    for H2."""
+    if "blocks" not in op._cache:
+        # block k is the mobile hop matrix plus the diagonal of D's row k
+        hop, diag = (op.hop_x, op.D.T) if op.hop_y is None else (op.hop_y, op.D)
+        stack = np.repeat(hop.toarray()[None], len(diag), axis=0)
+        i = np.arange(hop.shape[0])
+        stack[:, i, i] += diag
+        op._cache["blocks"] = (*np.linalg.eigh(stack), {})
+    return op._cache["blocks"]
 
 
-def _apply_eigen(op: Hamiltonian, amps: np.ndarray, t: float,
-                 blockwise: bool) -> np.ndarray:
-    w, v, props = _eigensystem(op, blockwise)
+def _apply_eigen(op: Hamiltonian, amps: np.ndarray, t: float) -> np.ndarray:
+    w, v, props = _eigensystem(op)
     key = abs(t)
     if key not in props:
         if len(props) >= _PROP_CACHE_MAX:
@@ -122,8 +104,8 @@ def _apply_eigen(op: Hamiltonian, amps: np.ndarray, t: float,
         u.real = (v * np.cos(key * w)[:, None, :]) @ v.swapaxes(1, 2)
         u.imag = (v * -np.sin(key * w)[:, None, :]) @ v.swapaxes(1, 2)
         props[key] = u
-    # the blocks of H1 act on the columns of gamma, all others on its rows
-    by_column = blockwise and op.hop_y is None
+    # the blocks of H1 act on the columns of gamma, those of H2 on its rows
+    by_column = op.hop_y is None
     g = amps.reshape(-1, len(w)).T if by_column else amps.reshape(len(w), -1)
     # V is real, so U(-t) x = conj(U(t) conj(x)) and one propagator serves both
     sub = np.ascontiguousarray(g if t > 0 else g.conj())
@@ -133,94 +115,55 @@ def _apply_eigen(op: Hamiltonian, amps: np.ndarray, t: float,
     return (sub.T if by_column else sub).ravel()
 
 
-def _lanczos_expv(op: Hamiltonian, v: np.ndarray, t: float,
-                  tol: float, max_dim: int) -> tuple[np.ndarray, int, float]:
-    """One Krylov solve: w ~= exp(-i*t*H) v, with v assumed unit norm.
-
-    Returns (w, subspace size, residual estimate).  The residual combines the
-    beta * |last component of exp(-i*t*T) e1| a posteriori bound with the
-    norm of the change between successive approximants.
-    """
-    basis = [v]
-    alphas: list[float] = []
-    betas: list[float] = []
-    residual = np.inf
-    prev_small = None
-    for j in range(max_dim):
-        w = op.apply(basis[j])
-        a = float(np.vdot(basis[j], w).real)
-        alphas.append(a)
-        w -= a * basis[j]
-        if j > 0:
-            w -= betas[j - 1] * basis[j - 1]
-        # full reorthogonalization; subspaces are small
-        for u in basis:
-            w -= np.vdot(u, w) * u
-        b = float(np.linalg.norm(w))
-        evals, evecs = eigh_tridiagonal(np.array(alphas), np.array(betas))
-        small = evecs @ (np.exp(-1j * t * evals) * evecs[0])
-        if b < 1e-14 * max(1.0, abs(a)):
-            # invariant subspace: the projected solution is exact
-            return np.stack(basis, axis=1) @ small, j + 1, 0.0
-        residual = abs(b * small[-1]) * max(1.0, abs(t))
-        if prev_small is not None:
-            # orthonormal columns: approximant change is computable in T-space
-            change = float(np.linalg.norm(small[:-1] - prev_small)) + abs(small[-1])
-            residual = max(residual, change)
-            if residual < tol:
-                return np.stack(basis, axis=1) @ small, j + 1, residual
-        prev_small = small
-        betas.append(b)
-        basis.append(w / b)
-    raise PropagationError(
-        "Krylov subspace cap reached without convergence",
-        subspace_dim=max_dim, substeps=1, residual=residual,
-    )
-
-
-def _krylov_apply(op: Hamiltonian, amps: np.ndarray, t: float,
-                  settings: PropagatorSettings) -> np.ndarray:
-    scale = abs(t) * op.norm_bound()
-    steps = max(1, int(np.ceil(scale / settings.substep_cap)))
-    tol = settings.krylov_tol / (2 * steps)
-    out = amps
+def _chebyshev_apply(op: Hamiltonian, amps: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i*t*H) amps as sum_k c_k T_k((H - b)/a) amps on the spectral
+    interval [b - a, b + a], with c_k = (2 - delta_k0) (-i)^k J_k(a*dt)
+    exp(-i*b*dt) for each of the equal substeps dt."""
+    lo, hi = op.spectral_bounds()
+    # a point interval means H = b, and then any half-width bounds it
+    a, b = (hi - lo) / 2 or 1.0, (hi + lo) / 2
+    steps = max(1, int(np.ceil(a * abs(t) / _CHEB_SPAN)))
+    dt = t / steps
+    # J_k(x) falls off faster than exponentially once k exceeds |x|
+    bessel = jv(np.arange(2 * int(a * abs(dt)) + 40), a * dt)
+    n = max(2, np.flatnonzero(np.abs(bessel) > _CHEB_CUTOFF)[-1] + 1)
+    coef = (np.array([2, -2j, -2, 2j])[np.arange(n) % 4] * bessel[:n]
+            * np.exp(-1j * b * dt))
+    coef[0] /= 2
+    out = amps.reshape(op.D.shape)
     for _ in range(steps):
-        nrm = np.linalg.norm(out)
-        w, _, _ = _lanczos_expv(op, out / nrm, t / steps, tol,
-                                settings.krylov_max_dim)
-        out = nrm * w
-    return out
+        prev, cur = out, (op.apply(out) - b * out) / a
+        out = coef[0] * prev + coef[1] * cur
+        for c in coef[2:]:
+            prev, cur = cur, 2 / a * (op.apply(cur) - b * cur) - prev
+            out += c * cur
+    return out.ravel()
 
 
-def evolve(state: ManyBodyState, op: Hamiltonian, t: float,
-           settings: PropagatorSettings = DEFAULT_SETTINGS) -> ManyBodyState:
+def evolve(state: ManyBodyState, op: Hamiltonian, t: float) -> ManyBodyState:
     """exp(-i*op*t) applied to ``state``; negative t reverses the evolution."""
-    return _evolve(state, op, t, settings, blockwise=False)
+    return _evolve(state, op, t, _chebyshev_apply)
 
 
 def evolve_blockwise(state: ManyBodyState, op: Hamiltonian, t: float,
                      settings: PropagatorSettings = DEFAULT_SETTINGS) -> ManyBodyState:
     """Blockwise exp(-i*op*t) for a stepwise operator: each block (one per
-    configuration of the frozen species) evolves independently.  Identical
-    to :func:`evolve` with the flat operator up to the Krylov tolerance."""
+    configuration of the frozen species) evolves independently, exactly when
+    the blocks fit in ``settings.dense_threshold``.  Identical to
+    :func:`evolve` up to rounding."""
     if (op.hop_x is None) == (op.hop_y is None):
         raise ValueError("blockwise evolution needs exactly one mobile species")
-    return _evolve(state, op, t, settings, blockwise=True)
+    mobile = op.hop_x if op.hop_y is None else op.hop_y
+    exact = mobile.shape[0] <= settings.dense_threshold
+    return _evolve(state, op, t, _apply_eigen if exact else _chebyshev_apply)
 
 
 def _evolve(state: ManyBodyState, op: Hamiltonian, t: float,
-            settings: PropagatorSettings, blockwise: bool) -> ManyBodyState:
+            method) -> ManyBodyState:
     if op.D.shape != state.dims:
         raise ValueError(
             f"operator dims {op.D.shape} do not match state dims {state.dims}"
         )
     if t == 0.0:
         return ManyBodyState(state.amplitudes.copy(), state.dims)
-    # a block of a stepwise operator has the size of its mobile hop matrix
-    mobile = op.hop_x if op.hop_y is None else op.hop_y
-    block = mobile.shape[0] if blockwise else op.dim
-    if block <= settings.dense_threshold:
-        out = _apply_eigen(op, state.amplitudes, t, blockwise)
-    else:
-        out = _krylov_apply(op, state.amplitudes, t, settings)
-    return ManyBodyState(out, state.dims)
+    return ManyBodyState(method(op, state.amplitudes, t), state.dims)

@@ -231,7 +231,7 @@ def run_full_hamiltonian(config: ProtocolConfig) -> ProtocolResult:
     t = 0.0
     for cycle in range(1, config.cycles + 1):
         for dt in (config.t1, config.t2):
-            state = evolve(state, h, dt, config.settings)
+            state = evolve(state, h, dt)
             t += dt
             records.append(StageRecord(cycle, STAGE_FULL, t, ctx.measure(state)))
     return ProtocolResult(tuple(records), state, ())
@@ -250,8 +250,8 @@ def run_trotter(config: ProtocolConfig, n_steps: int | None = None) -> ProtocolR
     state = ctx.initial
     records = [StageRecord(0, STAGE_INIT, 0.0, ctx.measure(state))]
     for _ in range(n):
-        state = evolve(state, ctx.h1, dt1, config.settings)
-        state = evolve(state, ctx.h2, dt2, config.settings)
+        state = evolve(state, ctx.h1, dt1)
+        state = evolve(state, ctx.h2, dt2)
     total = config.cycles * (config.t1 + config.t2)
     records.append(StageRecord(config.cycles, STAGE_TROTTER, total,
                                ctx.measure(state)))

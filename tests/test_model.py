@@ -261,6 +261,10 @@ def test_operators_match_oracle_on_random_lattices():
             dense = op.to_dense()
             assert np.array_equal(dense, oracles.sector_hamiltonian(*common, terms=terms))
             assert np.max(np.abs(op.apply(v) - dense @ v), initial=0.0) < 1e-13
+            # the Chebyshev expansion diverges if the interval misses an eigenvalue
+            lo, hi = op.spectral_bounds()
+            eigs = np.linalg.eigvalsh(dense)
+            assert lo <= eigs.min() and eigs.max() <= hi
 
     check()
     # some drawn bonds skip an occupied site, so the parity sign -1 was tested

@@ -9,10 +9,11 @@ from conftest import random_state
 from tsim.fock import enumerate_basis
 from tsim.model import (LatticeSpec, ModelParams, build_full, build_h1,
                         build_h2, hop_sign)
-from tsim.propagate import (ManyBodyState, PropagationError,
-                            PropagatorSettings, evolve, evolve_blockwise)
+from tsim.propagate import (ManyBodyState, PropagatorSettings, evolve,
+                            evolve_blockwise)
 
-KRYLOV = PropagatorSettings(dense_threshold=1)  # force the Krylov path
+# blocks above the dense threshold: evolve_blockwise takes the Chebyshev path
+CHEBYSHEV = PropagatorSettings(dense_threshold=1)
 
 
 def _chain_setup(sites, n_tau, n_upsilon, seed=0):
@@ -35,6 +36,10 @@ def test_zero_time_is_identity():
     psi = random_state((bt.dim, bu.dim), 3)
     out = evolve(psi, h, 0.0)
     assert np.array_equal(out.amplitudes, psi.amplitudes)
+    # a time this small leaves one Bessel coefficient above the cutoff, and
+    # the expansion still needs its first two terms
+    out = evolve(psi, h, 1e-300)
+    assert np.allclose(out.amplitudes, psi.amplitudes, rtol=0, atol=1e-15)
 
 
 def test_two_site_analytic_oracle():
@@ -56,6 +61,20 @@ def test_two_site_analytic_oracle():
     assert abs(out.amplitudes[1] + 1j) < 1e-12
 
 
+def test_one_configuration_evolves_by_a_phase():
+    # both species fill the chain, so H is the number D and its spectral
+    # interval has zero width
+    params = ModelParams(j_tau=1.0, j_upsilon=1.0, u_tau=(0.3, 0.0, 0.0),
+                         u_upsilon=(0.0, 0.0, 0.0), u_cross=0.7)
+    bt, bu = enumerate_basis(3, 3), enumerate_basis(3, 3)
+    h = build_full(LatticeSpec.chain(3), params, bt, bu)
+    energy = h.D[0, 0]
+    assert h.spectral_bounds() == (energy, energy) and abs(energy - 2.4) < 1e-15
+    psi = ManyBodyState(np.array([1.0 + 0j]), (1, 1))
+    out = evolve(psi, h, 1.3)
+    assert abs(out.amplitudes[0] - np.exp(-1j * energy * 1.3)) < 1e-15
+
+
 def test_unitary_round_trip_l6():
     lattice, params, bt, bu = _chain_setup(6, 2, 2, seed=5)
     h = build_full(lattice, params, bt, bu)
@@ -64,18 +83,26 @@ def test_unitary_round_trip_l6():
     assert np.max(np.abs(back.amplitudes - psi.amplitudes)) < 1e-10
 
 
-@pytest.mark.parametrize("settings_used", [None, KRYLOV])
+@pytest.mark.parametrize("settings_used", [None, CHEBYSHEV])
 def test_norm_and_energy_conservation(settings_used):
+    # None: evolve under the full H; settings: evolve_blockwise under H1 and H2
     lattice, params, bt, bu = _chain_setup(5, 2, 1, seed=9)
-    h = build_full(lattice, params, bt, bu)
+    if settings_used is None:
+        ops = [build_full(lattice, params, bt, bu)]
+        step = evolve
+    else:
+        ops = [build_h1(lattice, params, bt, bu), build_h2(lattice, params, bt, bu)]
+
+        def step(state, op, t):
+            return evolve_blockwise(state, op, t, settings_used)
     psi = random_state((bt.dim, bu.dim), 11)
-    e0 = h.expectation(psi.amplitudes)
-    kwargs = {} if settings_used is None else {"settings": settings_used}
-    state = psi
-    for t in (0.5, 1.2, -0.7):
-        state = evolve(state, h, t, **kwargs)
-        assert abs(state.norm() - 1.0) < 1e-12
-        assert abs(h.expectation(state.amplitudes) - e0) < 1e-9
+    for h in ops:
+        e0 = h.expectation(psi.amplitudes)
+        state = psi
+        for t in (0.5, 1.2, -0.7):
+            state = step(state, h, t)
+            assert abs(state.norm() - 1.0) < 1e-12
+            assert abs(h.expectation(state.amplitudes) - e0) < 1e-9
 
 
 def test_composition():
@@ -88,15 +115,16 @@ def test_composition():
 
 
 def test_dense_krylov_agreement():
-    # dims 20 (L=6,N=1,1 -> 36? use L=5: 10*5=50) kept under 256
+    # the iterative propagator against the dense eigendecomposition, L=5, 2+2
     lattice, params, bt, bu = _chain_setup(5, 2, 2, seed=19)
     h = build_full(lattice, params, bt, bu)
     assert h.dim <= 256
+    w, v = np.linalg.eigh(h.to_dense())
     psi = random_state((bt.dim, bu.dim), 23)
     for t in (0.4, 2.0, -1.3):
-        dense = evolve(psi, h, t)
-        krylov = evolve(psi, h, t, KRYLOV)
-        assert np.max(np.abs(dense.amplitudes - krylov.amplitudes)) < 1e-9
+        dense = v @ (np.exp(-1j * w * t) * (v.T @ psi.amplitudes))
+        out = evolve(psi, h, t)
+        assert np.max(np.abs(dense - out.amplitudes)) < 1e-9
 
 
 def test_krylov_matches_expm_small_dims():
@@ -107,7 +135,7 @@ def test_krylov_matches_expm_small_dims():
         psi = random_state((bt.dim, bu.dim), seed + 31)
         t = 1.1
         exact = expm(-1j * t * h.to_dense()) @ psi.amplitudes
-        out = evolve(psi, h, t, KRYLOV)
+        out = evolve(psi, h, t)
         assert np.max(np.abs(out.amplitudes - exact)) < 1e-9
 
 
@@ -173,16 +201,17 @@ def test_dimension_mismatch_rejected():
         evolve(bad, h, 1.0)
 
 
-def test_krylov_cap_failure_is_diagnosed():
+def test_long_time_matches_eigendecomposition():
+    # a*|t| is about 3,600 here: fifteen substeps, each with the a-priori
+    # term count; a count cut short of the Bessel tail fails well above 1e-10
     lattice, params, bt, bu = _chain_setup(6, 2, 2, seed=71)
     h = build_full(lattice, params, bt, bu)
+    w, v = np.linalg.eigh(h.to_dense())
     psi = random_state((bt.dim, bu.dim), 73)
-    cramped = PropagatorSettings(dense_threshold=1, krylov_max_dim=3,
-                                 substep_cap=1e6)
-    with pytest.raises(PropagationError) as err:
-        evolve(psi, h, 40.0, cramped)
-    assert err.value.subspace_dim == 3
-    assert err.value.residual > 0
+    for t in (400.0, -400.0):
+        exact = v @ (np.exp(-1j * w * t) * (v.T @ psi.amplitudes))
+        out = evolve(psi, h, t)
+        assert np.max(np.abs(out.amplitudes - exact)) < 1e-10
 
 
 @settings(max_examples=15, deadline=None)
@@ -209,10 +238,10 @@ def _ladder(rungs):
 @pytest.mark.parametrize("lattice,n_tau,n_upsilon,settings_used,tol", [
     pytest.param(_ring(6), 3, 2, PropagatorSettings(), 1e-12, id="lattice0-3-2"),
     pytest.param(_ladder(3), 2, 3, PropagatorSettings(), 1e-12, id="lattice1-2-3"),
-    # blocks above the dense threshold: Lanczos on the whole of gamma, at
+    # blocks above the dense threshold: Chebyshev on the whole of gamma, at
     # criterion 8's iterative-vs-dense bound
-    pytest.param(_ring(6), 3, 2, KRYLOV, 1e-9, id="lattice0-3-2-krylov"),
-    pytest.param(_ladder(3), 2, 3, KRYLOV, 1e-9, id="lattice1-2-3-krylov"),
+    pytest.param(_ring(6), 3, 2, CHEBYSHEV, 1e-9, id="lattice0-3-2-chebyshev"),
+    pytest.param(_ladder(3), 2, 3, CHEBYSHEV, 1e-9, id="lattice1-2-3-chebyshev"),
 ])
 def test_blockwise_matches_per_block_expm_off_chain(lattice, n_tau, n_upsilon,
                                                     settings_used, tol):

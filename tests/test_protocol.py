@@ -173,8 +173,7 @@ def test_full_hamiltonian_run_conserves_energy():
 def test_trotter_single_step_is_one_stepwise_pass():
     cfg = desk_config(cycles=1)
     ctx = prepare(cfg)
-    manual = evolve(evolve(ctx.initial, ctx.h1, cfg.t1, cfg.settings),
-                    ctx.h2, cfg.t2, cfg.settings)
+    manual = evolve(evolve(ctx.initial, ctx.h1, cfg.t1), ctx.h2, cfg.t2)
     trot = run_trotter(cfg, n_steps=1)
     assert np.array_equal(trot.final_state.amplitudes, manual.amplitudes)
 
