@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import comb
+from math import comb, isfinite
 
 from .erasure import ErasureSpec
 from .model import SPECIES, LatticeSpec, ModelParams
@@ -46,10 +46,19 @@ def _section(doc: dict, name: str, allowed: tuple[str, ...]) -> dict:
     return sec
 
 
+def _finite(val) -> bool:
+    """A number, not a boolean, with a finite float value; the json parser
+    accepts NaN, Infinity and integers beyond the float range."""
+    try:
+        return not isinstance(val, bool) and isfinite(val)
+    except (TypeError, OverflowError):
+        return False
+
+
 def _num(sec: dict, path: str, key: str, default):
     val = sec.get(key, default)
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number")
+    if not _finite(val):
+        raise ConfigError(f"{path}.{key}: expected a finite number")
     return float(val)
 
 
@@ -71,10 +80,11 @@ def _vector(sec: dict, path: str, key: str, length: int) -> tuple[float, ...]:
     val = sec.get(key)
     if val is None:
         return (0.0,) * length
-    if not isinstance(val, list) or any(
-        isinstance(v, bool) or not isinstance(v, (int, float)) for v in val
-    ):
+    if not isinstance(val, list):
         raise ConfigError(f"{path}.{key}: expected a list of numbers")
+    for i, v in enumerate(val):
+        if not _finite(v):
+            raise ConfigError(f"{path}.{key}[{i}]: expected a finite number")
     if len(val) != length:
         raise ConfigError(f"{path}.{key}: expected {length} entries, got {len(val)}")
     return tuple(float(v) for v in val)
@@ -146,12 +156,10 @@ def parse_config(text: str) -> tuple[ProtocolConfig, OutputOptions]:
     )
 
     sec = _section(doc, "protocol", ("t1", "t2", "cycles", "seed"))
-    t1 = _num(sec, "protocol", "t1", 2.0)
-    t2 = _num(sec, "protocol", "t2", 2.0)
-    if t1 <= 0:
-        raise ConfigError("protocol.t1: must be positive")
-    if t2 <= 0:
-        raise ConfigError("protocol.t2: must be positive")
+    t1, t2 = (_num(sec, "protocol", key, 2.0) for key in ("t1", "t2"))
+    for key, t in (("t1", t1), ("t2", t2)):
+        if t <= 0:
+            raise ConfigError(f"protocol.{key}: must be positive")
     cycles = _int(sec, "protocol", "cycles", 1)
     if cycles < 1:
         raise ConfigError("protocol.cycles: must be at least 1")
@@ -190,15 +198,17 @@ def parse_config(text: str) -> tuple[ProtocolConfig, OutputOptions]:
         if initial != DOMAIN_WALL:
             raise ConfigError(f"initial: unknown preset {initial!r}")
     elif isinstance(initial, list):
-        try:
-            initial = tuple(complex(re, im) for re, im in initial)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("initial: expected [re, im] amplitude pairs") from exc
+        if not all(isinstance(z, list) and len(z) == 2 and all(map(_finite, z))
+                   for z in initial):
+            raise ConfigError("initial: expected [re, im] pairs of finite numbers")
+        initial = tuple(complex(re, im) for re, im in initial)
         expected = comb(sites, n_tau) * comb(sites, n_upsilon)
         if len(initial) != expected:
             raise ConfigError(
                 f"initial: expected {expected} amplitude pairs, got {len(initial)}"
             )
+        if not any(initial):
+            raise ConfigError("initial: amplitudes are all zero")
     else:
         raise ConfigError("initial: expected a preset name or amplitude pairs")
 

@@ -69,8 +69,7 @@ def site_phase_sequence(basis: FockBasis, site: int, theta: float) -> np.ndarray
     theta on configs occupying ``site``, zero elsewhere."""
     if not 0 <= site < basis.sites:
         raise ValueError(f"site {site} out of range [0, {basis.sites})")
-    occ = np.array([(c >> site) & 1 for c in basis.configs], dtype=np.float64)
-    return theta * occ
+    return theta * basis.occupations[:, site]
 
 
 def apply_site_phase(state: ManyBodyState, species: str, basis: FockBasis,

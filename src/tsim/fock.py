@@ -4,14 +4,18 @@ A basis state for one spinless-fermion species on ``L`` sites is an integer
 whose bit ``i`` is set iff site ``i`` is occupied.  Bases are enumerated in
 ascending unsigned integer order, which for fixed particle number coincides
 with colexicographic order on the occupied-site tuples; ranks are therefore
-computable by combinatorial counting.
+computable by combinatorial counting.  Each basis builds its per-site
+occupation table once, on first use, and shares it read-only.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import comb
+
+import numpy as np
 
 MAX_SITES = 63  # one machine word per mask
 
@@ -34,24 +38,21 @@ class FockBasis:
         Uses the colex rank: sum over the j-th lowest set bit p_j of C(p_j, j).
         """
         self._check_member(mask)
-        r = 0
-        j = 0
-        m = mask
-        while m:
-            p = (m & -m).bit_length() - 1
-            j += 1
-            r += comb(p, j)
-            m &= m - 1
-        return r
+        occupied = [p for p in range(self.sites) if (mask >> p) & 1]
+        return sum(comb(p, j) for j, p in enumerate(occupied, start=1))
 
     def unrank(self, index: int) -> int:
         if not 0 <= index < self.dim:
             raise ValueError(f"index {index} out of range [0, {self.dim})")
         return self.configs[index]
 
-    def occupancy(self, mask: int) -> tuple[int, ...]:
-        """Per-site 0/1 occupation of ``mask``."""
-        return tuple((mask >> i) & 1 for i in range(self.sites))
+    @cached_property
+    def occupations(self) -> np.ndarray:
+        """Read-only (dim, sites) float64 table, 1.0 where config k occupies site i."""
+        occ = ((np.array(self.configs)[:, None] >> np.arange(self.sites)) & 1
+               ).astype(np.float64)
+        occ.flags.writeable = False
+        return occ
 
     def _check_member(self, mask: int) -> None:
         if mask < 0 or mask >> self.sites:

@@ -192,8 +192,7 @@ def _diag_entries(basis_tau, basis_upsilon, params, include) -> np.ndarray:
     """Diagonal over (m, n) as a (d_x, d_y) array, accumulated per site in a
     fixed term order: tau potential, upsilon potential, cross coupling (as
     selected)."""
-    occ_x, occ_y = ((np.array(b.configs)[:, None] >> np.arange(b.sites)) & 1 == 1
-                    for b in (basis_tau, basis_upsilon))
+    occ_x, occ_y = (b.occupations == 1 for b in (basis_tau, basis_upsilon))
     diag = np.zeros((basis_tau.dim, basis_upsilon.dim))
     if "u_tau" in include:
         for i, u in enumerate(params.u_tau):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import FockBasis
-from .model import SPECIES, TAU, UPSILON
+from .model import SPECIES, TAU
 from .propagate import ManyBodyState
 
 _P_FLOOR = 1e-300
@@ -20,10 +20,8 @@ _P_FLOOR = 1e-300
 
 def _entropy(p: np.ndarray) -> float:
     p = p[p > _P_FLOOR]
-    if not p.size:
-        return 0.0
     s = float(-(p * np.log(p)).sum())
-    # clamp the roundoff tail: normalized p can put the sum a few ulps below 0
+    # clamp a roundoff tail a few ulps below 0, and an empty sum's -0.0
     return s if s > 0.0 else 0.0
 
 
@@ -33,20 +31,18 @@ def shannon_entropies(gamma: np.ndarray) -> tuple[float, float, float]:
     return _entropy(p.sum(axis=1)), _entropy(p.sum(axis=0)), _entropy(p.reshape(-1))
 
 
+def schmidt_spectrum(gamma: np.ndarray) -> np.ndarray:
+    """Descending squared singular values of gamma."""
+    return np.linalg.svd(gamma, compute_uv=False) ** 2
+
+
 def entanglement_entropy(gamma: np.ndarray) -> float:
     """Von Neumann entropy of the species bipartition, from the Schmidt
     spectrum: -sum sigma_k^2 ln sigma_k^2 over singular values of gamma."""
     try:
-        sigma = np.linalg.svd(gamma, compute_uv=False)
+        return _entropy(schmidt_spectrum(gamma))
     except np.linalg.LinAlgError as exc:
         raise RuntimeError("Schmidt decomposition failed") from exc
-    return _entropy(sigma**2)
-
-
-def schmidt_spectrum(gamma: np.ndarray) -> np.ndarray:
-    """Descending squared singular values of gamma."""
-    sigma = np.linalg.svd(gamma, compute_uv=False)
-    return sigma**2
 
 
 def occupation_density(state: ManyBodyState, basis: FockBasis,
@@ -61,8 +57,7 @@ def occupation_density(state: ManyBodyState, basis: FockBasis,
         raise ValueError(
             f"basis dim {basis.dim} does not match state axis {marginal.shape[0]}"
         )
-    occ = np.array([basis.occupancy(c) for c in basis.configs], dtype=np.float64)
-    return tuple(float(x) for x in marginal @ occ)
+    return tuple((marginal @ basis.occupations).tolist())
 
 
 def fidelity(a: ManyBodyState, b: ManyBodyState) -> float:
@@ -89,15 +84,16 @@ class EntropyReport:
 
 def measure(state: ManyBodyState, basis_tau: FockBasis, basis_upsilon: FockBasis,
             initial: ManyBodyState) -> EntropyReport:
-    """Assemble the full report for one state."""
+    """Assemble the full report for one state from one pass over |gamma|^2."""
     g = state.gamma()
-    s_tau, s_upsilon, s_total = shannon_entropies(g)
+    p = np.abs(g) ** 2
+    p_tau, p_upsilon = p.sum(axis=1), p.sum(axis=0)
     return EntropyReport(
-        s_tau=s_tau,
-        s_upsilon=s_upsilon,
-        s_total=s_total,
+        s_tau=_entropy(p_tau),
+        s_upsilon=_entropy(p_upsilon),
+        s_total=_entropy(p.reshape(-1)),
         s_ent=entanglement_entropy(g),
-        densities_tau=occupation_density(state, basis_tau, TAU),
-        densities_upsilon=occupation_density(state, basis_upsilon, UPSILON),
+        densities_tau=tuple((p_tau @ basis_tau.occupations).tolist()),
+        densities_upsilon=tuple((p_upsilon @ basis_upsilon.occupations).tolist()),
         fidelity_to_initial=fidelity(initial, state),
     )

@@ -9,8 +9,8 @@ H1, one row for H2) has them all stacked and factored by one cached
 too, serves t and -t, and is one batched matmul on the columns or rows of
 gamma.  Everything else runs the Chebyshev expansion of Tal-Ezer & Kosloff,
 J. Chem. Phys. 81, 3967 (1984), on the whole of gamma through the structured
-apply, over the operator's Gershgorin interval, with a term count fixed a
-priori.  No step renormalizes its output.
+apply, over the operator's Gershgorin interval, in one expansion for any t
+with a term count fixed a priori.  No step renormalizes its output.
 """
 
 from __future__ import annotations
@@ -23,11 +23,8 @@ from scipy.special import jv
 from .model import Hamiltonian
 
 _PROP_CACHE_MAX = 8
-# Chebyshev terms end at the last Bessel coefficient above _CHEB_CUTOFF; one
-# substep spans at most _CHEB_SPAN interval half-widths, which keeps the
-# coefficient set of a long evolution to a few hundred terms
+# Chebyshev terms end at the last Bessel coefficient above _CHEB_CUTOFF
 _CHEB_CUTOFF = 1e-15
-_CHEB_SPAN = 250.0
 
 
 @dataclass(frozen=True)
@@ -117,26 +114,23 @@ def _apply_eigen(op: Hamiltonian, amps: np.ndarray, t: float) -> np.ndarray:
 
 def _chebyshev_apply(op: Hamiltonian, amps: np.ndarray, t: float) -> np.ndarray:
     """exp(-i*t*H) amps as sum_k c_k T_k((H - b)/a) amps on the spectral
-    interval [b - a, b + a], with c_k = (2 - delta_k0) (-i)^k J_k(a*dt)
-    exp(-i*b*dt) for each of the equal substeps dt."""
+    interval [b - a, b + a], with c_k = (2 - delta_k0) (-i)^k J_k(a*t)
+    exp(-i*b*t), in one expansion however long t is."""
     lo, hi = op.spectral_bounds()
     # a point interval means H = b, and then any half-width bounds it
     a, b = (hi - lo) / 2 or 1.0, (hi + lo) / 2
-    steps = max(1, int(np.ceil(a * abs(t) / _CHEB_SPAN)))
-    dt = t / steps
     # J_k(x) falls off faster than exponentially once k exceeds |x|
-    bessel = jv(np.arange(2 * int(a * abs(dt)) + 40), a * dt)
+    bessel = jv(np.arange(2 * int(a * abs(t)) + 40), a * t)
     n = max(2, np.flatnonzero(np.abs(bessel) > _CHEB_CUTOFF)[-1] + 1)
     coef = (np.array([2, -2j, -2, 2j])[np.arange(n) % 4] * bessel[:n]
-            * np.exp(-1j * b * dt))
+            * np.exp(-1j * b * t))
     coef[0] /= 2
-    out = amps.reshape(op.D.shape)
-    for _ in range(steps):
-        prev, cur = out, (op.apply(out) - b * out) / a
-        out = coef[0] * prev + coef[1] * cur
-        for c in coef[2:]:
-            prev, cur = cur, 2 / a * (op.apply(cur) - b * cur) - prev
-            out += c * cur
+    g = amps.reshape(op.D.shape)
+    prev, cur = g, (op.apply(g) - b * g) / a
+    out = coef[0] * prev + coef[1] * cur
+    for c in coef[2:]:
+        prev, cur = cur, 2 / a * (op.apply(cur) - b * cur) - prev
+        out += c * cur
     return out.ravel()
 
 

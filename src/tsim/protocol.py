@@ -77,8 +77,8 @@ class ProtocolConfig:
         if not (0 <= self.n_tau <= self.lattice.sites
                 and 0 <= self.n_upsilon <= self.lattice.sites):
             raise ValueError("particle numbers must lie in [0, sites]")
-        if self.t1 <= 0 or self.t2 <= 0:
-            raise ValueError("stage durations must be positive")
+        if not (0 < self.t1 < np.inf and 0 < self.t2 < np.inf):
+            raise ValueError("stage durations must be positive and finite")
         if self.cycles < 1:
             raise ValueError("cycles must be at least 1")
         if self.trotter_steps < 1:

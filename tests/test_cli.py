@@ -91,3 +91,15 @@ def test_simulate_dumps_and_comparison_runs(tmp_path):
 def test_missing_config_file_reports_error(tmp_path, capsys):
     assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_simulate_rejects_nan_duration_without_traceback(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**MINIMAL, "protocol": {"t1": float("nan")}}))
+    assert "NaN" in path.read_text()
+    assert main(["simulate", "--config", str(path),
+                 "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: protocol.t1")
+    assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()

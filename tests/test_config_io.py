@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -66,6 +67,47 @@ def test_malformed_and_constraint_errors():
         parse_config('{"lattice": {"sites": 4}, "particles": {"tau": 1, "upsilon": 1}, "protocol": {"cycles": 0}}')
     with pytest.raises(ConfigError, match="lattice.edges"):
         parse_config('{"lattice": {"sites": 4, "chain": true, "edges": [[0, 1]]}, "particles": {"tau": 1, "upsilon": 1}}')
+
+
+_SMALL = {"lattice": {"sites": 4}, "particles": {"tau": 1, "upsilon": 1}}
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("section, literal, message", [
+    ({"protocol": {"t1": _NAN}}, None, "protocol.t1: expected a finite number"),
+    ({"protocol": {"t2": _INF}}, None, "protocol.t2: expected a finite number"),
+    ({"params": {"j_tau": _NAN}}, None, "params.j_tau: expected a finite number"),
+    ({"params": {"u_cross": -_INF}}, None, "params.u_cross: expected a finite number"),
+    ({"params": {"u_tau": [0, _NAN, 0, 0]}}, None,
+     "params.u_tau[1]: expected a finite number"),
+    ({"params": {"j_upsilon": "BIG"}}, "1" + "0" * 400,
+     "params.j_upsilon: expected a finite number"),
+    ({"erasure": {"kind": "site-phase", "site": 1, "theta": _NAN}}, None,
+     "erasure.theta: expected a finite number"),
+    ({"initial": [[1.0, 0.0]] + [[_NAN, 0.0]] * 15}, None,
+     "initial: expected [re, im] pairs of finite numbers"),
+    ({"initial": [[True, False]] * 16}, None,
+     "initial: expected [re, im] pairs of finite numbers"),
+    ({"initial": [[0, 0.0]] * 16}, None, "initial: amplitudes are all zero"),
+], ids=["t1-nan", "t2-inf", "j_tau-nan", "u_cross-minus-inf", "u_tau-entry-nan",
+        "j_upsilon-huge-int", "theta-nan", "initial-nan", "initial-bool",
+        "initial-zero"])
+def test_non_finite_numbers_rejected_with_key_path(section, literal, message):
+    # Python's json parser accepts NaN, Infinity and integers beyond the
+    # float range; each must fail at its key path, not later in the run
+    text = json.dumps({**_SMALL, **section})
+    if literal is not None:
+        text = text.replace('"BIG"', literal)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config(text)
+
+
+@pytest.mark.parametrize("t1, t2", [(_NAN, 2.0), (2.0, _INF), (0.0, 2.0)])
+def test_protocol_config_rejects_non_finite_durations(t1, t2):
+    lattice = LatticeSpec.chain(4)
+    with pytest.raises(ValueError, match="positive and finite"):
+        ProtocolConfig(lattice=lattice, n_tau=1, n_upsilon=1,
+                       params=ModelParams.defaults(4), t1=t1, t2=t2)
 
 
 def test_explicit_edges_and_potentials():

@@ -1,6 +1,7 @@
 import itertools
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -74,3 +75,17 @@ def test_enumeration_properties(sites, data):
     for idx, mask in enumerate(basis.configs):
         assert basis.rank(mask) == idx
 
+
+
+@pytest.mark.parametrize("sites", range(9))
+def test_occupation_table(sites):
+    for particles in range(sites + 1):
+        basis = enumerate_basis(sites, particles)
+        occ = basis.occupations
+        assert occ.shape == (basis.dim, sites)
+        assert occ.dtype == np.float64
+        expected = [[(c >> i) & 1 for i in range(sites)] for c in basis.configs]
+        assert np.array_equal(occ, np.array(expected, dtype=np.float64))
+        assert basis.occupations is occ
+        with pytest.raises(ValueError, match="read-only"):
+            occ[:] = 0.5

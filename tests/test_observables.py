@@ -153,3 +153,19 @@ def test_measure_report_fields():
     assert len(report.densities_tau) == 4
     assert len(report.densities_upsilon) == 4
     assert report.s_ent >= 0.0
+
+
+def test_measure_fields_equal_the_single_diagnostics():
+    # a rectangular gamma (d_x = 5, d_y = 10) so swapped marginal axes fail
+    bt = enumerate_basis(5, 1)
+    bu = enumerate_basis(5, 3)
+    psi = random_state((bt.dim, bu.dim), 17)
+    init = random_state((bt.dim, bu.dim), 18)
+    g = psi.gamma()
+    report = measure(psi, bt, bu, init)
+    assert (report.s_tau, report.s_upsilon, report.s_total) == shannon_entropies(g)
+    assert report.s_ent == entanglement_entropy(g)
+    assert report.densities_tau == occupation_density(psi, bt, "tau")
+    assert report.densities_upsilon == occupation_density(psi, bu, "upsilon")
+    assert report.fidelity_to_initial == fidelity(init, psi)
+    assert all(type(x) is float for x in report.densities_tau + report.densities_upsilon)

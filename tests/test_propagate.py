@@ -202,13 +202,14 @@ def test_dimension_mismatch_rejected():
 
 
 def test_long_time_matches_eigendecomposition():
-    # a*|t| is about 3,600 here: fifteen substeps, each with the a-priori
-    # term count; a count cut short of the Bessel tail fails well above 1e-10
+    # a*|t| is about 3,600 at t = 400 and 26,700 at t = 3000, each one
+    # expansion with the a-priori term count; a count cut short of the Bessel
+    # tail fails well above 1e-10
     lattice, params, bt, bu = _chain_setup(6, 2, 2, seed=71)
     h = build_full(lattice, params, bt, bu)
     w, v = np.linalg.eigh(h.to_dense())
     psi = random_state((bt.dim, bu.dim), 73)
-    for t in (400.0, -400.0):
+    for t in (400.0, -400.0, 3000.0):
         exact = v @ (np.exp(-1j * w * t) * (v.T @ psi.amplitudes))
         out = evolve(psi, h, t)
         assert np.max(np.abs(out.amplitudes - exact)) < 1e-10
