@@ -1,15 +1,13 @@
 """Two-species fermion lattice simulator: stepwise evolution, phase erasure,
 and entropy trajectories."""
 
-from .erasure import (ErasureSpec, apply_random_phases, apply_site_phase,
-                      draw_phases)
+from .erasure import ErasureSpec, apply_random_phases, draw_phases
 from .fock import FockBasis, enumerate_basis
 from .model import (Hamiltonian, LatticeSpec, ModelParams, build_full,
                     build_h1, build_h2)
 from .observables import (EntropyReport, entanglement_entropy, fidelity,
                           measure, occupation_density, shannon_entropies)
-from .propagate import (ManyBodyState, PropagatorSettings, evolve,
-                        evolve_blockwise)
+from .propagate import ManyBodyState, evolve
 from .protocol import (ProtocolConfig, ProtocolResult, StageRecord,
                        build_initial_state, prepare, run_cycle,
                        run_full_hamiltonian, run_protocol, run_trotter,
@@ -23,12 +21,10 @@ __all__ = [
     "LatticeSpec",
     "ManyBodyState",
     "ModelParams",
-    "PropagatorSettings",
     "ProtocolConfig",
     "ProtocolResult",
     "StageRecord",
     "apply_random_phases",
-    "apply_site_phase",
     "build_full",
     "build_h1",
     "build_h2",
@@ -37,7 +33,6 @@ __all__ = [
     "entanglement_entropy",
     "enumerate_basis",
     "evolve",
-    "evolve_blockwise",
     "fidelity",
     "measure",
     "occupation_density",

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import comb, isfinite
+from math import comb, hypot, isfinite
 
 from .erasure import ErasureSpec
 from .model import SPECIES, LatticeSpec, ModelParams
@@ -207,8 +207,12 @@ def parse_config(text: str) -> tuple[ProtocolConfig, OutputOptions]:
             raise ConfigError(
                 f"initial: expected {expected} amplitude pairs, got {len(initial)}"
             )
-        if not any(initial):
+        # hypot returns inf, with no warning, when the norm overflows
+        norm = hypot(*(x for z in initial for x in (z.real, z.imag)))
+        if norm == 0.0:
             raise ConfigError("initial: amplitudes are all zero")
+        if not isfinite(norm):
+            raise ConfigError("initial: the amplitude norm overflows a float")
     else:
         raise ConfigError("initial: expected a preset name or amplitude pairs")
 

@@ -72,15 +72,6 @@ def site_phase_sequence(basis: FockBasis, site: int, theta: float) -> np.ndarray
     return theta * basis.occupations[:, site]
 
 
-def apply_site_phase(state: ManyBodyState, species: str, basis: FockBasis,
-                     site: int, theta: float) -> ManyBodyState:
-    """Phase exp(i*theta) on every component whose ``species`` config occupies
-    ``site``; equivalent to apply_random_phases with the occupancy-derived
-    phase sequence."""
-    return apply_random_phases(state, species,
-                               site_phase_sequence(basis, site, theta))
-
-
 def draw_phases(master_seed: int, cycle: int, d: int) -> np.ndarray:
     """Deterministic uniform phases on [0, 2*pi), independent across cycles."""
     seq = np.random.SeedSequence(master_seed, spawn_key=(cycle,))

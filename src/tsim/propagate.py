@@ -1,16 +1,18 @@
 """Time evolution exp(-i*H*t) applied to state vectors.
 
 Operators are :class:`~tsim.model.Hamiltonian` pieces (hop_x, hop_y, D)
-acting on the coefficient matrix gamma.  Small blocks are solved exactly: on
-the blockwise path, a stepwise operator with blocks of at most
-``dense_threshold`` (the mobile species' hop matrix plus one column of D for
-H1, one row for H2) has them all stacked and factored by one cached
-``np.linalg.eigh`` call on first use.  Each stage propagator U(|t|) is cached
-too, serves t and -t, and is one batched matmul on the columns or rows of
-gamma.  Everything else runs the Chebyshev expansion of Tal-Ezer & Kosloff,
-J. Chem. Phys. 81, 3967 (1984), on the whole of gamma through the structured
-apply, over the operator's Gershgorin interval, in one expansion for any t
-with a term count fixed a priori.  No step renormalizes its output.
+acting on the coefficient matrix gamma.  :func:`evolve` picks the method from
+the operator alone.  A stepwise operator (exactly one mobile species, hop
+matrix of dimension b) whose factorization work dim * b**2 is at most
+``_EIGEN_WORK_MAX`` = 2**28 is solved exactly: its blocks (the mobile hop
+matrix plus one column of D for H1, one row for H2) are stacked and factored
+by one cached ``np.linalg.eigh`` call on first use, and each stage propagator
+U(|t|), at most 16 * dim * b bytes, is cached too, serves t and -t, and is one
+batched matmul on the columns or rows of gamma.  Every other operator runs the
+Chebyshev expansion of Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984), on
+the whole of gamma through the structured apply, over the operator's
+Gershgorin interval, in one expansion for any t with a term count fixed a
+priori.  No step renormalizes its output.
 """
 
 from __future__ import annotations
@@ -22,25 +24,12 @@ from scipy.special import jv
 
 from .model import Hamiltonian
 
+# the eigen path costs n_blocks * b**3 = dim * b**2 to factor and caches each
+# complex U(|t|) in 16 * dim * b bytes; a larger operator takes Chebyshev
+_EIGEN_WORK_MAX = 2**28
 _PROP_CACHE_MAX = 8
 # Chebyshev terms end at the last Bessel coefficient above _CHEB_CUTOFF
 _CHEB_CUTOFF = 1e-15
-
-
-@dataclass(frozen=True)
-class PropagatorSettings:
-    """``dense_threshold`` is the largest block factored exactly: a stepwise
-    operator whose blocks have at most that many configurations takes the
-    cached block eigendecomposition in :func:`evolve_blockwise`."""
-
-    dense_threshold: int = 512
-
-    def __post_init__(self):
-        if self.dense_threshold <= 0:
-            raise ValueError("dense_threshold must be positive")
-
-
-DEFAULT_SETTINGS = PropagatorSettings()
 
 
 @dataclass(frozen=True)
@@ -63,10 +52,12 @@ class ManyBodyState:
     @classmethod
     def normalized(cls, amplitudes, dims) -> "ManyBodyState":
         amps = np.asarray(amplitudes, dtype=np.complex128)
-        nrm = np.linalg.norm(amps)
-        if nrm == 0.0 or not np.isfinite(nrm):
+        # scaled by the largest modulus first, the sum of squares cannot overflow
+        peak = np.abs(amps).max(initial=0.0)
+        if not 0.0 < peak < np.inf:
             raise ValueError("amplitudes are not normalizable")
-        return cls(amplitudes=amps / nrm, dims=tuple(dims))
+        amps = amps / peak
+        return cls(amplitudes=amps / np.linalg.norm(amps), dims=tuple(dims))
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
@@ -135,29 +126,16 @@ def _chebyshev_apply(op: Hamiltonian, amps: np.ndarray, t: float) -> np.ndarray:
 
 
 def evolve(state: ManyBodyState, op: Hamiltonian, t: float) -> ManyBodyState:
-    """exp(-i*op*t) applied to ``state``; negative t reverses the evolution."""
-    return _evolve(state, op, t, _chebyshev_apply)
-
-
-def evolve_blockwise(state: ManyBodyState, op: Hamiltonian, t: float,
-                     settings: PropagatorSettings = DEFAULT_SETTINGS) -> ManyBodyState:
-    """Blockwise exp(-i*op*t) for a stepwise operator: each block (one per
-    configuration of the frozen species) evolves independently, exactly when
-    the blocks fit in ``settings.dense_threshold``.  Identical to
-    :func:`evolve` up to rounding."""
-    if (op.hop_x is None) == (op.hop_y is None):
-        raise ValueError("blockwise evolution needs exactly one mobile species")
-    mobile = op.hop_x if op.hop_y is None else op.hop_y
-    exact = mobile.shape[0] <= settings.dense_threshold
-    return _evolve(state, op, t, _apply_eigen if exact else _chebyshev_apply)
-
-
-def _evolve(state: ManyBodyState, op: Hamiltonian, t: float,
-            method) -> ManyBodyState:
+    """exp(-i*op*t) applied to ``state``; negative t reverses the evolution.
+    Cached block eigen for a small stepwise operator, Chebyshev otherwise."""
     if op.D.shape != state.dims:
         raise ValueError(
             f"operator dims {op.D.shape} do not match state dims {state.dims}"
         )
     if t == 0.0:
         return ManyBodyState(state.amplitudes.copy(), state.dims)
+    # the block path needs exactly one mobile species, with a b x b hop matrix
+    b = [h.shape[0] for h in (op.hop_x, op.hop_y) if h is not None]
+    exact = len(b) == 1 and op.dim * b[0] ** 2 <= _EIGEN_WORK_MAX
+    method = _apply_eigen if exact else _chebyshev_apply
     return ManyBodyState(method(op, state.amplitudes, t), state.dims)

@@ -2,8 +2,8 @@
 
 One cycle applies, in order:
 
-    fwd1   blockwise evolution under the tau-mobile Hamiltonian for t1
-    fwd2   blockwise evolution under the upsilon-mobile Hamiltonian for t2
+    fwd1   evolution under the tau-mobile Hamiltonian H1 for t1
+    fwd2   evolution under the upsilon-mobile Hamiltonian H2 for t2
     erase  diagonal phase scramble of one species (skipped on control runs)
     rev2   reverse evolution, upsilon-mobile, duration t2
     rev1   reverse evolution, tau-mobile, duration t1
@@ -28,6 +28,12 @@ the total time into n alternating (tau-mobile, upsilon-mobile) steps.  The
 small-step limit of that variant is generated by the duration-weighted mean
 of the two stepwise Hamiltonians (the cross coupling appears in both, so the
 sum differs from the full Hamiltonian); ``stepwise_generator`` exposes it.
+
+Every stage and comparison step calls ``propagate.evolve``, which picks its
+method from the operator alone: the cached block eigendecomposition for H1
+and H2 while dim * b**2 <= 2**28 (chains up to L=8, 4+4), Chebyshev for
+larger H1 and H2, the full Hamiltonian and the stepwise generator.  So the
+cycles and the Trotter run take the same method on the same operators.
 """
 
 from __future__ import annotations
@@ -40,8 +46,7 @@ from . import erasure as er
 from . import model, observables
 from .fock import FockBasis, enumerate_basis
 from .model import Hamiltonian, LatticeSpec, ModelParams
-from .propagate import (DEFAULT_SETTINGS, ManyBodyState, PropagatorSettings,
-                        evolve, evolve_blockwise)
+from .propagate import ManyBodyState, evolve
 
 STAGE_INIT = "init"
 STAGE_FWD1 = "fwd1"
@@ -71,7 +76,6 @@ class ProtocolConfig:
     no_erasure_run: bool = False
     full_hamiltonian_run: bool = False
     trotter_steps: int = 1
-    settings: PropagatorSettings = DEFAULT_SETTINGS
 
     def __post_init__(self):
         if not (0 <= self.n_tau <= self.lattice.sites
@@ -172,15 +176,14 @@ def run_cycle(state: ManyBodyState, ctx: ProtocolContext,
     """One full cycle; returns the new state, its stage records, and the
     phases applied at the erase stage (None when erasure is disabled)."""
     cfg = ctx.config
-    s = cfg.settings
     t0 = (cycle - 1) * 2.0 * (cfg.t1 + cfg.t2)
     records = []
     phases = None
 
-    state = evolve_blockwise(state, ctx.h1, cfg.t1, s)
+    state = evolve(state, ctx.h1, cfg.t1)
     records.append(StageRecord(cycle, STAGE_FWD1, t0 + cfg.t1, ctx.measure(state)))
 
-    state = evolve_blockwise(state, ctx.h2, cfg.t2, s)
+    state = evolve(state, ctx.h2, cfg.t2)
     t_mid = t0 + cfg.t1 + cfg.t2
     records.append(StageRecord(cycle, STAGE_FWD2, t_mid, ctx.measure(state)))
 
@@ -190,10 +193,10 @@ def run_cycle(state: ManyBodyState, ctx: ProtocolContext,
         state = er.apply_random_phases(state, cfg.erasure.species, phases)
         records.append(StageRecord(cycle, STAGE_ERASE, t_mid, ctx.measure(state)))
 
-    state = evolve_blockwise(state, ctx.h2, -cfg.t2, s)
+    state = evolve(state, ctx.h2, -cfg.t2)
     records.append(StageRecord(cycle, STAGE_REV2, t_mid + cfg.t2, ctx.measure(state)))
 
-    state = evolve_blockwise(state, ctx.h1, -cfg.t1, s)
+    state = evolve(state, ctx.h1, -cfg.t1)
     if phases is not None:
         # close the cycle with the conjugate phases (see module docstring)
         state = er.apply_random_phases(state, cfg.erasure.species, -phases)

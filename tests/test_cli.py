@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -102,4 +103,20 @@ def test_simulate_rejects_nan_duration_without_traceback(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: protocol.t1")
     assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_overflowing_initial_amplitudes_exit_1_without_warning(tmp_path, capsys):
+    doc = {"lattice": {"sites": 3, "chain": True},
+           "particles": {"tau": 1, "upsilon": 1},
+           "initial": [[1e308, 0.0]] * 9}
+    path = _write_config(tmp_path, doc)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["validate", "--config", str(path)]) == 1
+        assert main(["simulate", "--config", str(path),
+                     "--out", str(tmp_path / "run")]) == 1
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err.count("error: initial: the amplitude norm overflows") == 2
     assert not (tmp_path / "run").exists()

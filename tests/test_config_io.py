@@ -7,9 +7,10 @@ import pytest
 from tsim.config import ConfigError, OutputOptions, parse_config, serialize_config
 from tsim.io import (read_state, read_trajectory, write_phases, write_state,
                      write_trajectory)
+from tsim.fock import enumerate_basis
 from tsim.model import LatticeSpec, ModelParams
 from tsim.propagate import ManyBodyState
-from tsim.protocol import ProtocolConfig, run_protocol
+from tsim.protocol import ProtocolConfig, build_initial_state, run_protocol
 
 MINIMAL = """
 {"lattice": {"sites": 6, "chain": true},
@@ -89,9 +90,12 @@ _NAN, _INF = float("nan"), float("inf")
     ({"initial": [[True, False]] * 16}, None,
      "initial: expected [re, im] pairs of finite numbers"),
     ({"initial": [[0, 0.0]] * 16}, None, "initial: amplitudes are all zero"),
+    # every amplitude is finite, but the norm of 16 pairs [1e308, 0] is not
+    ({"initial": [[1e308, 0.0]] * 16}, None,
+     "initial: the amplitude norm overflows a float"),
 ], ids=["t1-nan", "t2-inf", "j_tau-nan", "u_cross-minus-inf", "u_tau-entry-nan",
         "j_upsilon-huge-int", "theta-nan", "initial-nan", "initial-bool",
-        "initial-zero"])
+        "initial-zero", "initial-norm-overflow"])
 def test_non_finite_numbers_rejected_with_key_path(section, literal, message):
     # Python's json parser accepts NaN, Infinity and integers beyond the
     # float range; each must fail at its key path, not later in the run
@@ -100,6 +104,15 @@ def test_non_finite_numbers_rejected_with_key_path(section, literal, message):
         text = text.replace('"BIG"', literal)
     with pytest.raises(ConfigError, match=re.escape(message)):
         parse_config(text)
+
+
+def test_huge_initial_amplitudes_normalize():
+    # the squares of 1e200 overflow, yet the norm 4e200 is a float, so the
+    # document is valid and its state normalizes
+    config, _ = parse_config(json.dumps({**_SMALL, "initial": [[1e200, 0.0]] * 16}))
+    basis = enumerate_basis(4, 1)
+    state = build_initial_state(config.initial, basis, basis)
+    assert np.allclose(state.amplitudes, 0.25, rtol=0, atol=1e-16)
 
 
 @pytest.mark.parametrize("t1, t2", [(_NAN, 2.0), (2.0, _INF), (0.0, 2.0)])

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_state
-from tsim.erasure import (ErasureSpec, apply_random_phases, apply_site_phase,
-                          draw_phases, erasure_phases, site_phase_sequence)
+from tsim.erasure import (ErasureSpec, apply_random_phases, draw_phases,
+                          erasure_phases, site_phase_sequence)
 from tsim.fock import enumerate_basis
 from tsim.observables import schmidt_spectrum, shannon_entropies
 
@@ -63,9 +63,9 @@ def test_phase_count_mismatch_rejected():
 def test_site_phase_identity_cases():
     basis = enumerate_basis(4, 2)
     psi = random_state((6, 6), 8)
-    out = apply_site_phase(psi, "tau", basis, 2, 0.0)
+    out = apply_random_phases(psi, "tau", site_phase_sequence(basis, 2, 0.0))
     assert np.array_equal(out.amplitudes, psi.amplitudes)
-    out = apply_site_phase(psi, "tau", basis, 2, 2 * np.pi)
+    out = apply_random_phases(psi, "tau", site_phase_sequence(basis, 2, 2 * np.pi))
     assert np.max(np.abs(out.amplitudes - psi.amplitudes)) < 1e-15
 
 
@@ -73,7 +73,8 @@ def test_site_phase_equals_occupancy_phases():
     basis = enumerate_basis(4, 2)
     psi = random_state((6, 6), 9)
     theta = 1.234
-    direct = apply_site_phase(psi, "upsilon", basis, 1, theta)
+    direct = apply_random_phases(psi, "upsilon",
+                                 site_phase_sequence(basis, 1, theta))
     phases = theta * np.array([(c >> 1) & 1 for c in basis.configs], dtype=float)
     via_sequence = apply_random_phases(psi, "upsilon", phases)
     assert np.array_equal(direct.amplitudes, via_sequence.amplitudes)
@@ -84,10 +85,9 @@ def test_site_phase_commutes_with_random_phases():
     rng = np.random.default_rng(10)
     psi = random_state((6, 6), 11)
     phases = rng.uniform(0, 2 * np.pi, 6)
-    one = apply_site_phase(apply_random_phases(psi, "tau", phases),
-                           "tau", basis, 3, 0.7)
-    other = apply_random_phases(apply_site_phase(psi, "tau", basis, 3, 0.7),
-                                "tau", phases)
+    site = site_phase_sequence(basis, 3, 0.7)
+    one = apply_random_phases(apply_random_phases(psi, "tau", phases), "tau", site)
+    other = apply_random_phases(apply_random_phases(psi, "tau", site), "tau", phases)
     assert np.max(np.abs(one.amplitudes - other.amplitudes)) < 1e-15
 
 
@@ -153,7 +153,7 @@ def test_occupation_density_invariant_under_diagonal_phases():
     rng = np.random.default_rng(78)
     scrambled = apply_random_phases(psi, "upsilon", rng.uniform(0, 2 * np.pi, bu.dim))
     scrambled = apply_random_phases(scrambled, "tau", rng.uniform(0, 2 * np.pi, bt.dim))
-    scrambled = apply_site_phase(scrambled, "tau", bt, 2, 0.9)
+    scrambled = apply_random_phases(scrambled, "tau", site_phase_sequence(bt, 2, 0.9))
     for basis, species in ((bt, "tau"), (bu, "upsilon")):
         before = np.array(occupation_density(psi, basis, species))
         after = np.array(occupation_density(scrambled, basis, species))

@@ -9,11 +9,13 @@ from conftest import random_state
 from tsim.fock import enumerate_basis
 from tsim.model import (LatticeSpec, ModelParams, build_full, build_h1,
                         build_h2, hop_sign)
-from tsim.propagate import (ManyBodyState, PropagatorSettings, evolve,
-                            evolve_blockwise)
+from tsim.propagate import ManyBodyState, _chebyshev_apply, evolve
 
-# blocks above the dense threshold: evolve_blockwise takes the Chebyshev path
-CHEBYSHEV = PropagatorSettings(dense_threshold=1)
+
+def chebyshev(state, op, t):
+    """The Chebyshev expansion on the whole of gamma, whichever method
+    ``evolve`` picks for ``op``."""
+    return ManyBodyState(_chebyshev_apply(op, state.amplitudes, t), state.dims)
 
 
 def _chain_setup(sites, n_tau, n_upsilon, seed=0):
@@ -83,18 +85,17 @@ def test_unitary_round_trip_l6():
     assert np.max(np.abs(back.amplitudes - psi.amplitudes)) < 1e-10
 
 
-@pytest.mark.parametrize("settings_used", [None, CHEBYSHEV])
-def test_norm_and_energy_conservation(settings_used):
-    # None: evolve under the full H; settings: evolve_blockwise under H1 and H2
+@pytest.mark.parametrize("step", [None, chebyshev],
+                         ids=["None", "chebyshev"])
+def test_norm_and_energy_conservation(step):
+    # None: evolve under the full H; chebyshev: the expansion under H1 and H2,
+    # whose blocks evolve would solve exactly
     lattice, params, bt, bu = _chain_setup(5, 2, 1, seed=9)
-    if settings_used is None:
+    if step is None:
         ops = [build_full(lattice, params, bt, bu)]
         step = evolve
     else:
         ops = [build_h1(lattice, params, bt, bu), build_h2(lattice, params, bt, bu)]
-
-        def step(state, op, t):
-            return evolve_blockwise(state, op, t, settings_used)
     psi = random_state((bt.dim, bu.dim), 11)
     for h in ops:
         e0 = h.expectation(psi.amplitudes)
@@ -155,8 +156,8 @@ def test_blockwise_single_block_matches_evolve():
     h2 = build_h2(lattice, params, bt, bu)
     assert bt.dim == 1  # one tau configuration, so H2 is one block
     psi = random_state((bt.dim, bu.dim), 43)
-    flat = evolve(psi, h2, 1.3)
-    block = evolve_blockwise(psi, h2, 1.3)
+    flat = chebyshev(psi, h2, 1.3)
+    block = evolve(psi, h2, 1.3)
     assert np.max(np.abs(flat.amplitudes - block.amplitudes)) < 1e-12
 
 
@@ -168,8 +169,8 @@ def test_blockwise_matches_flat_h1_h2():
         psi = random_state((bt.dim, bu.dim), 100 + seed)
         for op in (h1, h2):
             for t in (0.9, -1.4):
-                flat = evolve(psi, op, t)
-                block = evolve_blockwise(psi, op, t)
+                flat = chebyshev(psi, op, t)
+                block = evolve(psi, op, t)
                 assert np.max(np.abs(flat.amplitudes - block.amplitudes)) < 1e-10
 
 
@@ -181,16 +182,8 @@ def test_blockwise_zero_block_stays_zero():
     rng = np.random.default_rng(59)
     gamma[:, 0] = rng.standard_normal(bt.dim) + 1j * rng.standard_normal(bt.dim)
     psi = ManyBodyState.normalized(gamma.ravel(), (bt.dim, bu.dim))
-    out = evolve_blockwise(psi, h1, 2.2)
+    out = evolve(psi, h1, 2.2)
     assert np.all(out.gamma()[:, 1:] == 0)
-
-
-def test_blockwise_requires_tags():
-    lattice, params, bt, bu = _chain_setup(4, 1, 1)
-    h = build_full(lattice, params, bt, bu)
-    psi = random_state((bt.dim, bu.dim), 61)
-    with pytest.raises(ValueError):
-        evolve_blockwise(psi, h, 1.0)
 
 
 def test_dimension_mismatch_rejected():
@@ -236,16 +229,16 @@ def _ladder(rungs):
     return LatticeSpec(2 * rungs, tuple(legs + [(r, r + rungs) for r in range(rungs)]))
 
 
-@pytest.mark.parametrize("lattice,n_tau,n_upsilon,settings_used,tol", [
-    pytest.param(_ring(6), 3, 2, PropagatorSettings(), 1e-12, id="lattice0-3-2"),
-    pytest.param(_ladder(3), 2, 3, PropagatorSettings(), 1e-12, id="lattice1-2-3"),
-    # blocks above the dense threshold: Chebyshev on the whole of gamma, at
-    # criterion 8's iterative-vs-dense bound
-    pytest.param(_ring(6), 3, 2, CHEBYSHEV, 1e-9, id="lattice0-3-2-chebyshev"),
-    pytest.param(_ladder(3), 2, 3, CHEBYSHEV, 1e-9, id="lattice1-2-3-chebyshev"),
+@pytest.mark.parametrize("lattice,n_tau,n_upsilon,step,tol", [
+    pytest.param(_ring(6), 3, 2, evolve, 1e-12, id="lattice0-3-2"),
+    pytest.param(_ladder(3), 2, 3, evolve, 1e-12, id="lattice1-2-3"),
+    # Chebyshev on the whole of gamma, at criterion 8's iterative-vs-dense
+    # bound
+    pytest.param(_ring(6), 3, 2, chebyshev, 1e-9, id="lattice0-3-2-chebyshev"),
+    pytest.param(_ladder(3), 2, 3, chebyshev, 1e-9, id="lattice1-2-3-chebyshev"),
 ])
 def test_blockwise_matches_per_block_expm_off_chain(lattice, n_tau, n_upsilon,
-                                                    settings_used, tol):
+                                                    step, tol):
     sites = lattice.sites
     rng = np.random.default_rng(sites + n_tau)
     params = ModelParams(j_tau=0.9, j_upsilon=1.2,
@@ -280,7 +273,7 @@ def test_blockwise_matches_per_block_expm_off_chain(lattice, n_tau, n_upsilon,
             expected = np.empty_like(psi.amplitudes)
             for idx, h in blocks[name]:
                 expected[idx] = expm(-1j * t * h) @ psi.amplitudes[idx]
-            out = evolve_blockwise(psi, op, t, settings_used)
+            out = step(psi, op, t)
             assert np.max(np.abs(out.amplitudes - expected)) < tol
 
 
@@ -311,3 +304,38 @@ def test_factorization_is_lazy_and_shared(monkeypatch):
     assert builds == [(15, 15), (15, 15)]
     run_cycle(ctx.initial, ctx, 2)
     assert len(calls) == 2 and len(builds) == 2
+
+
+def test_method_follows_operator_size(monkeypatch):
+    # block eigen exactly when one species is mobile and dim * b**2 <= 2**28
+    from tsim.protocol import (ProtocolConfig, prepare, run_trotter,
+                               stepwise_generator)
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a):
+        calls.append(a.shape)
+        return eigh(a)
+
+    def config(sites, n):
+        return ProtocolConfig(lattice=LatticeSpec.chain(sites), n_tau=n,
+                              n_upsilon=n, params=ModelParams.defaults(sites))
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    # desk and L=8, 4+4: dim * b**2 is 5.1e4 and 2.4e7, so H1 and H2 factor
+    # once each; the full H and the stepwise generator have two mobile species
+    for sites, n, b in ((6, 2, 15), (8, 4, 70)):
+        ctx = prepare(config(sites, n))
+        for op in (ctx.h1, ctx.h2, ctx.h1, ctx.h2, ctx.full_operator(),
+                   stepwise_generator(ctx)):
+            evolve(ctx.initial, op, 0.5)
+        assert calls == [(b, b, b)] * 2
+        calls.clear()
+    # L=10, 5+5: dim * b**2 is 4.0e9, so H1 and H2 take Chebyshev
+    ctx = prepare(config(10, 5))
+    for op in (ctx.h1, ctx.h2):
+        evolve(ctx.initial, op, 0.01)
+    assert calls == []
+    # the Trotter run takes the same method as the cycles
+    run_trotter(config(6, 2), n_steps=4)
+    assert calls == [(15, 15, 15)] * 2
