@@ -6,8 +6,8 @@ from .fock import FockBasis, enumerate_basis
 from .model import (Hamiltonian, LatticeSpec, ModelParams, build_full,
                     build_h1, build_h2)
 from .observables import (EntropyReport, entanglement_entropy, fidelity,
-                          measure, occupation_density, shannon_entropies)
-from .propagate import ManyBodyState, evolve
+                          measure, shannon_entropies)
+from .propagate import evolve
 from .protocol import (ProtocolConfig, ProtocolResult, StageRecord,
                        build_initial_state, prepare, run_cycle,
                        run_full_hamiltonian, run_protocol, run_trotter,
@@ -19,7 +19,6 @@ __all__ = [
     "FockBasis",
     "Hamiltonian",
     "LatticeSpec",
-    "ManyBodyState",
     "ModelParams",
     "ProtocolConfig",
     "ProtocolResult",
@@ -35,7 +34,6 @@ __all__ = [
     "evolve",
     "fidelity",
     "measure",
-    "occupation_density",
     "prepare",
     "run_cycle",
     "run_full_hamiltonian",

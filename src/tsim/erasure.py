@@ -15,7 +15,6 @@ import numpy as np
 
 from .fock import FockBasis
 from .model import SPECIES, TAU, UPSILON
-from .propagate import ManyBodyState
 
 RANDOM_PHASE = "random-phase"
 SITE_PHASE = "site-phase"
@@ -43,13 +42,14 @@ class ErasureSpec:
             raise ValueError("random-phase erasure takes neither site nor theta")
 
 
-def apply_random_phases(state: ManyBodyState, species: str,
-                        phases: np.ndarray) -> ManyBodyState:
+def apply_random_phases(gamma: np.ndarray, species: str,
+                        phases: np.ndarray) -> np.ndarray:
     """Multiply each Fock component of ``species`` by exp(i*theta_k).
 
-    For upsilon the columns of gamma are scaled, for tau the rows.
+    For upsilon the columns of gamma are scaled, for tau the rows; the
+    result is a new array.
     """
-    d_x, d_y = state.dims
+    d_x, d_y = gamma.shape
     phases = np.asarray(phases, dtype=np.float64)
     if species == TAU:
         if phases.shape != (d_x,):
@@ -61,7 +61,7 @@ def apply_random_phases(state: ManyBodyState, species: str,
         factors = np.exp(1j * phases)[None, :]
     else:
         raise ValueError(f"species must be one of {SPECIES}, got {species!r}")
-    return ManyBodyState((state.gamma() * factors).reshape(-1), state.dims)
+    return gamma * factors
 
 
 def site_phase_sequence(basis: FockBasis, site: int, theta: float) -> np.ndarray:

@@ -1,11 +1,12 @@
-"""Fermionic Fock bases as occupation bitmasks, with rank/unrank.
+"""Fermionic Fock bases as occupation bitmasks, with a combinatorial rank.
 
 A basis state for one spinless-fermion species on ``L`` sites is an integer
 whose bit ``i`` is set iff site ``i`` is occupied.  Bases are enumerated in
 ascending unsigned integer order, which for fixed particle number coincides
 with colexicographic order on the occupied-site tuples; ranks are therefore
-computable by combinatorial counting.  Each basis builds its per-site
-occupation table once, on first use, and shares it read-only.
+computable by combinatorial counting, and ``configs[k]`` is the mask of rank
+k.  Each basis builds its per-site occupation table once, on first use, and
+shares it read-only.
 """
 
 from __future__ import annotations
@@ -40,11 +41,6 @@ class FockBasis:
         self._check_member(mask)
         occupied = [p for p in range(self.sites) if (mask >> p) & 1]
         return sum(comb(p, j) for j, p in enumerate(occupied, start=1))
-
-    def unrank(self, index: int) -> int:
-        if not 0 <= index < self.dim:
-            raise ValueError(f"index {index} out of range [0, {self.dim})")
-        return self.configs[index]
 
     @cached_property
     def occupations(self) -> np.ndarray:

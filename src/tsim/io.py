@@ -12,8 +12,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .propagate import ManyBodyState
-
 TRAJECTORY_HEADER = "cycle,stage,model_time,S_tau,S_upsilon,S_total,S_ent,fidelity"
 
 STATE_MAGIC = b"TSIM"
@@ -70,22 +68,19 @@ def write_phases(phase_log, out_dir, name: str = "phases.csv") -> Path:
     return path
 
 
-def write_state(state: ManyBodyState, path) -> Path:
-    """Binary snapshot: magic, version, dims, then (re, im) float64 pairs
-    row-major over (tau config, upsilon config)."""
+def write_state(gamma: np.ndarray, path) -> Path:
+    """Binary snapshot: magic, version, dims, then row-major gamma as
+    (re, im) float64 pairs over (tau config, upsilon config)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    d_x, d_y = state.dims
+    d_x, d_y = gamma.shape
     header = STATE_MAGIC + struct.pack("<IQQ", STATE_VERSION, d_x, d_y)
-    pairs = np.empty(2 * d_x * d_y, dtype="<f8")
-    pairs[0::2] = state.amplitudes.real
-    pairs[1::2] = state.amplitudes.imag
-    path.write_bytes(header + pairs.tobytes())
+    path.write_bytes(header + np.ascontiguousarray(gamma, dtype="<c16").tobytes())
     return path
 
 
-def read_state(path) -> ManyBodyState:
-    """Reload a snapshot bit-exactly."""
+def read_state(path) -> np.ndarray:
+    """Reload a snapshot's gamma bit-exactly."""
     raw = Path(path).read_bytes()
     if len(raw) < 24 or raw[:4] != STATE_MAGIC:
         raise ValueError(f"{path}: not a state dump")
@@ -95,9 +90,8 @@ def read_state(path) -> ManyBodyState:
     expected = 24 + 16 * d_x * d_y
     if len(raw) != expected:
         raise ValueError(f"{path}: size {len(raw)} != expected {expected}")
-    pairs = np.frombuffer(raw[24:], dtype="<f8")
-    amps = pairs[0::2] + 1j * pairs[1::2]
-    return ManyBodyState(amps, (int(d_x), int(d_y)))
+    gamma = np.frombuffer(raw[24:], dtype="<c16").astype(np.complex128)
+    return gamma.reshape(d_x, d_y)
 
 
 def state_dump_name(cycle: int) -> str:

@@ -1,8 +1,9 @@
 """Lattice Hamiltonians for the two-species fermion model.
 
 A state is the coefficient matrix gamma[m, n] over tau configs m and upsilon
-configs n (flat composite index k = m*d_y + n).  Every operator of the model
-has one form, :class:`Hamiltonian` (hop_x, hop_y, D), and acts on gamma as
+configs n.  Only ``Hamiltonian.to_dense`` and the state dump format use the
+flat composite index k = m*d_y + n.  Every operator of the model has one
+form, :class:`Hamiltonian` (hop_x, hop_y, D), and acts on gamma as
 
     H gamma = hop_x @ gamma + (hop_y @ gamma^T)^T + D * gamma
 
@@ -117,18 +118,14 @@ class Hamiltonian:
     def dim(self) -> int:
         return self.D.size
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """H v for amplitudes given flat or as gamma[m, n]; same shape out."""
-        g = v.reshape(self.D.shape)
+    def apply(self, g: np.ndarray) -> np.ndarray:
+        """H gamma for the coefficient matrix gamma[m, n]."""
         out = self.D * g
         if self.hop_x is not None:
             out += self.hop_x @ g
         if self.hop_y is not None:
             out += (self.hop_y @ g.T).T
-        return out.reshape(v.shape)
-
-    def expectation(self, v: np.ndarray) -> float:
-        return float(np.vdot(v, self.apply(v)).real)
+        return out
 
     def spectral_bounds(self) -> tuple[float, float]:
         """Gershgorin interval [lo, hi] that holds every eigenvalue: D plus
@@ -141,6 +138,7 @@ class Hamiltonian:
         return float((self.D - r).min()), float((self.D + r).max())
 
     def to_dense(self) -> np.ndarray:
+        """H as a dense matrix over the flat index k = m*d_y + n."""
         d_x, d_y = self.D.shape
         out = np.diag(self.D.ravel())
         if self.hop_x is not None:

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import FockBasis
-from .model import SPECIES, TAU
-from .propagate import ManyBodyState
 
 _P_FLOOR = 1e-300
 
@@ -45,28 +43,11 @@ def entanglement_entropy(gamma: np.ndarray) -> float:
         raise RuntimeError("Schmidt decomposition failed") from exc
 
 
-def occupation_density(state: ManyBodyState, basis: FockBasis,
-                       species: str) -> tuple[float, ...]:
-    """Expected per-site occupancy of one species; entries sum to its particle
-    number."""
-    if species not in SPECIES:
-        raise ValueError(f"species must be one of {SPECIES}, got {species!r}")
-    p = np.abs(state.gamma()) ** 2
-    marginal = p.sum(axis=1) if species == TAU else p.sum(axis=0)
-    if basis.dim != marginal.shape[0]:
-        raise ValueError(
-            f"basis dim {basis.dim} does not match state axis {marginal.shape[0]}"
-        )
-    return tuple((marginal @ basis.occupations).tolist())
-
-
-def fidelity(a: ManyBodyState, b: ManyBodyState) -> float:
-    """|<a|b>|^2; insensitive to global phases."""
-    if a.amplitudes.shape != b.amplitudes.shape:
-        raise ValueError(
-            f"state lengths differ: {a.amplitudes.shape} vs {b.amplitudes.shape}"
-        )
-    return float(np.abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
+def fidelity(a: np.ndarray, b: np.ndarray) -> float:
+    """|<a|b>|^2 of two coefficient matrices; insensitive to global phases."""
+    if a.shape != b.shape:
+        raise ValueError(f"state shapes differ: {a.shape} vs {b.shape}")
+    return float(np.abs(np.vdot(a, b)) ** 2)
 
 
 @dataclass(frozen=True)
@@ -82,18 +63,18 @@ class EntropyReport:
     fidelity_to_initial: float
 
 
-def measure(state: ManyBodyState, basis_tau: FockBasis, basis_upsilon: FockBasis,
-            initial: ManyBodyState) -> EntropyReport:
-    """Assemble the full report for one state from one pass over |gamma|^2."""
-    g = state.gamma()
-    p = np.abs(g) ** 2
+def measure(gamma: np.ndarray, basis_tau: FockBasis, basis_upsilon: FockBasis,
+            initial: np.ndarray) -> EntropyReport:
+    """Assemble the full report for one state from one pass over |gamma|^2;
+    the densities are the expected per-site occupancies of each species."""
+    p = np.abs(gamma) ** 2
     p_tau, p_upsilon = p.sum(axis=1), p.sum(axis=0)
     return EntropyReport(
         s_tau=_entropy(p_tau),
         s_upsilon=_entropy(p_upsilon),
         s_total=_entropy(p.reshape(-1)),
-        s_ent=entanglement_entropy(g),
+        s_ent=entanglement_entropy(gamma),
         densities_tau=tuple((p_tau @ basis_tau.occupations).tolist()),
         densities_upsilon=tuple((p_upsilon @ basis_upsilon.occupations).tolist()),
-        fidelity_to_initial=fidelity(initial, state),
+        fidelity_to_initial=fidelity(initial, gamma),
     )

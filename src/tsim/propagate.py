@@ -1,14 +1,16 @@
-"""Time evolution exp(-i*H*t) applied to state vectors.
+"""Time evolution exp(-i*H*t) of a state, the coefficient matrix gamma.
 
-Operators are :class:`~tsim.model.Hamiltonian` pieces (hop_x, hop_y, D)
-acting on the coefficient matrix gamma.  :func:`evolve` picks the method from
-the operator alone.  A stepwise operator (exactly one mobile species, hop
-matrix of dimension b) whose factorization work dim * b**2 is at most
-``_EIGEN_WORK_MAX`` = 2**28 is solved exactly: its blocks (the mobile hop
-matrix plus one column of D for H1, one row for H2) are stacked and factored
-by one cached ``np.linalg.eigh`` call on first use, and each stage propagator
-U(|t|), at most 16 * dim * b bytes, is cached too, serves t and -t, and is one
-batched matmul on the columns or rows of gamma.  Every other operator runs the
+A state is a C-contiguous complex128 array gamma[m, n] over (tau config,
+upsilon config).  Operators are :class:`~tsim.model.Hamiltonian` pieces
+(hop_x, hop_y, D) acting on gamma.  :func:`evolve` returns a new gamma,
+never its input, and picks the method from the operator alone.  A stepwise
+operator (exactly one mobile species, hop matrix of dimension b) whose
+factorization work dim * b**2 is at most ``_EIGEN_WORK_MAX`` = 2**28 is
+solved exactly: its blocks (the mobile hop matrix plus one column of D for
+H1, one row for H2) are stacked and factored by one cached
+``np.linalg.eigh`` call on first use, and each stage propagator U(|t|), at
+most 16 * dim * b bytes, is cached too, serves t and -t, and is one batched
+matmul on the columns or rows of gamma.  Every other operator runs the
 Chebyshev expansion of Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984), on
 the whole of gamma through the structured apply, over the operator's
 Gershgorin interval, in one expansion for any t with a term count fixed a
@@ -16,8 +18,6 @@ priori.  No step renormalizes its output.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import jv
@@ -30,41 +30,6 @@ _EIGEN_WORK_MAX = 2**28
 _PROP_CACHE_MAX = 8
 # Chebyshev terms end at the last Bessel coefficient above _CHEB_CUTOFF
 _CHEB_CUTOFF = 1e-15
-
-
-@dataclass(frozen=True)
-class ManyBodyState:
-    """Normalized amplitude vector over the composite (tau, upsilon) basis."""
-
-    amplitudes: np.ndarray
-    dims: tuple[int, int]
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
-        object.__setattr__(self, "amplitudes", amps)
-        d_x, d_y = self.dims
-        object.__setattr__(self, "dims", (int(d_x), int(d_y)))
-        if amps.shape != (d_x * d_y,):
-            raise ValueError(
-                f"amplitude length {amps.shape} does not match dims {self.dims}"
-            )
-
-    @classmethod
-    def normalized(cls, amplitudes, dims) -> "ManyBodyState":
-        amps = np.asarray(amplitudes, dtype=np.complex128)
-        # scaled by the largest modulus first, the sum of squares cannot overflow
-        peak = np.abs(amps).max(initial=0.0)
-        if not 0.0 < peak < np.inf:
-            raise ValueError("amplitudes are not normalizable")
-        amps = amps / peak
-        return cls(amplitudes=amps / np.linalg.norm(amps), dims=tuple(dims))
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def gamma(self) -> np.ndarray:
-        """Coefficient matrix view: gamma[m, n] over (tau, upsilon) configs."""
-        return self.amplitudes.reshape(self.dims)
 
 
 def _eigensystem(op: Hamiltonian):
@@ -81,7 +46,7 @@ def _eigensystem(op: Hamiltonian):
     return op._cache["blocks"]
 
 
-def _apply_eigen(op: Hamiltonian, amps: np.ndarray, t: float) -> np.ndarray:
+def _apply_eigen(op: Hamiltonian, gamma: np.ndarray, t: float) -> np.ndarray:
     w, v, props = _eigensystem(op)
     key = abs(t)
     if key not in props:
@@ -94,17 +59,18 @@ def _apply_eigen(op: Hamiltonian, amps: np.ndarray, t: float) -> np.ndarray:
         props[key] = u
     # the blocks of H1 act on the columns of gamma, those of H2 on its rows
     by_column = op.hop_y is None
-    g = amps.reshape(-1, len(w)).T if by_column else amps.reshape(len(w), -1)
+    g = gamma.T if by_column else gamma
     # V is real, so U(-t) x = conj(U(t) conj(x)) and one propagator serves both
     sub = np.ascontiguousarray(g if t > 0 else g.conj())
     sub = (props[key] @ sub[..., None])[..., 0]
     if t < 0:
         sub = sub.conj()
-    return (sub.T if by_column else sub).ravel()
+    # a copy, not the transposed view, so later marginals sum in row order
+    return np.ascontiguousarray(sub.T) if by_column else sub
 
 
-def _chebyshev_apply(op: Hamiltonian, amps: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i*t*H) amps as sum_k c_k T_k((H - b)/a) amps on the spectral
+def _chebyshev_apply(op: Hamiltonian, g: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i*t*H) g as sum_k c_k T_k((H - b)/a) g on the spectral
     interval [b - a, b + a], with c_k = (2 - delta_k0) (-i)^k J_k(a*t)
     exp(-i*b*t), in one expansion however long t is."""
     lo, hi = op.spectral_bounds()
@@ -116,26 +82,32 @@ def _chebyshev_apply(op: Hamiltonian, amps: np.ndarray, t: float) -> np.ndarray:
     coef = (np.array([2, -2j, -2, 2j])[np.arange(n) % 4] * bessel[:n]
             * np.exp(-1j * b * t))
     coef[0] /= 2
-    g = amps.reshape(op.D.shape)
-    prev, cur = g, (op.apply(g) - b * g) / a
+    # H x is taken as a view, so numpy does not reuse its buffer in place:
+    # with that reuse glibc malloc returns heap pages to the kernel and
+    # faults them back, twice as many faults per term (an L=10, 5+5 Trotter
+    # step about 25% slower on 2 CPUs with OpenBLAS)
+    prev, cur = g, (op.apply(g).view() - b * g) / a
     out = coef[0] * prev + coef[1] * cur
     for c in coef[2:]:
-        prev, cur = cur, 2 / a * (op.apply(cur) - b * cur) - prev
+        prev, cur = cur, 2 / a * (op.apply(cur).view() - b * cur) - prev
         out += c * cur
-    return out.ravel()
+    return out
 
 
-def evolve(state: ManyBodyState, op: Hamiltonian, t: float) -> ManyBodyState:
-    """exp(-i*op*t) applied to ``state``; negative t reverses the evolution.
-    Cached block eigen for a small stepwise operator, Chebyshev otherwise."""
-    if op.D.shape != state.dims:
+def evolve(gamma: np.ndarray, op: Hamiltonian, t: float) -> np.ndarray:
+    """exp(-i*op*t) applied to the coefficient matrix ``gamma``, as a new
+    C-contiguous complex array; negative t reverses the evolution.  Cached
+    block eigen for a small stepwise operator, Chebyshev otherwise."""
+    if gamma.shape != op.D.shape:
         raise ValueError(
-            f"operator dims {op.D.shape} do not match state dims {state.dims}"
+            f"operator dims {op.D.shape} do not match state dims {gamma.shape}"
         )
+    if not np.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     if t == 0.0:
-        return ManyBodyState(state.amplitudes.copy(), state.dims)
+        return np.array(gamma, dtype=np.complex128)
     # the block path needs exactly one mobile species, with a b x b hop matrix
     b = [h.shape[0] for h in (op.hop_x, op.hop_y) if h is not None]
     exact = len(b) == 1 and op.dim * b[0] ** 2 <= _EIGEN_WORK_MAX
     method = _apply_eigen if exact else _chebyshev_apply
-    return ManyBodyState(method(op, state.amplitudes, t), state.dims)
+    return method(op, gamma, t)

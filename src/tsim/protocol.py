@@ -17,6 +17,8 @@ between evolutions at different circuit depths, so repetition keeps deepening
 the scramble until the entanglement entropy saturates.  It is itself diagonal
 and therefore changes none of the recorded diagnostics of the rev1 stage.
 
+The state is the coefficient matrix gamma[m, n] over (tau config, upsilon
+config), a C-contiguous complex128 array; each stage returns a new one.
 Diagnostics are recorded after every stage; without the erase stage the cycle
 is a unitary round trip back to its starting state.  Phases are drawn fresh
 each cycle from (master_seed, cycle), so a trajectory is a pure function of
@@ -46,7 +48,7 @@ from . import erasure as er
 from . import model, observables
 from .fock import FockBasis, enumerate_basis
 from .model import Hamiltonian, LatticeSpec, ModelParams
-from .propagate import ManyBodyState, evolve
+from .propagate import evolve
 
 STAGE_INIT = "init"
 STAGE_FWD1 = "fwd1"
@@ -100,9 +102,9 @@ class StageRecord:
 @dataclass(frozen=True)
 class ProtocolResult:
     records: tuple[StageRecord, ...]
-    final_state: ManyBodyState
+    final_state: np.ndarray
     phases: tuple[tuple[int, tuple[float, ...]], ...]
-    cycle_states: tuple[ManyBodyState, ...] = ()
+    cycle_states: tuple[np.ndarray, ...] = ()
 
 
 @dataclass
@@ -114,7 +116,7 @@ class ProtocolContext:
     basis_upsilon: FockBasis
     h1: Hamiltonian
     h2: Hamiltonian
-    initial: ManyBodyState
+    initial: np.ndarray
     _h_full: Hamiltonian | None = field(default=None, repr=False)
 
     def full_operator(self) -> Hamiltonian:
@@ -124,15 +126,16 @@ class ProtocolContext:
                                             self.basis_tau, self.basis_upsilon)
         return self._h_full
 
-    def measure(self, state: ManyBodyState) -> observables.EntropyReport:
+    def measure(self, state: np.ndarray) -> observables.EntropyReport:
         return observables.measure(state, self.basis_tau, self.basis_upsilon,
                                    self.initial)
 
 
 def build_initial_state(initial: str | tuple[complex, ...] | np.ndarray,
                         basis_tau: FockBasis,
-                        basis_upsilon: FockBasis) -> ManyBodyState:
-    """Named preset or explicit amplitudes over the composite basis.
+                        basis_upsilon: FockBasis) -> np.ndarray:
+    """gamma of a named preset, or of explicit amplitudes listed row-major
+    over gamma and normalized.
 
     The domain-wall preset packs every particle of both species onto the
     lowest-index sites: a single composite Fock basis vector.
@@ -141,17 +144,21 @@ def build_initial_state(initial: str | tuple[complex, ...] | np.ndarray,
     if isinstance(initial, str):
         if initial != DOMAIN_WALL:
             raise ValueError(f"unknown initial-state preset {initial!r}")
-        m = basis_tau.rank((1 << basis_tau.particles) - 1)
-        n = basis_upsilon.rank((1 << basis_upsilon.particles) - 1)
-        amps = np.zeros(dims[0] * dims[1], dtype=np.complex128)
-        amps[m * dims[1] + n] = 1.0
-        return ManyBodyState(amps, dims)
+        gamma = np.zeros(dims, dtype=np.complex128)
+        gamma[basis_tau.rank((1 << basis_tau.particles) - 1),
+              basis_upsilon.rank((1 << basis_upsilon.particles) - 1)] = 1.0
+        return gamma
     amps = np.asarray(initial, dtype=np.complex128)
     if amps.shape != (dims[0] * dims[1],):
         raise ValueError(
             f"explicit amplitudes have length {amps.shape}, need {dims[0] * dims[1]}"
         )
-    return ManyBodyState.normalized(amps, dims)
+    # scaled by the largest modulus first, the sum of squares cannot overflow
+    peak = np.abs(amps).max(initial=0.0)
+    if not 0.0 < peak < np.inf:
+        raise ValueError("amplitudes are not normalizable")
+    amps = amps / peak
+    return (amps / np.linalg.norm(amps)).reshape(dims)
 
 
 def prepare(config: ProtocolConfig) -> ProtocolContext:
@@ -170,8 +177,8 @@ def _erasure_basis(ctx: ProtocolContext) -> FockBasis:
         else ctx.basis_upsilon
 
 
-def run_cycle(state: ManyBodyState, ctx: ProtocolContext,
-              cycle: int) -> tuple[ManyBodyState, list[StageRecord],
+def run_cycle(state: np.ndarray, ctx: ProtocolContext,
+              cycle: int) -> tuple[np.ndarray, list[StageRecord],
                                    np.ndarray | None]:
     """One full cycle; returns the new state, its stage records, and the
     phases applied at the erase stage (None when erasure is disabled)."""
@@ -240,13 +247,11 @@ def run_full_hamiltonian(config: ProtocolConfig) -> ProtocolResult:
     return ProtocolResult(tuple(records), state, ())
 
 
-def run_trotter(config: ProtocolConfig, n_steps: int | None = None) -> ProtocolResult:
+def run_trotter(config: ProtocolConfig) -> ProtocolResult:
     """Alternating (tau-mobile, upsilon-mobile) splitting of the protocol's
-    total forward time into n steps; n = 1 with one cycle reproduces a single
-    stepwise forward pass."""
-    n = config.trotter_steps if n_steps is None else n_steps
-    if n < 1:
-        raise ValueError("n_steps must be at least 1")
+    total forward time into n = trotter_steps steps; n = 1 with one cycle
+    reproduces a single stepwise forward pass."""
+    n = config.trotter_steps
     ctx = prepare(config)
     dt1 = config.t1 * config.cycles / n
     dt2 = config.t2 * config.cycles / n

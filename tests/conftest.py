@@ -3,7 +3,6 @@ import pytest
 
 from tsim.fock import enumerate_basis
 from tsim.model import LatticeSpec, ModelParams
-from tsim.propagate import ManyBodyState
 
 
 @pytest.fixture
@@ -21,8 +20,9 @@ def desk_bases():
     return enumerate_basis(6, 2), enumerate_basis(6, 2)
 
 
-def random_state(dims, seed) -> ManyBodyState:
+def random_state(dims, seed) -> np.ndarray:
+    """A normalized random coefficient matrix gamma of shape ``dims``."""
     rng = np.random.default_rng(seed)
-    d = dims[0] * dims[1]
-    amps = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return ManyBodyState.normalized(amps, dims)
+    g = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
+    g /= np.abs(g).max()
+    return g / np.linalg.norm(g)

@@ -133,3 +133,17 @@ def shannon(p: np.ndarray) -> float:
 def entanglement_from_vector(vec: np.ndarray, d_x: int, d_y: int) -> float:
     s = np.linalg.svd(vec.reshape(d_x, d_y), compute_uv=False)
     return shannon(s**2)
+
+
+def densities(gamma: np.ndarray, masks_tau, masks_upsilon,
+              sites: int) -> tuple[list[float], list[float]]:
+    """Per-site occupancies of each species, summed configuration by
+    configuration over the bits of the masks."""
+    tau, upsilon = [0.0] * sites, [0.0] * sites
+    for m, x in enumerate(masks_tau):
+        for n, y in enumerate(masks_upsilon):
+            p = abs(gamma[m, n]) ** 2
+            for i in range(sites):
+                tau[i] += p * ((x >> i) & 1)
+                upsilon[i] += p * ((y >> i) & 1)
+    return tau, upsilon

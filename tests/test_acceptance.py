@@ -5,6 +5,8 @@ Desk scale throughout: 6-site chain, 2 particles per species, so both species
 bases have dimension 15 and the composite space dimension 225.
 """
 
+from dataclasses import replace
+
 import numpy as np
 from scipy import stats
 from scipy.linalg import expm
@@ -14,7 +16,7 @@ from conftest import random_state
 from tsim.erasure import apply_random_phases, erasure_phases
 from tsim.fock import enumerate_basis
 from tsim.model import LatticeSpec, ModelParams, build_full, build_h1, build_h2
-from tsim.observables import occupation_density, schmidt_spectrum, shannon_entropies
+from tsim.observables import schmidt_spectrum, shannon_entropies
 from tsim.propagate import _chebyshev_apply, evolve
 from tsim.protocol import (ProtocolConfig, prepare, run_protocol, run_trotter,
                            stepwise_generator)
@@ -73,13 +75,13 @@ def test_criterion_2_erasure_instant_invariance():
         for cycle in (1, 2):
             state = evolve(state, ctx.h1, cfg.t1)
             state = evolve(state, ctx.h2, cfg.t2)
-            before_s = np.array(shannon_entropies(state.gamma()))
-            before_sv = schmidt_spectrum(state.gamma())
+            before_s = np.array(shannon_entropies(state))
+            before_sv = schmidt_spectrum(state)
             phases = erasure_phases(cfg.erasure, ctx.basis_upsilon,
                                     cfg.master_seed, cycle)
             state = apply_random_phases(state, "upsilon", phases)
-            after_s = np.array(shannon_entropies(state.gamma()))
-            after_sv = schmidt_spectrum(state.gamma())
+            after_s = np.array(shannon_entropies(state))
+            after_sv = schmidt_spectrum(state)
             worst_entropy = max(worst_entropy, np.abs(after_s - before_s).max())
             worst_schmidt = max(worst_schmidt, np.abs(after_sv - before_sv).max())
             erase_events += 1
@@ -193,10 +195,9 @@ def test_criterion_5_block_propagation_equivalence():
             for t in (cfg.t1, -cfg.t2):
                 # evolve solves the desk blocks exactly; the whole-gamma
                 # Chebyshev expansion is the independent method
-                flat = _chebyshev_apply(op, psi.amplitudes, t)
+                whole = _chebyshev_apply(op, psi, t)
                 block = evolve(psi, op, t)
-                worst = max(worst, float(np.max(np.abs(
-                    flat - block.amplitudes))))
+                worst = max(worst, float(np.max(np.abs(whole - block))))
     passed = worst <= 1e-10
     _report(5, "block-propagation-equivalence", passed,
             f"max amplitude deviation {worst:.2e}")
@@ -210,9 +211,8 @@ def test_criterion_6_trotter_consistency():
     reference = evolve(ctx.initial, stepwise_generator(ctx), total)
     errors = []
     for n in (8, 16, 32, 64):
-        final = run_trotter(cfg, n_steps=n).final_state
-        errors.append(float(np.linalg.norm(final.amplitudes
-                                           - reference.amplitudes)))
+        final = run_trotter(replace(cfg, trotter_steps=n)).final_state
+        errors.append(float(np.linalg.norm(final - reference)))
     ratios = [errors[i] / errors[i + 1] for i in range(3)]
     passed = all(1.5 <= r <= 3.0 for r in ratios)
     _report(6, "trotter-consistency", passed,
@@ -232,20 +232,20 @@ def test_criterion_7_conservation_suite():
         for cycle in range(1, cfg.cycles + 1):
             for op, t in ((ctx.h1, cfg.t1), (ctx.h2, cfg.t2),
                           (ctx.h2, -cfg.t2), (ctx.h1, -cfg.t1)):
-                e_before = op.expectation(state.amplitudes)
+                e_before = np.vdot(state, op.apply(state)).real
                 state = evolve(state, op, t)
-                e_after = op.expectation(state.amplitudes)
+                e_after = np.vdot(state, op.apply(state)).real
                 worst_energy = max(worst_energy, abs(e_after - e_before))
-                worst_norm = max(worst_norm, abs(state.norm() - 1.0))
-                n_tau = sum(occupation_density(state, ctx.basis_tau, "tau"))
-                n_ups = sum(occupation_density(state, ctx.basis_upsilon,
-                                               "upsilon"))
+                worst_norm = max(worst_norm, abs(np.linalg.norm(state) - 1.0))
+                report = ctx.measure(state)
+                n_tau = sum(report.densities_tau)
+                n_ups = sum(report.densities_upsilon)
                 worst_number = max(worst_number, abs(n_tau - 2), abs(n_ups - 2))
                 if op is ctx.h2 and t == cfg.t2:
                     phases = erasure_phases(cfg.erasure, ctx.basis_upsilon,
                                             cfg.master_seed, cycle)
                     state = apply_random_phases(state, "upsilon", phases)
-                    worst_norm = max(worst_norm, abs(state.norm() - 1.0))
+                    worst_norm = max(worst_norm, abs(np.linalg.norm(state) - 1.0))
     passed = (worst_norm <= 1e-12 and worst_number <= 1e-12
               and worst_energy <= 1e-9)
     _report(7, "conservation-suite", passed,
@@ -295,10 +295,10 @@ def test_criterion_8_oracle_equivalence():
         assert h.dim <= 64
         psi = random_state((bt.dim, bu.dim), 950 + seed)
         for t in (0.7, 2.0):
-            exact = expm(-1j * t * h.to_dense()) @ psi.amplitudes
+            exact = expm(-1j * t * h.to_dense()) @ psi.ravel()
             chebyshev = evolve(psi, h, t)
             worst_chebyshev = max(worst_chebyshev, float(np.max(np.abs(
-                chebyshev.amplitudes - exact))))
+                chebyshev.ravel() - exact))))
     passed = identical and worst_chebyshev <= 1e-9
     _report(8, "oracle-equivalence", passed,
             f"operators entry-identical: {identical}, "

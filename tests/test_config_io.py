@@ -9,7 +9,6 @@ from tsim.io import (read_state, read_trajectory, write_phases, write_state,
                      write_trajectory)
 from tsim.fock import enumerate_basis
 from tsim.model import LatticeSpec, ModelParams
-from tsim.propagate import ManyBodyState
 from tsim.protocol import ProtocolConfig, build_initial_state, run_protocol
 
 MINIMAL = """
@@ -112,7 +111,7 @@ def test_huge_initial_amplitudes_normalize():
     config, _ = parse_config(json.dumps({**_SMALL, "initial": [[1e200, 0.0]] * 16}))
     basis = enumerate_basis(4, 1)
     state = build_initial_state(config.initial, basis, basis)
-    assert np.allclose(state.amplitudes, 0.25, rtol=0, atol=1e-16)
+    assert np.allclose(state, 0.25, rtol=0, atol=1e-16)
 
 
 @pytest.mark.parametrize("t1, t2", [(_NAN, 2.0), (2.0, _INF), (0.0, 2.0)])
@@ -188,21 +187,24 @@ def test_trajectory_rejects_empty(tmp_path):
 
 def test_state_dump_layout_and_bit_exact_roundtrip(tmp_path):
     rng = np.random.default_rng(8)
-    amps = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-    amps /= np.linalg.norm(amps)
-    state = ManyBodyState(amps, (3, 4))
-    path = write_state(state, tmp_path / "state.tsim")
+    gamma = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    gamma /= np.linalg.norm(gamma)
+    path = write_state(gamma, tmp_path / "state.tsim")
     raw = path.read_bytes()
     assert raw[:4] == b"TSIM"
     assert len(raw) == 4 + 4 + 16 + 16 * 12
+    # the header's dims, then gamma row-major as (re, im) float64 pairs
+    assert np.array_equal(np.frombuffer(raw[8:24], "<u8"), [3, 4])
+    pairs = np.frombuffer(raw[24:], "<f8")
+    assert np.array_equal(pairs[0::2], gamma.real.ravel())
+    assert np.array_equal(pairs[1::2], gamma.imag.ravel())
     loaded = read_state(path)
-    assert loaded.dims == (3, 4)
-    assert np.array_equal(loaded.amplitudes, state.amplitudes)
+    assert loaded.shape == (3, 4)
+    assert np.array_equal(loaded, gamma)
 
 
 def test_state_dump_rejects_corruption(tmp_path):
-    state = ManyBodyState(np.array([1.0 + 0j]), (1, 1))
-    path = write_state(state, tmp_path / "state.tsim")
+    path = write_state(np.array([[1.0 + 0j]]), tmp_path / "state.tsim")
     data = bytearray(path.read_bytes())
     data[0] = ord(b"X")
     bad = tmp_path / "bad.tsim"

@@ -260,7 +260,8 @@ def test_operators_match_oracle_on_random_lattices():
             op = build(lattice, params, bt, bu)
             dense = op.to_dense()
             assert np.array_equal(dense, oracles.sector_hamiltonian(*common, terms=terms))
-            assert np.max(np.abs(op.apply(v) - dense @ v), initial=0.0) < 1e-13
+            out = op.apply(v.reshape(bt.dim, bu.dim)).ravel()
+            assert np.max(np.abs(out - dense @ v), initial=0.0) < 1e-13
             # the Chebyshev expansion diverges if the interval misses an eigenvalue
             lo, hi = op.spectral_bounds()
             eigs = np.linalg.eigvalsh(dense)

@@ -7,8 +7,13 @@ import oracles
 from conftest import random_state
 from tsim.fock import enumerate_basis
 from tsim.observables import (entanglement_entropy, fidelity, measure,
-                              occupation_density, shannon_entropies)
-from tsim.propagate import ManyBodyState
+                              shannon_entropies)
+
+
+def densities(gamma, bt, bu):
+    """(densities_tau, densities_upsilon) as ``measure`` reports them."""
+    report = measure(gamma, bt, bu, gamma)
+    return report.densities_tau, report.densities_upsilon
 
 
 def test_concentrated_state_zero_entropies():
@@ -67,26 +72,22 @@ def test_haar_random_states_near_page_value():
 
 def test_schmidt_symmetry_under_transpose():
     for seed in range(5):
-        psi = random_state((6, 9), seed)
-        g = psi.gamma()
+        g = random_state((6, 9), seed)
         assert abs(entanglement_entropy(g) - entanglement_entropy(g.T)) < 1e-12
 
 
 def test_domain_wall_densities():
     bt = enumerate_basis(6, 2)
     bu = enumerate_basis(6, 2)
-    amps = np.zeros(bt.dim * bu.dim, dtype=complex)
-    amps[0] = 1.0  # both species packed on sites 0, 1
-    psi = ManyBodyState(amps, (bt.dim, bu.dim))
-    assert occupation_density(psi, bt, "tau") == (1.0, 1.0, 0.0, 0.0, 0.0, 0.0)
-    assert occupation_density(psi, bu, "upsilon") == (1.0, 1.0, 0.0, 0.0, 0.0, 0.0)
+    g = np.zeros((bt.dim, bu.dim), dtype=complex)
+    g[0, 0] = 1.0  # both species packed on sites 0, 1
+    assert densities(g, bt, bu) == ((1.0, 1.0, 0.0, 0.0, 0.0, 0.0),) * 2
 
 
 def test_uniform_superposition_density():
-    basis = enumerate_basis(2, 1)
-    amps = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
-    psi = ManyBodyState(amps, (2, 1))
-    dens = occupation_density(psi, basis, "tau")
+    bt, bu = enumerate_basis(2, 1), enumerate_basis(2, 0)
+    g = np.array([[1.0], [1.0]], dtype=complex) / np.sqrt(2)
+    dens, _ = densities(g, bt, bu)
     assert np.allclose(dens, (0.5, 0.5), atol=1e-12)
 
 
@@ -95,22 +96,21 @@ def test_uniform_superposition_density():
 def test_density_sums_to_particle_number(seed):
     bt = enumerate_basis(5, 2)
     bu = enumerate_basis(5, 3)
-    psi = random_state((bt.dim, bu.dim), seed)
-    assert abs(sum(occupation_density(psi, bt, "tau")) - 2) < 1e-12
-    assert abs(sum(occupation_density(psi, bu, "upsilon")) - 3) < 1e-12
-    dens = occupation_density(psi, bt, "tau")
+    dens, dens_upsilon = densities(random_state((bt.dim, bu.dim), seed), bt, bu)
+    assert abs(sum(dens) - 2) < 1e-12
+    assert abs(sum(dens_upsilon) - 3) < 1e-12
     assert all(-1e-12 <= d <= 1 + 1e-12 for d in dens)
 
 
 def test_fidelity_basic():
     psi = random_state((4, 4), 3)
     assert abs(fidelity(psi, psi) - 1.0) < 1e-12
-    e0 = np.zeros(16, dtype=complex)
-    e0[0] = 1.0
-    e1 = np.zeros(16, dtype=complex)
-    e1[5] = 1.0
-    assert fidelity(ManyBodyState(e0, (4, 4)), ManyBodyState(e1, (4, 4))) == 0.0
-    rotated = ManyBodyState(np.exp(1j * 0.83) * psi.amplitudes, (4, 4))
+    e0 = np.zeros((4, 4), dtype=complex)
+    e0[0, 0] = 1.0
+    e1 = np.zeros((4, 4), dtype=complex)
+    e1[1, 1] = 1.0
+    assert fidelity(e0, e1) == 0.0
+    rotated = np.exp(1j * 0.83) * psi
     assert abs(fidelity(psi, rotated) - 1.0) < 1e-12
 
 
@@ -123,8 +123,7 @@ def test_fidelity_dimension_mismatch():
 @settings(max_examples=25, deadline=None)
 def test_entropy_bounds_and_subadditivity(seed):
     d_x, d_y = 7, 5
-    psi = random_state((d_x, d_y), seed)
-    g = psi.gamma()
+    g = random_state((d_x, d_y), seed)
     s_tau, s_upsilon, s_total = shannon_entropies(g)
     s_ent = entanglement_entropy(g)
     eps = 1e-12
@@ -135,12 +134,11 @@ def test_entropy_bounds_and_subadditivity(seed):
 
 
 def test_entropies_match_independent_formula():
-    psi = random_state((6, 8), 12)
-    g = psi.gamma()
+    g = random_state((6, 8), 12)
     p = np.abs(g) ** 2
     assert abs(shannon_entropies(g)[2] - oracles.shannon(p.reshape(-1))) < 1e-13
     assert abs(entanglement_entropy(g)
-               - oracles.entanglement_from_vector(psi.amplitudes, 6, 8)) < 1e-13
+               - oracles.entanglement_from_vector(g.ravel(), 6, 8)) < 1e-13
 
 
 def test_measure_report_fields():
@@ -161,11 +159,11 @@ def test_measure_fields_equal_the_single_diagnostics():
     bu = enumerate_basis(5, 3)
     psi = random_state((bt.dim, bu.dim), 17)
     init = random_state((bt.dim, bu.dim), 18)
-    g = psi.gamma()
     report = measure(psi, bt, bu, init)
-    assert (report.s_tau, report.s_upsilon, report.s_total) == shannon_entropies(g)
-    assert report.s_ent == entanglement_entropy(g)
-    assert report.densities_tau == occupation_density(psi, bt, "tau")
-    assert report.densities_upsilon == occupation_density(psi, bu, "upsilon")
+    assert (report.s_tau, report.s_upsilon, report.s_total) == shannon_entropies(psi)
+    assert report.s_ent == entanglement_entropy(psi)
+    tau, upsilon = oracles.densities(psi, bt.configs, bu.configs, 5)
+    assert np.max(np.abs(np.subtract(report.densities_tau, tau))) < 1e-14
+    assert np.max(np.abs(np.subtract(report.densities_upsilon, upsilon))) < 1e-14
     assert report.fidelity_to_initial == fidelity(init, psi)
     assert all(type(x) is float for x in report.densities_tau + report.densities_upsilon)
