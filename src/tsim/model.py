@@ -106,7 +106,7 @@ class Hamiltonian:
 
     ``hop_x`` and ``hop_y`` are the real single-species hopping matrices
     (None for a frozen species) and ``D`` is the real (d_x, d_y) diagonal.
-    Immutable; ``_cache`` holds the propagators derived from it.
+    Immutable; ``_cache`` holds what propagation derives from it.
     """
 
     hop_x: sp.csr_array | None
@@ -118,13 +118,20 @@ class Hamiltonian:
     def dim(self) -> int:
         return self.D.size
 
-    def apply(self, g: np.ndarray) -> np.ndarray:
-        """H gamma for the coefficient matrix gamma[m, n]."""
-        out = self.D * g
+    def apply(self, g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """H gamma for the coefficient matrix gamma[m, n], or for k such
+        matrices side by side (shape (d_x, k*d_y), D and hop_y acting on
+        each); written into ``out`` when given."""
+        out = np.empty(g.shape, np.result_type(g, self.D)) if out is None else out
+        d_y = self.D.shape[1]
+        cols = [np.s_[:, j:j + d_y] for j in range(0, g.shape[1], d_y)]
+        for c in cols:
+            np.multiply(self.D, g[c], out=out[c])
         if self.hop_x is not None:
             out += self.hop_x @ g
         if self.hop_y is not None:
-            out += (self.hop_y @ g.T).T
+            for c in cols:
+                out[c] += (self.hop_y @ g[c].T).T
         return out
 
     def spectral_bounds(self) -> tuple[float, float]:

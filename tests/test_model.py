@@ -262,6 +262,16 @@ def test_operators_match_oracle_on_random_lattices():
             assert np.array_equal(dense, oracles.sector_hamiltonian(*common, terms=terms))
             out = op.apply(v.reshape(bt.dim, bu.dim)).ravel()
             assert np.max(np.abs(out - dense @ v), initial=0.0) < 1e-13
+            # the real stack [Re | Im] the Chebyshev recurrence runs on, with
+            # D and hop_y acting on each half, written into a given buffer
+            stack = np.concatenate(
+                [z.reshape(bt.dim, bu.dim) for z in (v.real, v.imag)], axis=1)
+            expected = np.concatenate(
+                [z.reshape(bt.dim, bu.dim) for z in (dense @ v.real, dense @ v.imag)],
+                axis=1)
+            into = np.empty_like(stack)
+            assert op.apply(stack, out=into) is into
+            assert np.max(np.abs(into - expected), initial=0.0) < 1e-13
             # the Chebyshev expansion diverges if the interval misses an eigenvalue
             lo, hi = op.spectral_bounds()
             eigs = np.linalg.eigvalsh(dense)

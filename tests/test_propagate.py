@@ -9,8 +9,8 @@ from scipy.linalg import expm
 import oracles
 from conftest import random_state
 from tsim.fock import enumerate_basis
-from tsim.model import (LatticeSpec, ModelParams, build_full, build_h1,
-                        build_h2, hop_sign)
+from tsim.model import (Hamiltonian, LatticeSpec, ModelParams, build_full,
+                        build_h1, build_h2, hop_sign)
 from tsim.propagate import _chebyshev_apply, evolve
 
 
@@ -121,8 +121,8 @@ def test_composition():
     assert np.max(np.abs(one - two)) < 2e-10
 
 
-def test_dense_krylov_agreement():
-    # the iterative propagator against the dense eigendecomposition, L=5, 2+2
+def test_evolve_matches_dense_eigendecomposition():
+    # the Chebyshev expansion against the dense eigendecomposition, L=5, 2+2
     lattice, params, bt, bu = _chain_setup(5, 2, 2, seed=19)
     h = build_full(lattice, params, bt, bu)
     assert h.dim <= 256
@@ -134,7 +134,7 @@ def test_dense_krylov_agreement():
         assert np.max(np.abs(dense - out.ravel())) < 1e-9
 
 
-def test_krylov_matches_expm_small_dims():
+def test_evolve_matches_expm_small_dims():
     for seed, (sites, n_t, n_u) in enumerate([(3, 1, 1), (4, 1, 1), (4, 2, 1)]):
         lattice, params, bt, bu = _chain_setup(sites, n_t, n_u, seed=seed)
         h = build_full(lattice, params, bt, bu)
@@ -362,3 +362,74 @@ def test_method_follows_operator_size(monkeypatch):
     # the Trotter run takes the same method as the cycles
     run_trotter(replace(config(6, 2), trotter_steps=4))
     assert calls == [(15, 15, 15)] * 2
+
+
+@pytest.mark.parametrize("layout", ["h1", "h2", "full", "generator"])
+def test_chebyshev_matches_dense_eigendecomposition(layout):
+    # every layout of the real recurrence: H1 has its hop on axis 0 of the
+    # stack [Re | Im], H2 runs on the stack of gamma^T, and the full H and the
+    # stepwise generator apply their second hop to each half of the stack
+    from tsim.protocol import ProtocolConfig, prepare, stepwise_generator
+    lattice = LatticeSpec(6, _ring(6).edges + ((0, 3),))
+    rng = np.random.default_rng(83)
+    params = ModelParams(j_tau=0.9, j_upsilon=1.2,
+                         u_tau=tuple(rng.uniform(-1, 1, 6)),
+                         u_upsilon=tuple(rng.uniform(-1, 1, 6)), u_cross=1.3)
+    ctx = prepare(ProtocolConfig(lattice=lattice, n_tau=3, n_upsilon=2,
+                                 params=params, t1=1.3, t2=0.7))
+    assert any(hop_sign(mask, i, j) == -1
+               for basis in (ctx.basis_tau, ctx.basis_upsilon)
+               for mask in basis.configs for i, j in lattice.edges
+               if (mask >> i) & 1 != (mask >> j) & 1)
+    op = {"h1": ctx.h1, "h2": ctx.h2, "full": ctx.full_operator(),
+          "generator": stepwise_generator(ctx)}[layout]
+    w, v = np.linalg.eigh(op.to_dense())
+    # (20, 15): rows and columns of gamma cannot be mistaken for each other
+    psi = random_state(op.D.shape, 89)
+    assert np.all(psi.imag != 0)
+    for t in (1.9, -2.6):
+        exact = v @ (np.exp(-1j * w * t) * (v.T @ psi.ravel()))
+        out = _chebyshev_apply(op, psi, t)
+        assert np.max(np.abs(out.ravel() - exact)) < 1e-12
+
+
+@pytest.mark.parametrize("t", [0.5, 20.0])
+@pytest.mark.parametrize("build", [build_h1, build_h2, build_full],
+                         ids=["h1", "h2", "full"])
+def test_chebyshev_peak_memory(build, t):
+    # three rotating buffers and one accumulator, each the size of gamma,
+    # plus the hop product; the folded operator is built once per operator,
+    # by the first call, and is not counted
+    import tracemalloc
+    lattice, params, bt, bu = _chain_setup(8, 4, 4, seed=97)
+    op = build(lattice, params, bt, bu)
+    psi = random_state((bt.dim, bu.dim), 101)
+    _chebyshev_apply(op, psi, t)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = _chebyshev_apply(op, psi, t)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert out.shape == psi.shape
+    assert peak <= 6.5 * psi.nbytes
+
+
+def test_spectral_bounds_once_per_operator(monkeypatch):
+    calls = []
+    bounds = Hamiltonian.spectral_bounds
+
+    def counting_bounds(self):
+        calls.append(self)
+        return bounds(self)
+
+    monkeypatch.setattr(Hamiltonian, "spectral_bounds", counting_bounds)
+    lattice, params, bt, bu = _chain_setup(5, 2, 2, seed=103)
+    ops = [build_full(lattice, params, bt, bu), build_h2(lattice, params, bt, bu)]
+    psi = random_state((bt.dim, bu.dim), 107)
+    for op in ops:
+        for t in (0.8, -0.8, 2.5, -0.1):
+            evolve(psi, op, t)
+            _chebyshev_apply(op, psi, t)
+    assert calls == ops
