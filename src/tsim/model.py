@@ -119,19 +119,20 @@ class Hamiltonian:
         return self.D.size
 
     def apply(self, g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """H gamma for the coefficient matrix gamma[m, n], or for k such
-        matrices side by side (shape (d_x, k*d_y), D and hop_y acting on
-        each); written into ``out`` when given."""
-        out = np.empty(g.shape, np.result_type(g, self.D)) if out is None else out
-        d_y = self.D.shape[1]
-        cols = [np.s_[:, j:j + d_y] for j in range(0, g.shape[1], d_y)]
-        for c in cols:
-            np.multiply(self.D, g[c], out=out[c])
+        """H gamma as a C-contiguous complex array, written into ``out``
+        (which must not overlap gamma) when given.  The hop matrices are
+        real, so they act on gamma's float64 view (d_x, 2*d_y): hop_x on the
+        whole view, hop_y on its real and its imaginary columns."""
+        if out is not None and np.may_share_memory(out, g):
+            raise ValueError("out must not share memory with the state")
+        g = np.ascontiguousarray(g, dtype=np.complex128)
+        out = np.multiply(self.D, g, out=out)
+        gf, of = g.view(np.float64), out.view(np.float64)
         if self.hop_x is not None:
-            out += self.hop_x @ g
+            of += self.hop_x @ gf
         if self.hop_y is not None:
-            for c in cols:
-                out[c] += (self.hop_y @ g[c].T).T
+            for c in range(2):
+                of[:, c::2] += (self.hop_y @ gf[:, c::2].T).T
         return out
 
     def spectral_bounds(self) -> tuple[float, float]:

@@ -13,9 +13,10 @@ most 16 * dim * b bytes, is cached too, serves t and -t, and is one batched
 matmul on the columns or rows of gamma.  Every other operator runs the
 Chebyshev expansion of Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984),
 over the operator's Gershgorin interval, folded into the operator once, with
-a term count fixed a priori, in the real form of Kosloff, J. Phys. Chem. 92,
-2087 (1988), in place on a fixed set of buffers.  No step renormalizes its
-output.
+a term count fixed a priori, in place on three buffers shaped like gamma.
+The operator is real, so each product runs in real arithmetic on gamma's
+float64 view inside ``Hamiltonian.apply`` (Kosloff, J. Phys. Chem. 92, 2087
+(1988)).  No step renormalizes its output.
 """
 
 from __future__ import annotations
@@ -71,12 +72,11 @@ def _apply_eigen(op: Hamiltonian, gamma: np.ndarray, t: float) -> np.ndarray:
 
 
 def _chebyshev_apply(op: Hamiltonian, g: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i*t*H) g as exp(-i*b*t) sum_k (2 - delta_k0) (-i)^k J_k(a*t)
-    T_k((H - b)/a) g on the Gershgorin interval [b - a, b + a], in one
-    expansion however long t is.  H is real, so T_k = H~ T_(k-1) - T_(k-2),
-    with H~ = 2(H - b)/a cached per operator, runs on the real stack
-    [Re g | Im g] (of g^T for H2, so the hop acts on axis 0) in three
-    rotating buffers, and (-i)^k enters only the real accumulator."""
+    """exp(-i*t*H) g as exp(-i*b*t) sum_k c_k T_k((H - b)/a) g on the
+    Gershgorin interval [b - a, b + a], c_k = (2 - delta_k0) (-i)^k J_k(a*t),
+    in one expansion however long t is.  T_k = H~ T_(k-1) - T_(k-2), with
+    H~ = 2(H - b)/a cached per operator, runs on g (on g^T for H2, so the
+    hop acts on axis 0) in three rotating buffers."""
     if "chebyshev" not in op._cache:
         lo, hi = op.spectral_bounds()
         # a point interval means H = b, and then any half-width bounds it
@@ -91,33 +91,20 @@ def _chebyshev_apply(op: Hamiltonian, g: np.ndarray, t: float) -> np.ndarray:
     # J_k(x) falls off faster than exponentially once k exceeds |x|
     bessel = jv(np.arange(2 * int(a * abs(t)) + 40), a * t)
     n = max(2, np.flatnonzero(np.abs(bessel) > _CHEB_CUTOFF)[-1] + 1)
-    # (-i)^k is s_k for even k and -i s_k for odd k, s_k = 1, 1, -1, -1 by k % 4
-    w = np.array([2.0, 2.0, -2.0, -2.0])[np.arange(n) % 4] * bessel[:n]
-    w[0] /= 2
-    g = g.T if flip else g
-    d = g.shape[1]
-    # the call's own copy of g, in C order (np.concatenate keeps g.T's F order)
-    prev = np.empty((g.shape[0], 2 * d))
-    prev[:, :d], prev[:, d:] = g.real, g.imag
+    c = np.array([2, -2j, -2, 2j])[np.arange(n) % 4] * bessel[:n]
+    c[0] /= 2
+    # the call's own C-order copy of g (of g^T for H2)
+    prev = np.array(g.T if flip else g, dtype=np.complex128, order="C")
     cur = h.apply(prev)
     cur *= 0.5  # T_1 = (H - b)/a g
-    acc, tmp = w[0] * prev, np.empty_like(prev)
+    acc, tmp = c[0] * prev, np.empty_like(prev)
     for k in range(1, n):
         if k > 1:  # T_k over T_(k-2)
             np.subtract(h.apply(cur, out=tmp), prev, out=prev)
             prev, cur = cur, prev
-        np.multiply(cur, w[k], out=tmp)
-        if k % 2:  # -i (Re + i Im) = Im - i Re
-            acc[:, :d] += tmp[:, d:]
-            acc[:, d:] -= tmp[:, :d]
-        else:
-            acc += tmp
-    # the result takes the bytes of the scratch buffer; the phase comes last
-    out = tmp.view(np.complex128).reshape(op.D.shape)
-    re, im = acc[:, :d], acc[:, d:]
-    out.real, out.imag = (re.T, im.T) if flip else (re, im)
-    out *= np.exp(-1j * b * t)
-    return out
+        acc += np.multiply(cur, c[k], out=tmp)
+    acc *= np.exp(-1j * b * t)
+    return np.ascontiguousarray(acc.T) if flip else acc
 
 
 def evolve(gamma: np.ndarray, op: Hamiltonian, t: float) -> np.ndarray:

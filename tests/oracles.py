@@ -3,7 +3,9 @@
 Everything here is deliberately built the slow, explicit way: creation and
 annihilation matrices on the full 2^L one-species space, term-by-term dense
 Hamiltonians on the 4^L two-species product space, then projection onto a
-fixed particle-number sector.  No code is shared with the package paths
+fixed particle-number sector; one sparse single-species sector Hamiltonian
+is built mask by mask from the same Jordan-Wigner strings, for lattices where
+2^L dense matrices are too slow.  No code is shared with the package paths
 under test.
 
 Term order matters for the entry-identical comparisons: tau hops per edge,
@@ -16,6 +18,7 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+import scipy.sparse as sp
 
 
 def annihilation_matrix(sites: int, site: int) -> np.ndarray:
@@ -116,6 +119,32 @@ def species_sector_hamiltonian(sites, edges, particles, j, u) -> np.ndarray:
         h += u[i] * number_matrix(sites, i)
     sel = sector_masks(sites, particles)
     return h[np.ix_(sel, sel)]
+
+
+def sparse_species_hamiltonian(sites, edges, particles, j, u) -> sp.csr_array:
+    """:func:`species_sector_hamiltonian` built sparse, for lattices too
+    large for 2^sites dense matrices: every mask of the sector gets the hop
+    c_dst^dagger c_src along each edge in both directions, signed by the
+    Jordan-Wigner strings of c_src on the mask and of c_dst^dagger on the
+    mask with src emptied, plus the potential of its occupied sites."""
+    masks = [m for m in range(1 << sites) if bin(m).count("1") == particles]
+    index = {m: r for r, m in enumerate(masks)}
+    rows, cols, vals = [], [], []
+    for col, mask in enumerate(masks):
+        rows.append(col)
+        cols.append(col)
+        vals.append(sum(u[i] for i in range(sites) if (mask >> i) & 1))
+        for a, b in edges:
+            for dst, src in ((a, b), (b, a)):
+                if not (mask >> src) & 1 or (mask >> dst) & 1:
+                    continue
+                emptied = mask ^ (1 << src)
+                below = (bin(mask & ((1 << src) - 1)).count("1")
+                         + bin(emptied & ((1 << dst) - 1)).count("1"))
+                rows.append(index[emptied | (1 << dst)])
+                cols.append(col)
+                vals.append(-j if below % 2 else j)
+    return sp.csr_array((vals, (rows, cols)), shape=(len(masks), len(masks)))
 
 
 def two_site_hop_amplitudes(j: float, t: float) -> tuple[complex, complex]:

@@ -262,16 +262,19 @@ def test_operators_match_oracle_on_random_lattices():
             assert np.array_equal(dense, oracles.sector_hamiltonian(*common, terms=terms))
             out = op.apply(v.reshape(bt.dim, bu.dim)).ravel()
             assert np.max(np.abs(out - dense @ v), initial=0.0) < 1e-13
-            # the real stack [Re | Im] the Chebyshev recurrence runs on, with
-            # D and hop_y acting on each half, written into a given buffer
-            stack = np.concatenate(
-                [z.reshape(bt.dim, bu.dim) for z in (v.real, v.imag)], axis=1)
-            expected = np.concatenate(
-                [z.reshape(bt.dim, bu.dim) for z in (dense @ v.real, dense @ v.imag)],
-                axis=1)
-            into = np.empty_like(stack)
-            assert op.apply(stack, out=into) is into
-            assert np.max(np.abs(into - expected), initial=0.0) < 1e-13
+            # written into a given buffer, from a C-ordered complex, an
+            # F-ordered and a real gamma: apply brings each to the C-ordered
+            # complex128 array its float64 view needs
+            g = v.reshape(bt.dim, bu.dim)
+            for x, want in ((g, dense @ v), (np.asfortranarray(g), dense @ v),
+                            (g.real, dense @ v.real)):
+                into = np.empty(g.shape, np.complex128)
+                assert op.apply(x, out=into) is into
+                assert np.max(np.abs(into.ravel() - want), initial=0.0) < 1e-13
+            # D * gamma lands in out before the hops read gamma, so an out
+            # that shares gamma's memory is refused, not silently wrong
+            with pytest.raises(ValueError, match="share memory"):
+                op.apply(g, out=g)
             # the Chebyshev expansion diverges if the interval misses an eigenvalue
             lo, hi = op.spectral_bounds()
             eigs = np.linalg.eigvalsh(dense)
@@ -280,3 +283,19 @@ def test_operators_match_oracle_on_random_lattices():
     check()
     # some drawn bonds skip an occupied site, so the parity sign -1 was tested
     assert -1 in signs
+
+
+@pytest.mark.parametrize("sites,edges,particles", [
+    (3, ((0, 1), (1, 2), (0, 2)), 2),
+    (5, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4)), 2),
+    (6, ((0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)), 3),
+    (8, tuple((i, (i + 1) % 8) for i in range(8)) + ((1, 6),), 4),
+    (8, tuple((i, i + 1) for i in range(7)) + ((0, 5), (2, 7)), 3),
+])
+def test_sparse_oracle_matches_dense_oracle(sites, edges, particles):
+    u = np.random.default_rng(sites + particles).uniform(-1, 1, sites)
+    sparse = oracles.sparse_species_hamiltonian(sites, edges, particles, 0.8, u)
+    dense = oracles.species_sector_hamiltonian(sites, edges, particles, 0.8, u)
+    assert np.max(np.abs(sparse.toarray() - dense)) < 1e-14
+    # bonds that skip an occupied site carry the Jordan-Wigner sign -1
+    assert (sparse.toarray() - np.diag(sparse.diagonal())).min() == -0.8

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import scipy.sparse as sp
 from scipy.linalg import expm
 
 import oracles
@@ -366,9 +367,10 @@ def test_method_follows_operator_size(monkeypatch):
 
 @pytest.mark.parametrize("layout", ["h1", "h2", "full", "generator"])
 def test_chebyshev_matches_dense_eigendecomposition(layout):
-    # every layout of the real recurrence: H1 has its hop on axis 0 of the
-    # stack [Re | Im], H2 runs on the stack of gamma^T, and the full H and the
-    # stepwise generator apply their second hop to each half of the stack
+    # every layout of the recurrence: H1 runs on gamma with its hop on axis
+    # 0, H2 runs on gamma^T, and the full H and the stepwise generator apply
+    # their second hop to the real and the imaginary columns of gamma's
+    # float64 view
     from tsim.protocol import ProtocolConfig, prepare, stepwise_generator
     lattice = LatticeSpec(6, _ring(6).edges + ((0, 3),))
     rng = np.random.default_rng(83)
@@ -391,6 +393,44 @@ def test_chebyshev_matches_dense_eigendecomposition(layout):
         exact = v @ (np.exp(-1j * w * t) * (v.T @ psi.ravel()))
         out = _chebyshev_apply(op, psi, t)
         assert np.max(np.abs(out.ravel() - exact)) < 1e-12
+
+
+@pytest.mark.parametrize("mobile", ["h1", "h2"])
+def test_chebyshev_matches_sparse_oracle_blocks_at_l12(mobile):
+    # L=12, 6+6 is where whole-gamma Chebyshev is the default for H1 and H2.
+    # Column n of gamma under H1 (row m under H2) evolves by its own block,
+    # which the sparse oracle builds from the masks alone; a slice of the
+    # operator to a few columns (rows) keeps the check cheap
+    lattice = _ring(12)
+    rng = np.random.default_rng(131)
+    params = ModelParams(j_tau=0.9, j_upsilon=1.2,
+                         u_tau=tuple(rng.uniform(-1, 1, 12)),
+                         u_upsilon=tuple(rng.uniform(-1, 1, 12)), u_cross=1.3)
+    basis = enumerate_basis(12, 6)
+    picks = rng.choice(basis.dim, 3, replace=False)
+    if mobile == "h1":
+        op = build_h1(lattice, params, basis, basis)
+        part = Hamiltonian(op.hop_x, None, op.D[:, picks])
+        j, u = params.j_tau, params.u_tau
+    else:
+        op = build_h2(lattice, params, basis, basis)
+        part = Hamiltonian(None, op.hop_y, op.D[picks, :])
+        j, u = params.j_upsilon, params.u_upsilon
+    psi = random_state(part.D.shape, 137)
+    blocks = []
+    for frozen in (basis.configs[p] for p in picks):
+        eff = [u[i] + params.u_cross * ((frozen >> i) & 1) for i in range(12)]
+        h = oracles.sparse_species_hamiltonian(12, lattice.edges, 6, j, eff)
+        # the ring's closing bond skips occupied sites, so the sign -1 occurs
+        assert (h - sp.diags(h.diagonal())).min() == -j
+        blocks.append(np.linalg.eigh(h.toarray()))
+    for t in (2.0, -2.0):
+        out = evolve(psi, part, t)
+        for k, (w, v) in enumerate(blocks):
+            idx = np.s_[:, k] if mobile == "h1" else np.s_[k, :]
+            exact = v @ (np.exp(-1j * w * t) * (v.T @ psi[idx]))
+            assert np.max(np.abs(out[idx] - exact)) < 1e-12
+    assert "chebyshev" in part._cache and "blocks" not in part._cache
 
 
 @pytest.mark.parametrize("t", [0.5, 20.0])
