@@ -5,13 +5,11 @@ from .erasure import ErasureSpec, apply_random_phases, draw_phases
 from .fock import FockBasis, enumerate_basis
 from .model import (Hamiltonian, LatticeSpec, ModelParams, build_full,
                     build_h1, build_h2)
-from .observables import (EntropyReport, entanglement_entropy, fidelity,
-                          measure, shannon_entropies)
+from .observables import EntropyReport, entanglement_entropy, fidelity, measure
 from .propagate import evolve
 from .protocol import (ProtocolConfig, ProtocolResult, StageRecord,
                        build_initial_state, prepare, run_cycle,
-                       run_full_hamiltonian, run_protocol, run_trotter,
-                       stepwise_generator)
+                       run_full_hamiltonian, run_protocol, run_trotter)
 
 __all__ = [
     "EntropyReport",
@@ -39,6 +37,4 @@ __all__ = [
     "run_full_hamiltonian",
     "run_protocol",
     "run_trotter",
-    "shannon_entropies",
-    "stepwise_generator",
 ]

@@ -41,20 +41,6 @@ def write_trajectory(records, out_dir, name: str = "trajectory.csv") -> Path:
     return path
 
 
-def read_trajectory(path) -> list[tuple]:
-    """Rows as (cycle, stage, model_time, s_tau, s_upsilon, s_total, s_ent, fidelity)."""
-    lines = Path(path).read_text(encoding="ascii").splitlines()
-    if not lines or lines[0] != TRAJECTORY_HEADER:
-        raise ValueError(f"{path}: not a trajectory CSV")
-    rows = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != 8:
-            raise ValueError(f"{path}: malformed row {line!r}")
-        rows.append((int(parts[0]), parts[1]) + tuple(float(p) for p in parts[2:]))
-    return rows
-
-
 def write_phases(phase_log, out_dir, name: str = "phases.csv") -> Path:
     """Audit dump of the phases applied at each erase stage."""
     out_dir = Path(out_dir)

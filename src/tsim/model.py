@@ -1,9 +1,9 @@
 """Lattice Hamiltonians for the two-species fermion model.
 
 A state is the coefficient matrix gamma[m, n] over tau configs m and upsilon
-configs n.  Only ``Hamiltonian.to_dense`` and the state dump format use the
-flat composite index k = m*d_y + n.  Every operator of the model has one
-form, :class:`Hamiltonian` (hop_x, hop_y, D), and acts on gamma as
+configs n; only the state dump format uses the flat composite index
+k = m*d_y + n.  Every operator of the model has one form,
+:class:`Hamiltonian` (hop_x, hop_y, D), and acts on gamma as
 
     H gamma = hop_x @ gamma + (hop_y @ gamma^T)^T + D * gamma
 
@@ -144,16 +144,6 @@ class Hamiltonian:
         if self.hop_y is not None:
             r = r + abs(self.hop_y).sum(axis=1)[None, :]
         return float((self.D - r).min()), float((self.D + r).max())
-
-    def to_dense(self) -> np.ndarray:
-        """H as a dense matrix over the flat index k = m*d_y + n."""
-        d_x, d_y = self.D.shape
-        out = np.diag(self.D.ravel())
-        if self.hop_x is not None:
-            out += np.kron(self.hop_x.toarray(), np.eye(d_y))
-        if self.hop_y is not None:
-            out += np.kron(np.eye(d_x), self.hop_y.toarray())
-        return out
 
 
 def hop_sign(mask: int, i: int, j: int) -> int:

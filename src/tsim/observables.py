@@ -23,12 +23,6 @@ def _entropy(p: np.ndarray) -> float:
     return s if s > 0.0 else 0.0
 
 
-def shannon_entropies(gamma: np.ndarray) -> tuple[float, float, float]:
-    """(S_tau, S_upsilon, S_total) of the |gamma|^2 distribution and its marginals."""
-    p = np.abs(gamma) ** 2
-    return _entropy(p.sum(axis=1)), _entropy(p.sum(axis=0)), _entropy(p.reshape(-1))
-
-
 def schmidt_spectrum(gamma: np.ndarray) -> np.ndarray:
     """Descending squared singular values of gamma."""
     return np.linalg.svd(gamma, compute_uv=False) ** 2

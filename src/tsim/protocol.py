@@ -29,18 +29,18 @@ evolution under the full Hamiltonian, and a Trotterized variant that splits
 the total time into n alternating (tau-mobile, upsilon-mobile) steps.  The
 small-step limit of that variant is generated by the duration-weighted mean
 of the two stepwise Hamiltonians (the cross coupling appears in both, so the
-sum differs from the full Hamiltonian); ``stepwise_generator`` exposes it.
+sum differs from the full Hamiltonian).
 
 Every stage and comparison step calls ``propagate.evolve``, which picks its
 method from the operator alone: the cached block eigendecomposition for H1
 and H2 while dim * b**2 <= 2**28 (chains up to L=8, 4+4), Chebyshev for
-larger H1 and H2, the full Hamiltonian and the stepwise generator.  So the
-cycles and the Trotter run take the same method on the same operators.
+larger H1 and H2, and the full Hamiltonian.  So the cycles and the Trotter
+run take the same method on the same operators.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,6 +89,8 @@ class ProtocolConfig:
             raise ValueError("cycles must be at least 1")
         if self.trotter_steps < 1:
             raise ValueError("trotter_steps must be at least 1")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -117,14 +119,6 @@ class ProtocolContext:
     h1: Hamiltonian
     h2: Hamiltonian
     initial: np.ndarray
-    _h_full: Hamiltonian | None = field(default=None, repr=False)
-
-    def full_operator(self) -> Hamiltonian:
-        if self._h_full is None:
-            c = self.config
-            self._h_full = model.build_full(c.lattice, c.params,
-                                            self.basis_tau, self.basis_upsilon)
-        return self._h_full
 
     def measure(self, state: np.ndarray) -> observables.EntropyReport:
         return observables.measure(state, self.basis_tau, self.basis_upsilon,
@@ -138,15 +132,15 @@ def build_initial_state(initial: str | tuple[complex, ...] | np.ndarray,
     over gamma and normalized.
 
     The domain-wall preset packs every particle of both species onto the
-    lowest-index sites: a single composite Fock basis vector.
+    lowest-index sites: a single composite Fock basis vector, the first of
+    each ascending basis.
     """
     dims = (basis_tau.dim, basis_upsilon.dim)
     if isinstance(initial, str):
         if initial != DOMAIN_WALL:
             raise ValueError(f"unknown initial-state preset {initial!r}")
         gamma = np.zeros(dims, dtype=np.complex128)
-        gamma[basis_tau.rank((1 << basis_tau.particles) - 1),
-              basis_upsilon.rank((1 << basis_upsilon.particles) - 1)] = 1.0
+        gamma[0, 0] = 1.0
         return gamma
     amps = np.asarray(initial, dtype=np.complex128)
     if amps.shape != (dims[0] * dims[1],):
@@ -235,7 +229,8 @@ def run_full_hamiltonian(config: ProtocolConfig) -> ProtocolResult:
     """Continuous evolution under the full Hamiltonian for the protocol's
     total forward time, with diagnostics at every stage boundary."""
     ctx = prepare(config)
-    h = ctx.full_operator()
+    h = model.build_full(config.lattice, config.params, ctx.basis_tau,
+                         ctx.basis_upsilon)
     state = ctx.initial
     records = [StageRecord(0, STAGE_INIT, 0.0, ctx.measure(state))]
     t = 0.0
@@ -265,11 +260,3 @@ def run_trotter(config: ProtocolConfig) -> ProtocolResult:
                                ctx.measure(state)))
     return ProtocolResult(tuple(records), state, ())
 
-
-def stepwise_generator(ctx: ProtocolContext) -> Hamiltonian:
-    """Generator of the small-step limit of the alternating scheme: the
-    duration-weighted mean of the two stepwise Hamiltonians."""
-    t1, t2 = ctx.config.t1, ctx.config.t2
-    w1, w2 = t1 / (t1 + t2), t2 / (t1 + t2)
-    return Hamiltonian(w1 * ctx.h1.hop_x, w2 * ctx.h2.hop_y,
-                       w1 * ctx.h1.D + w2 * ctx.h2.D)

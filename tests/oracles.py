@@ -1,12 +1,13 @@
 """Independent reference constructions used to check the package.
 
 Everything here is deliberately built the slow, explicit way: creation and
-annihilation matrices on the full 2^L one-species space, term-by-term dense
-Hamiltonians on the 4^L two-species product space, then projection onto a
-fixed particle-number sector; one sparse single-species sector Hamiltonian
-is built mask by mask from the same Jordan-Wigner strings, for lattices where
-2^L dense matrices are too slow.  No code is shared with the package paths
-under test.
+annihilation matrices on the full 2^L one-species space, restricted to a
+fixed particle-number sector per species, then term-by-term Kronecker
+products of those sector matrices for the two-species Hamiltonians; one
+sparse single-species sector Hamiltonian is built mask by mask from the same
+Jordan-Wigner strings, for lattices where 2^L dense matrices are too slow.
+No code is shared with the package paths under test; ``to_dense`` only lays
+out a package operator's own matrices densely, for comparison with these.
 
 Term order matters for the entry-identical comparisons: tau hops per edge,
 upsilon hops per edge, tau potential per site, upsilon potential per site,
@@ -56,33 +57,6 @@ def _hop_matrix(sites, edges, j):
     return hop
 
 
-def dense_hamiltonian(sites, edges, j_tau, j_upsilon, u_tau, u_upsilon, u_cross,
-                      terms=("hop_tau", "hop_upsilon", "u_tau", "u_upsilon", "cross")):
-    """Term-by-term Hamiltonian on the 4^sites product space, accumulated one
-    per-site term at a time so diagonal rounding matches scalar accumulation.
-
-    Composite index K = X * 2^sites + Y for tau mask X and upsilon mask Y.
-    """
-    dim = 1 << sites
-    eye = np.eye(dim, dtype=np.complex128)
-    full = np.zeros((dim * dim, dim * dim), dtype=np.complex128)
-    if "hop_tau" in terms:
-        full += np.kron(_hop_matrix(sites, edges, j_tau), eye)
-    if "hop_upsilon" in terms:
-        full += np.kron(eye, _hop_matrix(sites, edges, j_upsilon))
-    if "u_tau" in terms:
-        for i in range(sites):
-            full += u_tau[i] * np.kron(number_matrix(sites, i), eye)
-    if "u_upsilon" in terms:
-        for i in range(sites):
-            full += u_upsilon[i] * np.kron(eye, number_matrix(sites, i))
-    if "cross" in terms:
-        for i in range(sites):
-            full += u_cross * np.kron(number_matrix(sites, i),
-                                      number_matrix(sites, i))
-    return full
-
-
 def sector_masks(sites: int, particles: int) -> list[int]:
     return sorted(
         sum(1 << i for i in occ)
@@ -90,23 +64,58 @@ def sector_masks(sites: int, particles: int) -> list[int]:
     )
 
 
-def project_sector(full: np.ndarray, sites: int, n_tau: int,
-                   n_upsilon: int) -> np.ndarray:
-    """Restrict a 4^sites matrix to the (n_tau, n_upsilon) sector, ordered to
-    match the flat composite index m*d_y + n over ascending masks."""
-    dim = 1 << sites
-    sel = [x * dim + y
-           for x in sector_masks(sites, n_tau)
-           for y in sector_masks(sites, n_upsilon)]
-    return full[np.ix_(sel, sel)]
-
-
 def sector_hamiltonian(sites, edges, n_tau, n_upsilon, j_tau, j_upsilon,
                        u_tau, u_upsilon, u_cross, terms=None) -> np.ndarray:
-    kwargs = {} if terms is None else {"terms": terms}
-    full = dense_hamiltonian(sites, edges, j_tau, j_upsilon, u_tau, u_upsilon,
-                             u_cross, **kwargs)
-    return project_sector(full, sites, n_tau, n_upsilon)
+    """Term-by-term Hamiltonian on the (n_tau, n_upsilon) sector, accumulated
+    one per-site term at a time so diagonal rounding matches scalar
+    accumulation.
+
+    Each species conserves its particle number, so every 2^sites one-species
+    factor is restricted to its sector before the Kronecker product; the
+    result is entry for entry the 4^sites product restricted to the sector.
+    Composite index m*d_y + n over ascending masks, as in the package.
+    """
+    if terms is None:
+        terms = ("hop_tau", "hop_upsilon", "u_tau", "u_upsilon", "cross")
+    sel_x, sel_y = sector_masks(sites, n_tau), sector_masks(sites, n_upsilon)
+
+    def tau(a):
+        return np.kron(a[np.ix_(sel_x, sel_x)],
+                       np.eye(len(sel_y), dtype=np.complex128))
+
+    def upsilon(a):
+        return np.kron(np.eye(len(sel_x), dtype=np.complex128),
+                       a[np.ix_(sel_y, sel_y)])
+
+    full = np.zeros((len(sel_x) * len(sel_y),) * 2, dtype=np.complex128)
+    if "hop_tau" in terms:
+        full += tau(_hop_matrix(sites, edges, j_tau))
+    if "hop_upsilon" in terms:
+        full += upsilon(_hop_matrix(sites, edges, j_upsilon))
+    if "u_tau" in terms:
+        for i in range(sites):
+            full += u_tau[i] * tau(number_matrix(sites, i))
+    if "u_upsilon" in terms:
+        for i in range(sites):
+            full += u_upsilon[i] * upsilon(number_matrix(sites, i))
+    if "cross" in terms:
+        for i in range(sites):
+            n_i = number_matrix(sites, i)
+            full += u_cross * np.kron(n_i[np.ix_(sel_x, sel_x)],
+                                      n_i[np.ix_(sel_y, sel_y)])
+    return full
+
+
+def to_dense(h) -> np.ndarray:
+    """A package ``Hamiltonian`` (hop_x, hop_y, D) as a dense matrix over
+    the flat composite index k = m*d_y + n."""
+    d_x, d_y = h.D.shape
+    out = np.diag(h.D.ravel())
+    if h.hop_x is not None:
+        out += np.kron(h.hop_x.toarray(), np.eye(d_y))
+    if h.hop_y is not None:
+        out += np.kron(np.eye(d_x), h.hop_y.toarray())
+    return out
 
 
 def species_sector_hamiltonian(sites, edges, particles, j, u) -> np.ndarray:

@@ -12,14 +12,13 @@ from scipy import stats
 from scipy.linalg import expm
 
 import oracles
-from conftest import random_state
+from conftest import random_state, shannon_entropies, stepwise_generator
 from tsim.erasure import apply_random_phases, erasure_phases
 from tsim.fock import enumerate_basis
 from tsim.model import LatticeSpec, ModelParams, build_full, build_h1, build_h2
-from tsim.observables import schmidt_spectrum, shannon_entropies
+from tsim.observables import schmidt_spectrum
 from tsim.propagate import _chebyshev_apply, evolve
-from tsim.protocol import (ProtocolConfig, prepare, run_protocol, run_trotter,
-                           stepwise_generator)
+from tsim.protocol import ProtocolConfig, prepare, run_protocol, run_trotter
 
 # 80% of the plateau measured by the standalone brute-force reference
 # (scripts/calibrate_saturation.py, 20 seeds x 50 cycles: plateau 2.087911)
@@ -284,7 +283,7 @@ def test_criterion_8_oracle_equivalence():
                  *common, terms=("hop_upsilon", "u_upsilon", "cross"))),
         ]
         for op, oracle in checks:
-            identical = identical and np.array_equal(op.to_dense(), oracle)
+            identical = identical and np.array_equal(oracles.to_dense(op), oracle)
 
     worst_chebyshev = 0.0
     for seed, (sites, n_t, n_u) in enumerate([(4, 1, 1), (4, 2, 1), (4, 2, 2)]):
@@ -295,7 +294,7 @@ def test_criterion_8_oracle_equivalence():
         assert h.dim <= 64
         psi = random_state((bt.dim, bu.dim), 950 + seed)
         for t in (0.7, 2.0):
-            exact = expm(-1j * t * h.to_dense()) @ psi.ravel()
+            exact = expm(-1j * t * oracles.to_dense(h)) @ psi.ravel()
             chebyshev = evolve(psi, h, t)
             worst_chebyshev = max(worst_chebyshev, float(np.max(np.abs(
                 chebyshev.ravel() - exact))))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tsim.config import ConfigError, OutputOptions, parse_config, serialize_config
-from tsim.io import (read_state, read_trajectory, write_phases, write_state,
+from tsim.io import (TRAJECTORY_HEADER, read_state, write_phases, write_state,
                      write_trajectory)
 from tsim.fock import enumerate_basis
 from tsim.model import LatticeSpec, ModelParams
@@ -162,7 +162,11 @@ def _desk_result(cycles=1, **overrides):
 def test_trajectory_csv_shape_and_roundtrip(tmp_path):
     result = _desk_result(no_erasure_run=True)
     path = write_trajectory(result.records, tmp_path)
-    rows = read_trajectory(path)
+    header, *lines = path.read_text(encoding="ascii").splitlines()
+    assert header == TRAJECTORY_HEADER
+    fields = [line.split(",") for line in lines]
+    assert all(len(f) == 8 for f in fields)
+    rows = [(int(c), stage, *map(float, rest)) for c, stage, *rest in fields]
     assert len(rows) == len(result.records) == 5  # init + 4 stage rows
     stage_rows = [r for r in rows if r[1] != "init"]
     assert len(stage_rows) == 4

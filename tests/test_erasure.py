@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_state
+from conftest import random_state, shannon_entropies
 from tsim.erasure import (ErasureSpec, apply_random_phases, draw_phases,
                           erasure_phases, site_phase_sequence)
 from tsim.fock import enumerate_basis
-from tsim.observables import schmidt_spectrum, shannon_entropies
+from tsim.observables import schmidt_spectrum
 
 
 def test_zero_phases_identity():

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from scipy.linalg import expm
 
 import oracles
-from conftest import random_state
+from conftest import random_state, stepwise_generator
 from tsim.fock import enumerate_basis
 from tsim.model import (Hamiltonian, LatticeSpec, ModelParams, build_full,
                         build_h1, build_h2, hop_sign)
@@ -127,7 +127,7 @@ def test_evolve_matches_dense_eigendecomposition():
     lattice, params, bt, bu = _chain_setup(5, 2, 2, seed=19)
     h = build_full(lattice, params, bt, bu)
     assert h.dim <= 256
-    w, v = np.linalg.eigh(h.to_dense())
+    w, v = np.linalg.eigh(oracles.to_dense(h))
     psi = random_state((bt.dim, bu.dim), 23)
     for t in (0.4, 2.0, -1.3):
         dense = v @ (np.exp(-1j * w * t) * (v.T @ psi.ravel()))
@@ -142,7 +142,7 @@ def test_evolve_matches_expm_small_dims():
         assert h.dim <= 64
         psi = random_state((bt.dim, bu.dim), seed + 31)
         t = 1.1
-        exact = expm(-1j * t * h.to_dense()) @ psi.ravel()
+        exact = expm(-1j * t * oracles.to_dense(h)) @ psi.ravel()
         out = evolve(psi, h, t)
         assert np.max(np.abs(out.ravel() - exact)) < 1e-9
 
@@ -225,7 +225,7 @@ def test_long_time_matches_eigendecomposition():
     # tail fails well above 1e-10
     lattice, params, bt, bu = _chain_setup(6, 2, 2, seed=71)
     h = build_full(lattice, params, bt, bu)
-    w, v = np.linalg.eigh(h.to_dense())
+    w, v = np.linalg.eigh(oracles.to_dense(h))
     psi = random_state((bt.dim, bu.dim), 73)
     for t in (400.0, -400.0, 3000.0):
         exact = v @ (np.exp(-1j * w * t) * (v.T @ psi.ravel()))
@@ -332,8 +332,7 @@ def test_factorization_is_lazy_and_shared(monkeypatch):
 
 def test_method_follows_operator_size(monkeypatch):
     # block eigen exactly when one species is mobile and dim * b**2 <= 2**28
-    from tsim.protocol import (ProtocolConfig, prepare, run_trotter,
-                               stepwise_generator)
+    from tsim.protocol import ProtocolConfig, prepare, run_trotter
     calls = []
     eigh = np.linalg.eigh
 
@@ -350,7 +349,9 @@ def test_method_follows_operator_size(monkeypatch):
     # once each; the full H and the stepwise generator have two mobile species
     for sites, n, b in ((6, 2, 15), (8, 4, 70)):
         ctx = prepare(config(sites, n))
-        for op in (ctx.h1, ctx.h2, ctx.h1, ctx.h2, ctx.full_operator(),
+        h_full = build_full(ctx.config.lattice, ctx.config.params,
+                            ctx.basis_tau, ctx.basis_upsilon)
+        for op in (ctx.h1, ctx.h2, ctx.h1, ctx.h2, h_full,
                    stepwise_generator(ctx)):
             evolve(ctx.initial, op, 0.5)
         assert calls == [(b, b, b)] * 2
@@ -371,7 +372,7 @@ def test_chebyshev_matches_dense_eigendecomposition(layout):
     # 0, H2 runs on gamma^T, and the full H and the stepwise generator apply
     # their second hop to the real and the imaginary columns of gamma's
     # float64 view
-    from tsim.protocol import ProtocolConfig, prepare, stepwise_generator
+    from tsim.protocol import ProtocolConfig, prepare
     lattice = LatticeSpec(6, _ring(6).edges + ((0, 3),))
     rng = np.random.default_rng(83)
     params = ModelParams(j_tau=0.9, j_upsilon=1.2,
@@ -383,9 +384,10 @@ def test_chebyshev_matches_dense_eigendecomposition(layout):
                for basis in (ctx.basis_tau, ctx.basis_upsilon)
                for mask in basis.configs for i, j in lattice.edges
                if (mask >> i) & 1 != (mask >> j) & 1)
-    op = {"h1": ctx.h1, "h2": ctx.h2, "full": ctx.full_operator(),
+    op = {"h1": ctx.h1, "h2": ctx.h2,
+          "full": build_full(lattice, params, ctx.basis_tau, ctx.basis_upsilon),
           "generator": stepwise_generator(ctx)}[layout]
-    w, v = np.linalg.eigh(op.to_dense())
+    w, v = np.linalg.eigh(oracles.to_dense(op))
     # (20, 15): rows and columns of gamma cannot be mistaken for each other
     psi = random_state(op.D.shape, 89)
     assert np.all(psi.imag != 0)

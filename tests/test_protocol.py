@@ -5,7 +5,7 @@ import pytest
 
 from tsim.erasure import ErasureSpec
 from tsim.fock import enumerate_basis
-from tsim.model import LatticeSpec, ModelParams
+from tsim.model import LatticeSpec, ModelParams, build_full
 from tsim.propagate import evolve
 from tsim.protocol import (CYCLE_STAGES, STAGE_ERASE, STAGE_INIT,
                            ProtocolConfig, build_initial_state, prepare,
@@ -23,7 +23,7 @@ def desk_config(**overrides):
 def test_domain_wall_initial_state():
     bt, bu = enumerate_basis(6, 2), enumerate_basis(6, 2)
     psi = build_initial_state("domain-wall", bt, bu)
-    assert psi[bt.rank(0b000011), bu.rank(0b000011)] == 1.0
+    assert psi[bt.configs.index(0b000011), bu.configs.index(0b000011)] == 1.0
     assert np.count_nonzero(psi) == 1
 
 
@@ -162,7 +162,7 @@ def test_run_cycle_signature():
 def test_full_hamiltonian_run_conserves_energy():
     cfg = desk_config(cycles=2)
     ctx = prepare(cfg)
-    h = ctx.full_operator()
+    h = build_full(cfg.lattice, cfg.params, ctx.basis_tau, ctx.basis_upsilon)
     e0 = np.vdot(ctx.initial, h.apply(ctx.initial)).real
     result = run_full_hamiltonian(cfg)
     assert len(result.records) == 1 + 2 * cfg.cycles
@@ -194,3 +194,7 @@ def test_config_validation():
         desk_config(cycles=0)
     with pytest.raises(ValueError):
         desk_config(trotter_steps=0)
+    # numpy's SeedSequence would refuse it only at the first erase, after two
+    # propagated stages, and without naming the field
+    with pytest.raises(ValueError, match="master_seed"):
+        desk_config(master_seed=-1)
