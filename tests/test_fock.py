@@ -33,6 +33,12 @@ def test_configs_match_enumerate_and_sort_oracle():
                                                0b1010, 0b1100]
 
 
+def test_minimal_mask_has_rank_zero():
+    basis = enumerate_basis(7, 3)
+    assert basis.configs[0] == 0b0000111
+    assert basis.configs.index(0b0000111) == 0
+
+
 def test_invalid_arguments():
     with pytest.raises(ValueError):
         enumerate_basis(4, 5)
