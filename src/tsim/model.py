@@ -10,12 +10,15 @@ k = m*d_y + n.  Every operator of the model has one form,
 with hop_x (d_x x d_x) and hop_y (d_y x d_y) the single-species hopping
 matrices and D the real (d_x, d_y) diagonal of potentials and cross coupling.
 
-* ``build_full``     — (hop_x, hop_y, D): both hopping terms, both on-site
-                       potentials, and the on-site inter-species
-                       density-density coupling.
-* ``build_h1``       — (hop_x, None, D1): tau mobile, upsilon frozen; tau
-                       potential + cross coupling.  Block-diagonal over
-                       upsilon configs: block n is hop_x + diag(D1[:, n]).
+All three operators come from one builder told which species are mobile:
+each mobile species contributes its hopping matrix and its on-site
+potential, a frozen one neither, and the on-site inter-species
+density-density coupling is always in D.
+
+* ``build_full``     — (hop_x, hop_y, D): both species mobile.
+* ``build_h1``       — (hop_x, None, D1): tau mobile, upsilon frozen.
+                       Block-diagonal over upsilon configs: block n is
+                       hop_x + diag(D1[:, n]).
 * ``build_h2``       — (None, hop_y, D2): mirror image, upsilon mobile, tau
                        frozen; block m is hop_y + diag(D2[m, :]).
 
@@ -173,8 +176,11 @@ def _hop_matrix(basis: FockBasis, edges, j: float) -> sp.csr_array:
                         shape=(basis.dim, basis.dim))
 
 
-def _check_geometry(lattice: LatticeSpec, params: ModelParams,
-                    basis_tau: FockBasis, basis_upsilon: FockBasis) -> None:
+def _build(lattice: LatticeSpec, params: ModelParams, basis_tau: FockBasis,
+           basis_upsilon: FockBasis, tau: bool, upsilon: bool) -> Hamiltonian:
+    """Hopping and on-site potential of each mobile species, plus the cross
+    coupling.  D is accumulated per site in a fixed term order: tau
+    potential, upsilon potential, cross coupling."""
     if basis_tau.sites != lattice.sites or basis_upsilon.sites != lattice.sites:
         raise ValueError(
             f"bases on {basis_tau.sites}/{basis_upsilon.sites} sites do not "
@@ -182,36 +188,25 @@ def _check_geometry(lattice: LatticeSpec, params: ModelParams,
         )
     if len(params.u_tau) != lattice.sites or len(params.u_upsilon) != lattice.sites:
         raise ValueError("potential sequences must have one entry per site")
-
-
-def _diag_entries(basis_tau, basis_upsilon, params, include) -> np.ndarray:
-    """Diagonal over (m, n) as a (d_x, d_y) array, accumulated per site in a
-    fixed term order: tau potential, upsilon potential, cross coupling (as
-    selected)."""
     occ_x, occ_y = (b.occupations == 1 for b in (basis_tau, basis_upsilon))
     diag = np.zeros((basis_tau.dim, basis_upsilon.dim))
-    if "u_tau" in include:
-        for i, u in enumerate(params.u_tau):
-            diag += np.where(occ_x[:, i], u, 0.0)[:, None]
-    if "u_upsilon" in include:
-        for i, u in enumerate(params.u_upsilon):
-            diag += np.where(occ_y[:, i], u, 0.0)[None, :]
-    if "cross" in include:
-        for i in range(basis_tau.sites):
-            diag += np.where(np.outer(occ_x[:, i], occ_y[:, i]), params.u_cross, 0.0)
-    return diag
+    hops = []
+    for mobile, basis, occ, j, u, axis in (
+            (tau, basis_tau, occ_x, params.j_tau, params.u_tau, np.s_[:, None]),
+            (upsilon, basis_upsilon, occ_y, params.j_upsilon, params.u_upsilon,
+             np.s_[None, :])):
+        hops.append(_hop_matrix(basis, lattice.edges, j) if mobile else None)
+        for i, ui in enumerate(u if mobile else ()):
+            diag += np.where(occ[:, i], ui, 0.0)[axis]
+    for i in range(lattice.sites):
+        diag += np.where(np.outer(occ_x[:, i], occ_y[:, i]), params.u_cross, 0.0)
+    return Hamiltonian(*hops, diag)
 
 
 def build_full(lattice: LatticeSpec, params: ModelParams,
                basis_tau: FockBasis, basis_upsilon: FockBasis) -> Hamiltonian:
     """Full Hamiltonian: both hoppings, both potentials, cross coupling."""
-    _check_geometry(lattice, params, basis_tau, basis_upsilon)
-    return Hamiltonian(
-        _hop_matrix(basis_tau, lattice.edges, params.j_tau),
-        _hop_matrix(basis_upsilon, lattice.edges, params.j_upsilon),
-        _diag_entries(basis_tau, basis_upsilon, params,
-                      ("u_tau", "u_upsilon", "cross")),
-    )
+    return _build(lattice, params, basis_tau, basis_upsilon, tau=True, upsilon=True)
 
 
 def build_h1(lattice: LatticeSpec, params: ModelParams,
@@ -222,11 +217,7 @@ def build_h1(lattice: LatticeSpec, params: ModelParams,
     and is hop_x + diag(D[:, n]), the tau Hamiltonian with potential
     u_tau + u_cross*occupancy(y_n).
     """
-    _check_geometry(lattice, params, basis_tau, basis_upsilon)
-    return Hamiltonian(
-        _hop_matrix(basis_tau, lattice.edges, params.j_tau), None,
-        _diag_entries(basis_tau, basis_upsilon, params, ("u_tau", "cross")),
-    )
+    return _build(lattice, params, basis_tau, basis_upsilon, tau=True, upsilon=False)
 
 
 def build_h2(lattice: LatticeSpec, params: ModelParams,
@@ -236,8 +227,4 @@ def build_h2(lattice: LatticeSpec, params: ModelParams,
     Block-diagonal over tau configs; block m acts on row m of gamma and is
     hop_y + diag(D[m, :]).
     """
-    _check_geometry(lattice, params, basis_tau, basis_upsilon)
-    return Hamiltonian(
-        None, _hop_matrix(basis_upsilon, lattice.edges, params.j_upsilon),
-        _diag_entries(basis_tau, basis_upsilon, params, ("u_upsilon", "cross")),
-    )
+    return _build(lattice, params, basis_tau, basis_upsilon, tau=False, upsilon=True)

@@ -8,8 +8,9 @@ operator (exactly one mobile species, hop matrix of dimension b) whose
 factorization work dim * b**2 is at most ``_EIGEN_WORK_MAX`` = 2**28 is
 solved exactly: its blocks (the mobile hop matrix plus one column of D for
 H1, one row for H2) are stacked and factored by one cached
-``np.linalg.eigh`` call on first use, and each stage propagator U(|t|), at
-most 16 * dim * b bytes, is cached too, serves t and -t, and is one batched
+``np.linalg.eigh`` call on first use.  The operator also caches one stage
+propagator U(|t|), 16 * dim * b bytes, rebuilt only when |t| changes; it
+serves t and -t, which is all a cycle asks of H1 and H2, and is one batched
 matmul on the columns or rows of gamma.  Every other operator runs the
 Chebyshev expansion of Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984),
 over the operator's Gershgorin interval, folded into the operator once, with
@@ -26,45 +27,42 @@ from scipy.special import jv
 
 from .model import Hamiltonian
 
-# the eigen path costs n_blocks * b**3 = dim * b**2 to factor and caches each
-# complex U(|t|) in 16 * dim * b bytes; a larger operator takes Chebyshev
+# the eigen path costs n_blocks * b**3 = dim * b**2 to factor and caches its
+# one complex U(|t|) in 16 * dim * b bytes; a larger operator takes Chebyshev
 _EIGEN_WORK_MAX = 2**28
-_PROP_CACHE_MAX = 8
 # Chebyshev terms end at the last Bessel coefficient above _CHEB_CUTOFF
 _CHEB_CUTOFF = 1e-15
 
 
 def _eigensystem(op: Hamiltonian):
-    """(eigenvalues, eigenvectors, stage propagators by |t|) of the stacked
-    blocks of a stepwise operator: one per column of gamma for H1, per row
-    for H2."""
+    """(eigenvalues, eigenvectors) of the stacked blocks of a stepwise
+    operator: one block per column of gamma for H1, per row for H2."""
     if "blocks" not in op._cache:
         # block k is the mobile hop matrix plus the diagonal of D's row k
         hop, diag = (op.hop_x, op.D.T) if op.hop_y is None else (op.hop_y, op.D)
         stack = np.repeat(hop.toarray()[None], len(diag), axis=0)
         i = np.arange(hop.shape[0])
         stack[:, i, i] += diag
-        op._cache["blocks"] = (*np.linalg.eigh(stack), {})
+        op._cache["blocks"] = np.linalg.eigh(stack)
     return op._cache["blocks"]
 
 
 def _apply_eigen(op: Hamiltonian, gamma: np.ndarray, t: float) -> np.ndarray:
-    w, v, props = _eigensystem(op)
-    key = abs(t)
-    if key not in props:
-        if len(props) >= _PROP_CACHE_MAX:
-            props.pop(next(iter(props)))
+    key, u = op._cache.get("stage", (None, None))
+    if key != abs(t):
+        w, v = _eigensystem(op)
+        key = abs(t)
         # V diag(exp(-i*w*t)) V^T by real matmuls, which copy no V to complex
         u = np.empty(v.shape, dtype=np.complex128)
         u.real = (v * np.cos(key * w)[:, None, :]) @ v.swapaxes(1, 2)
         u.imag = (v * -np.sin(key * w)[:, None, :]) @ v.swapaxes(1, 2)
-        props[key] = u
+        op._cache["stage"] = key, u
     # the blocks of H1 act on the columns of gamma, those of H2 on its rows
     by_column = op.hop_y is None
     g = gamma.T if by_column else gamma
     # V is real, so U(-t) x = conj(U(t) conj(x)) and one propagator serves both
     sub = np.ascontiguousarray(g if t > 0 else g.conj())
-    sub = (props[key] @ sub[..., None])[..., 0]
+    sub = (u @ sub[..., None])[..., 0]
     if t < 0:
         sub = sub.conj()
     # a copy, not the transposed view, so later marginals sum in row order

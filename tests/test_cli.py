@@ -61,7 +61,7 @@ def test_simulate_deterministic_output(tmp_path, capsys):
     assert csv_a == csv_b
 
 
-def test_simulate_seed_flag_overrides_config(tmp_path):
+def test_simulate_seed_flag_overrides_config(tmp_path, capsys):
     path = _write_config(tmp_path, protocol={"cycles": 1, "seed": 11})
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
@@ -70,6 +70,11 @@ def test_simulate_seed_flag_overrides_config(tmp_path):
                  "--seed", "12"]) == 0
     assert ((out_a / "trajectory.csv").read_bytes()
             != (out_b / "trajectory.csv").read_bytes())
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "c"),
+                 "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: --seed: must be nonnegative\n"
+    assert not (tmp_path / "c").exists()
 
 
 def test_simulate_dumps_and_comparison_runs(tmp_path):

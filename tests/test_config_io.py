@@ -33,14 +33,30 @@ def test_minimal_document_defaults():
     assert output == OutputOptions()
 
 
+# every optional section set away from its default, with explicit amplitudes
+EXPLICIT = json.dumps({
+    "lattice": {"sites": 3, "edges": [[0, 2], [0, 1]]},
+    "particles": {"tau": 1, "upsilon": 2},
+    "params": {"j_tau": 0.7, "j_upsilon": -1.2, "u_tau": [0.5, 0, -0.25],
+               "u_upsilon": [0, 0.1, 0], "u_cross": 2.5},
+    "protocol": {"t1": 0.3, "t2": 1.7, "cycles": 4, "seed": 9},
+    "erasure": {"kind": "site-phase", "species": "tau", "site": 1, "theta": 0.4},
+    "controls": {"no_erasure_run": True, "full_hamiltonian_run": True,
+                 "trotter_steps": 3},
+    "initial": [[0.1 * k, -0.05 * k] for k in range(1, 10)],
+    "output": {"out_dir": "runs/x", "dump_states": True, "dump_phases": True},
+})
+
+
 def test_round_trip():
-    config, output = parse_config(MINIMAL)
-    text = serialize_config(config, output)
-    config2, output2 = parse_config(text)
-    assert config2 == config
-    assert output2 == output
-    # a second round trip is byte-identical
-    assert serialize_config(config2, output2) == text
+    for doc in (MINIMAL, EXPLICIT):
+        config, output = parse_config(doc)
+        text = serialize_config(config, output)
+        config2, output2 = parse_config(text)
+        assert config2 == config
+        assert output2 == output
+        # a second round trip is byte-identical
+        assert serialize_config(config2, output2) == text
 
 
 def test_unknown_keys_rejected():
@@ -92,13 +108,42 @@ _NAN, _INF = float("nan"), float("inf")
     # every amplitude is finite, but the norm of 16 pairs [1e308, 0] is not
     ({"initial": [[1e308, 0.0]] * 16}, None,
      "initial: the amplitude norm overflows a float"),
+    # every other ConfigError branch, each with its exact message
+    ([], None, "top level: must be an object"),
+    ({"params": 3}, None, "params: must be an object"),
+    ({"protocol": {"cycles": 1.5}}, None, "protocol.cycles: expected an integer"),
+    ({"params": {"u_tau": 1.0}}, None, "params.u_tau: expected a list of numbers"),
+    ({"lattice": {"sites": 0}}, None, "lattice.sites: must be a positive integer"),
+    ({"lattice": {"sites": 4, "edges": {"0": 1}}}, None,
+     "lattice.edges: expected a list of site pairs"),
+    ({"lattice": {"sites": 4, "edges": [[0, 1, 2]]}}, None,
+     "lattice.edges: expected a list of site pairs"),
+    ({"lattice": {"sites": 4, "edges": [[2, 2]]}}, None,
+     "lattice.edges: self-loop edge (2, 2)"),
+    ({"particles": {"tau": 1}}, None, "particles.upsilon: required"),
+    ({"protocol": {"seed": -1}}, None, "protocol.seed: must be nonnegative"),
+    ({"erasure": {"species": "both"}}, None,
+     "erasure.species: must be one of ('tau', 'upsilon')"),
+    ({"controls": {"trotter_steps": 0}}, None,
+     "controls.trotter_steps: must be at least 1"),
+    ({"initial": "neel"}, None, "initial: unknown preset 'neel'"),
+    ({"initial": [[1.0, 0.0]] * 3}, None,
+     "initial: expected 16 amplitude pairs, got 3"),
+    ({"initial": 5}, None, "initial: expected a preset name or amplitude pairs"),
+    ({"output": {"out_dir": 3}}, None, "output.out_dir: expected a string"),
 ], ids=["t1-nan", "t2-inf", "j_tau-nan", "u_cross-minus-inf", "u_tau-entry-nan",
         "j_upsilon-huge-int", "theta-nan", "initial-nan", "initial-bool",
-        "initial-zero", "initial-norm-overflow"])
+        "initial-zero", "initial-norm-overflow", "top-level-list",
+        "section-not-object", "int-not-integer", "vector-not-list",
+        "sites-zero", "edges-not-list", "edge-not-pair", "edge-self-loop",
+        "particles-missing", "seed-negative", "erasure-species",
+        "trotter-steps-zero", "initial-unknown-preset", "initial-count",
+        "initial-type", "out-dir-not-string"])
 def test_non_finite_numbers_rejected_with_key_path(section, literal, message):
     # Python's json parser accepts NaN, Infinity and integers beyond the
-    # float range; each must fail at its key path, not later in the run
-    text = json.dumps({**_SMALL, **section})
+    # float range; each must fail at its key path, not later in the run, as
+    # must every other malformed value
+    text = json.dumps({**_SMALL, **section} if isinstance(section, dict) else section)
     if literal is not None:
         text = text.replace('"BIG"', literal)
     with pytest.raises(ConfigError, match=re.escape(message)):
@@ -214,6 +259,11 @@ def test_state_dump_rejects_corruption(tmp_path):
     bad = tmp_path / "bad.tsim"
     bad.write_bytes(bytes(data))
     with pytest.raises(ValueError):
+        read_state(bad)
+    data = bytearray(path.read_bytes())
+    data[4] = 2
+    bad.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match="unsupported version 2"):
         read_state(bad)
     truncated = tmp_path / "short.tsim"
     truncated.write_bytes(path.read_bytes()[:-1])

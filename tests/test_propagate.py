@@ -210,8 +210,8 @@ def test_non_finite_time_rejected(build, t):
     evolve(psi, op, 1.0)
 
     def cache(op):
-        # the eigen path caches one factorization and its U(|t|) by |t|
-        return {k: list(v[2]) if k == "blocks" else v for k, v in op._cache.items()}
+        # the eigen path caches one factorization and one U(|t|), keyed by |t|
+        return {k: v[0] if k == "stage" else v for k, v in op._cache.items()}
 
     before = cache(op)
     with pytest.raises(ValueError, match="t must be finite"):
@@ -328,6 +328,18 @@ def test_factorization_is_lazy_and_shared(monkeypatch):
     assert builds == [(15, 15), (15, 15)]
     run_cycle(ctx.initial, ctx, 2)
     assert len(calls) == 2 and len(builds) == 2
+
+
+@pytest.mark.parametrize("build", [build_h1, build_h2], ids=["h1", "h2"])
+def test_stage_propagator_follows_abs_t(build):
+    # one cached U(|t|) per operator: a new |t| rebuilds it, a stale U fails
+    lattice, params, bt, bu = _chain_setup(6, 2, 2, seed=57)
+    op = build(lattice, params, bt, bu)
+    w, v = np.linalg.eigh(oracles.to_dense(op))
+    psi = random_state((bt.dim, bu.dim), 61)
+    for t in (1.1, 2.3, -1.1, -2.3, 2.3):
+        dense = v @ (np.exp(-1j * w * t) * (v.T @ psi.ravel()))
+        assert np.max(np.abs(evolve(psi, op, t).ravel() - dense)) < 1e-12
 
 
 def test_method_follows_operator_size(monkeypatch):
