@@ -31,15 +31,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("basis", help="print a species Fock basis")
     p.add_argument("--sites", type=int, required=True)
     p.add_argument("--particles", type=int, required=True)
+    p.set_defaults(run=_cmd_basis)
 
     p = sub.add_parser("validate", help="parse a config and echo the resolved form")
     p.add_argument("--config", required=True)
+    p.set_defaults(run=_cmd_validate)
 
     p = sub.add_parser("simulate", help="run the protocol from a config file")
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, default=None,
                    help="override the config seed")
     p.add_argument("--out", default=None, help="override the output directory")
+    p.set_defaults(run=_cmd_simulate)
     return parser
 
 
@@ -99,19 +102,12 @@ def _cmd_simulate(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "basis":
-            return _cmd_basis(args)
-        if args.command == "validate":
-            return _cmd_validate(args)
-        if args.command == "simulate":
-            return _cmd_simulate(args)
+        return args.run(args)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

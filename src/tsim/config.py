@@ -9,18 +9,19 @@ Minimal document::
     {"lattice": {"sites": 6, "chain": true},
      "particles": {"tau": 2, "upsilon": 2}}
 
-Defaults fill in a chain lattice, J = 1 hoppings, zero potentials, unit cross
-coupling, t1 = t2 = 2.0, one cycle, seed 0, random-phase erasure of the
-upsilon species, and the domain-wall initial state.
+Defaults come from the dataclasses they fill: a chain lattice, J = 1 hoppings,
+zero potentials, unit cross coupling, t1 = t2 = 2.0, one cycle, seed 0,
+random-phase erasure of the upsilon species, and the domain-wall initial state.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import comb, hypot, isfinite
 
 from .erasure import ErasureSpec
+from .fock import MAX_SITES
 from .model import SPECIES, LatticeSpec, ModelParams
 from .protocol import DOMAIN_WALL, ProtocolConfig
 
@@ -76,17 +77,18 @@ def _bool(sec: dict, path: str, key: str, default):
     return val
 
 
-def _vector(sec: dict, path: str, key: str, length: int) -> tuple[float, ...]:
+def _vector(sec: dict, path: str, key: str, default: tuple) -> tuple[float, ...]:
     val = sec.get(key)
     if val is None:
-        return (0.0,) * length
+        return default
     if not isinstance(val, list):
         raise ConfigError(f"{path}.{key}: expected a list of numbers")
     for i, v in enumerate(val):
         if not _finite(v):
             raise ConfigError(f"{path}.{key}[{i}]: expected a finite number")
-    if len(val) != length:
-        raise ConfigError(f"{path}.{key}: expected {length} entries, got {len(val)}")
+    if len(val) != len(default):
+        raise ConfigError(
+            f"{path}.{key}: expected {len(default)} entries, got {len(val)}")
     return tuple(float(v) for v in val)
 
 
@@ -97,6 +99,8 @@ def _lattice(doc: dict) -> LatticeSpec:
     sites = _int(sec, "lattice", "sites", None)
     if sites is None or sites < 1:
         raise ConfigError("lattice.sites: must be a positive integer")
+    if sites > MAX_SITES:
+        raise ConfigError(f"lattice.sites: must be at most {MAX_SITES}")
     chain = _bool(sec, "lattice", "chain", "edges" not in sec)
     if chain == ("edges" in sec):
         raise ConfigError("lattice.edges: conflicts with lattice.chain" if chain
@@ -147,29 +151,32 @@ def parse_config(text: str) -> tuple[ProtocolConfig, OutputOptions]:
 
     sec = _section(doc, "params", ("j_tau", "j_upsilon", "u_tau", "u_upsilon",
                                    "u_cross"))
+    base = ModelParams.defaults(sites)
     params = ModelParams(
-        j_tau=_num(sec, "params", "j_tau", 1.0),
-        j_upsilon=_num(sec, "params", "j_upsilon", 1.0),
-        u_tau=_vector(sec, "params", "u_tau", sites),
-        u_upsilon=_vector(sec, "params", "u_upsilon", sites),
-        u_cross=_num(sec, "params", "u_cross", 1.0),
+        j_tau=_num(sec, "params", "j_tau", base.j_tau),
+        j_upsilon=_num(sec, "params", "j_upsilon", base.j_upsilon),
+        u_tau=_vector(sec, "params", "u_tau", base.u_tau),
+        u_upsilon=_vector(sec, "params", "u_upsilon", base.u_upsilon),
+        u_cross=_num(sec, "params", "u_cross", base.u_cross),
     )
 
+    # the protocol, erasure, controls and initial defaults are ProtocolConfig's
+    dflt = {f.name: f.default for f in fields(ProtocolConfig)}
     sec = _section(doc, "protocol", ("t1", "t2", "cycles", "seed"))
-    t1, t2 = (_num(sec, "protocol", key, 2.0) for key in ("t1", "t2"))
+    t1, t2 = (_num(sec, "protocol", key, dflt[key]) for key in ("t1", "t2"))
     for key, t in (("t1", t1), ("t2", t2)):
         if t <= 0:
             raise ConfigError(f"protocol.{key}: must be positive")
-    cycles = _int(sec, "protocol", "cycles", 1)
+    cycles = _int(sec, "protocol", "cycles", dflt["cycles"])
     if cycles < 1:
         raise ConfigError("protocol.cycles: must be at least 1")
-    seed = _int(sec, "protocol", "seed", 0)
+    seed = _int(sec, "protocol", "seed", dflt["master_seed"])
     if seed < 0:
         raise ConfigError("protocol.seed: must be nonnegative")
 
     sec = _section(doc, "erasure", ("kind", "species", "site", "theta"))
-    kind = sec.get("kind", "random-phase")
-    species = sec.get("species", "upsilon")
+    kind = sec.get("kind", dflt["erasure"].kind)
+    species = sec.get("species", dflt["erasure"].species)
     if species not in SPECIES:
         raise ConfigError(f"erasure.species: must be one of {SPECIES}")
     site = sec.get("site")
@@ -187,13 +194,13 @@ def parse_config(text: str) -> tuple[ProtocolConfig, OutputOptions]:
 
     sec = _section(doc, "controls", ("no_erasure_run", "full_hamiltonian_run",
                                      "trotter_steps"))
-    no_erasure = _bool(sec, "controls", "no_erasure_run", False)
-    full_run = _bool(sec, "controls", "full_hamiltonian_run", False)
-    trotter_steps = _int(sec, "controls", "trotter_steps", 1)
+    no_erasure, full_run = (_bool(sec, "controls", key, dflt[key]) for key in
+                            ("no_erasure_run", "full_hamiltonian_run"))
+    trotter_steps = _int(sec, "controls", "trotter_steps", dflt["trotter_steps"])
     if trotter_steps < 1:
         raise ConfigError("controls.trotter_steps: must be at least 1")
 
-    initial = doc.get("initial", DOMAIN_WALL)
+    initial = doc.get("initial", dflt["initial"])
     if isinstance(initial, str):
         if initial != DOMAIN_WALL:
             raise ConfigError(f"initial: unknown preset {initial!r}")
@@ -217,13 +224,14 @@ def parse_config(text: str) -> tuple[ProtocolConfig, OutputOptions]:
         raise ConfigError("initial: expected a preset name or amplitude pairs")
 
     sec = _section(doc, "output", ("out_dir", "dump_states", "dump_phases"))
-    out_dir = sec.get("out_dir", "out")
+    out = OutputOptions()
+    out_dir = sec.get("out_dir", out.out_dir)
     if not isinstance(out_dir, str):
         raise ConfigError("output.out_dir: expected a string")
     output = OutputOptions(
         out_dir=out_dir,
-        dump_states=_bool(sec, "output", "dump_states", False),
-        dump_phases=_bool(sec, "output", "dump_phases", False),
+        dump_states=_bool(sec, "output", "dump_states", out.dump_states),
+        dump_phases=_bool(sec, "output", "dump_phases", out.dump_phases),
     )
 
     config = ProtocolConfig(

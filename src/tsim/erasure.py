@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import FockBasis
-from .model import SPECIES, TAU, UPSILON
+from .model import SPECIES, UPSILON
 
 RANDOM_PHASE = "random-phase"
 SITE_PHASE = "site-phase"
@@ -46,22 +46,17 @@ def apply_random_phases(gamma: np.ndarray, species: str,
                         phases: np.ndarray) -> np.ndarray:
     """Multiply each Fock component of ``species`` by exp(i*theta_k).
 
-    For upsilon the columns of gamma are scaled, for tau the rows; the
-    result is a new array.
+    ``species`` names an axis of gamma in ``SPECIES`` order: tau rows are
+    scaled, or upsilon columns; the result is a new array.
     """
-    d_x, d_y = gamma.shape
-    phases = np.asarray(phases, dtype=np.float64)
-    if species == TAU:
-        if phases.shape != (d_x,):
-            raise ValueError(f"need {d_x} phases for tau, got {phases.shape}")
-        factors = np.exp(1j * phases)[:, None]
-    elif species == UPSILON:
-        if phases.shape != (d_y,):
-            raise ValueError(f"need {d_y} phases for upsilon, got {phases.shape}")
-        factors = np.exp(1j * phases)[None, :]
-    else:
+    if species not in SPECIES:
         raise ValueError(f"species must be one of {SPECIES}, got {species!r}")
-    return gamma * factors
+    axis = SPECIES.index(species)
+    d = gamma.shape[axis]
+    phases = np.asarray(phases, dtype=np.float64)
+    if phases.shape != (d,):
+        raise ValueError(f"need {d} phases for {species}, got {phases.shape}")
+    return gamma * np.expand_dims(np.exp(1j * phases), 1 - axis)
 
 
 def site_phase_sequence(basis: FockBasis, site: int, theta: float) -> np.ndarray:

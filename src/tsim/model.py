@@ -42,7 +42,7 @@ from .fock import FockBasis
 
 TAU = "tau"
 UPSILON = "upsilon"
-SPECIES = (TAU, UPSILON)
+SPECIES = (TAU, UPSILON)  # the axis order of gamma
 
 
 @dataclass(frozen=True)

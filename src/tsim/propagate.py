@@ -6,15 +6,15 @@ upsilon config).  Operators are :class:`~tsim.model.Hamiltonian` pieces
 never its input, and picks the method from the operator alone.  A stepwise
 operator (exactly one mobile species, hop matrix of dimension b) whose
 factorization work dim * b**2 is at most ``_EIGEN_WORK_MAX`` = 2**28 is
-solved exactly: its blocks (the mobile hop matrix plus one column of D for
-H1, one row for H2) are stacked and factored by one cached
-``np.linalg.eigh`` call on first use.  The operator also caches one stage
-propagator U(|t|), 16 * dim * b bytes, rebuilt only when |t| changes; it
-serves t and -t, which is all a cycle asks of H1 and H2, and is one batched
-matmul on the columns or rows of gamma.  Every other operator runs the
-Chebyshev expansion of Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984),
-over the operator's Gershgorin interval, folded into the operator once, with
-a term count fixed a priori, in place on three buffers shaped like gamma.
+solved exactly: building its stage propagator U(|t|) stacks its blocks (the
+mobile hop matrix plus one column of D for H1, one row for H2), factors them
+by one ``np.linalg.eigh`` call and keeps only U, 16 * dim * b bytes, rebuilt
+with its factorization when |t| changes.  U serves t and -t, which is all a
+cycle asks of H1 and H2, and is one batched matmul on the columns or rows of
+gamma.  Every other operator runs the Chebyshev expansion of Tal-Ezer &
+Kosloff, J. Chem. Phys. 81, 3967 (1984), over the operator's Gershgorin
+interval, folded into the operator once, with a term count fixed a priori,
+in place on three buffers shaped like gamma.
 The operator is real, so each product runs in real arithmetic on gamma's
 float64 view inside ``Hamiltonian.apply`` (Kosloff, J. Phys. Chem. 92, 2087
 (1988)).  No step renormalizes its output.
@@ -34,31 +34,24 @@ _EIGEN_WORK_MAX = 2**28
 _CHEB_CUTOFF = 1e-15
 
 
-def _eigensystem(op: Hamiltonian):
-    """(eigenvalues, eigenvectors) of the stacked blocks of a stepwise
-    operator: one block per column of gamma for H1, per row for H2."""
-    if "blocks" not in op._cache:
-        # block k is the mobile hop matrix plus the diagonal of D's row k
-        hop, diag = (op.hop_x, op.D.T) if op.hop_y is None else (op.hop_y, op.D)
+def _apply_eigen(op: Hamiltonian, gamma: np.ndarray, t: float) -> np.ndarray:
+    # the blocks of H1 act on the columns of gamma, those of H2 on its rows
+    by_column = op.hop_y is None
+    key, u = op._cache.get("stage", (None, None))
+    if key != abs(t):
+        # block k is the mobile hop matrix plus the diagonal of D's column k
+        # (H1) or row k (H2); its eigenvectors are dropped once U is built
+        hop, diag = (op.hop_x, op.D.T) if by_column else (op.hop_y, op.D)
         stack = np.repeat(hop.toarray()[None], len(diag), axis=0)
         i = np.arange(hop.shape[0])
         stack[:, i, i] += diag
-        op._cache["blocks"] = np.linalg.eigh(stack)
-    return op._cache["blocks"]
-
-
-def _apply_eigen(op: Hamiltonian, gamma: np.ndarray, t: float) -> np.ndarray:
-    key, u = op._cache.get("stage", (None, None))
-    if key != abs(t):
-        w, v = _eigensystem(op)
+        w, v = np.linalg.eigh(stack)
         key = abs(t)
         # V diag(exp(-i*w*t)) V^T by real matmuls, which copy no V to complex
         u = np.empty(v.shape, dtype=np.complex128)
         u.real = (v * np.cos(key * w)[:, None, :]) @ v.swapaxes(1, 2)
         u.imag = (v * -np.sin(key * w)[:, None, :]) @ v.swapaxes(1, 2)
         op._cache["stage"] = key, u
-    # the blocks of H1 act on the columns of gamma, those of H2 on its rows
-    by_column = op.hop_y is None
     g = gamma.T if by_column else gamma
     # V is real, so U(-t) x = conj(U(t) conj(x)) and one propagator serves both
     sub = np.ascontiguousarray(g if t > 0 else g.conj())

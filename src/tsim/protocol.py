@@ -32,10 +32,10 @@ of the two stepwise Hamiltonians (the cross coupling appears in both, so the
 sum differs from the full Hamiltonian).
 
 Every stage and comparison step calls ``propagate.evolve``, which picks its
-method from the operator alone: the cached block eigendecomposition for H1
-and H2 while dim * b**2 <= 2**28 (chains up to L=8, 4+4), Chebyshev for
-larger H1 and H2, and the full Hamiltonian.  So the cycles and the Trotter
-run take the same method on the same operators.
+method from the operator alone: one cached U(|t|) built from the block
+eigendecomposition for H1 and H2 while dim * b**2 <= 2**28 (chains up to
+L=8, 4+4), Chebyshev for larger H1 and H2, and the full Hamiltonian.  So
+the cycles and the Trotter run take the same method on the same operators.
 """
 
 from __future__ import annotations
@@ -166,11 +166,6 @@ def prepare(config: ProtocolConfig) -> ProtocolContext:
                            initial=initial)
 
 
-def _erasure_basis(ctx: ProtocolContext) -> FockBasis:
-    return ctx.basis_tau if ctx.config.erasure.species == model.TAU \
-        else ctx.basis_upsilon
-
-
 def run_cycle(state: np.ndarray, ctx: ProtocolContext,
               cycle: int) -> tuple[np.ndarray, list[StageRecord],
                                    np.ndarray | None]:
@@ -189,8 +184,10 @@ def run_cycle(state: np.ndarray, ctx: ProtocolContext,
     records.append(StageRecord(cycle, STAGE_FWD2, t_mid, ctx.measure(state)))
 
     if not cfg.no_erasure_run:
-        phases = er.erasure_phases(cfg.erasure, _erasure_basis(ctx),
-                                   cfg.master_seed, cycle)
+        # the erased species' basis, in the SPECIES order of gamma's axes
+        basis = (ctx.basis_tau, ctx.basis_upsilon)[
+            model.SPECIES.index(cfg.erasure.species)]
+        phases = er.erasure_phases(cfg.erasure, basis, cfg.master_seed, cycle)
         state = er.apply_random_phases(state, cfg.erasure.species, phases)
         records.append(StageRecord(cycle, STAGE_ERASE, t_mid, ctx.measure(state)))
 

@@ -114,6 +114,9 @@ _NAN, _INF = float("nan"), float("inf")
     ({"protocol": {"cycles": 1.5}}, None, "protocol.cycles: expected an integer"),
     ({"params": {"u_tau": 1.0}}, None, "params.u_tau: expected a list of numbers"),
     ({"lattice": {"sites": 0}}, None, "lattice.sites: must be a positive integer"),
+    # one bit of a machine word per site; 64 sites would otherwise fail only
+    # at basis enumeration, with a message that names no key
+    ({"lattice": {"sites": 64}}, None, "lattice.sites: must be at most 63"),
     ({"lattice": {"sites": 4, "edges": {"0": 1}}}, None,
      "lattice.edges: expected a list of site pairs"),
     ({"lattice": {"sites": 4, "edges": [[0, 1, 2]]}}, None,
@@ -135,7 +138,7 @@ _NAN, _INF = float("nan"), float("inf")
         "j_upsilon-huge-int", "theta-nan", "initial-nan", "initial-bool",
         "initial-zero", "initial-norm-overflow", "top-level-list",
         "section-not-object", "int-not-integer", "vector-not-list",
-        "sites-zero", "edges-not-list", "edge-not-pair", "edge-self-loop",
+        "sites-zero", "sites-above-max", "edges-not-list", "edge-not-pair", "edge-self-loop",
         "particles-missing", "seed-negative", "erasure-species",
         "trotter-steps-zero", "initial-unknown-preset", "initial-count",
         "initial-type", "out-dir-not-string"])

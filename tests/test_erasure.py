@@ -54,10 +54,12 @@ def test_tau_scales_rows_upsilon_scales_columns():
 
 def test_phase_count_mismatch_rejected():
     psi = random_state((3, 4), 7)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need 4 phases for upsilon"):
         apply_random_phases(psi, "upsilon", np.zeros(3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need 3 phases for tau"):
         apply_random_phases(psi, "tau", np.zeros(4))
+    with pytest.raises(ValueError, match="species must be one of"):
+        apply_random_phases(psi, "both", np.zeros(4))
 
 
 def test_site_phase_identity_cases():
@@ -123,6 +125,8 @@ def test_erasure_spec_validation():
         ErasureSpec(kind="site-phase", site=1)  # theta missing
     with pytest.raises(ValueError):
         ErasureSpec(kind="random-phase", site=1)
+    with pytest.raises(ValueError, match="species must be one of"):
+        ErasureSpec(species="both")
     spec = ErasureSpec(kind="site-phase", species="tau", site=0, theta=0.5)
     basis = enumerate_basis(3, 1)
     seq = erasure_phases(spec, basis, master_seed=0, cycle=1)

@@ -41,7 +41,30 @@ def test_lattice_validation():
         LatticeSpec(4, ((0, 4),))
     with pytest.raises(ValueError):
         LatticeSpec(4, ((0, 1), (1, 0)))
+    for sites in (0, -1):
+        with pytest.raises(ValueError, match="sites must be positive"):
+            LatticeSpec(sites, ())
     assert LatticeSpec.chain(4).edges == ((0, 1), (1, 2), (2, 3))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("j_tau", float("nan"), "j_tau must be finite"),
+    ("u_cross", float("-inf"), "u_cross must be finite"),
+    ("u_upsilon", (0.0, float("inf"), 0.0), "u_upsilon entries must be finite"),
+])
+def test_model_params_reject_non_finite(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        _params(3, **{field: value})
+
+
+def test_hop_sign_is_symmetric_in_the_endpoints():
+    # LatticeSpec stores every edge as (low, high), so no builder passes the
+    # endpoints the other way round; the sign must not depend on their order
+    pairs = [(i, j) for i in range(6) for j in range(i + 1, 6)]
+    signs = {(mask, i, j): hop_sign(mask, i, j) for mask in range(64)
+             for i, j in pairs}
+    assert set(signs.values()) == {-1, 1}
+    assert all(hop_sign(mask, j, i) == s for (mask, i, j), s in signs.items())
 
 
 def test_two_site_single_hop():

@@ -210,7 +210,7 @@ def test_non_finite_time_rejected(build, t):
     evolve(psi, op, 1.0)
 
     def cache(op):
-        # the eigen path caches one factorization and one U(|t|), keyed by |t|
+        # the eigen path caches only U(|t|), keyed by |t|
         return {k: v[0] if k == "stage" else v for k, v in op._cache.items()}
 
     before = cache(op)
@@ -444,7 +444,7 @@ def test_chebyshev_matches_sparse_oracle_blocks_at_l12(mobile):
             idx = np.s_[:, k] if mobile == "h1" else np.s_[k, :]
             exact = v @ (np.exp(-1j * w * t) * (v.T @ psi[idx]))
             assert np.max(np.abs(out[idx] - exact)) < 1e-12
-    assert "chebyshev" in part._cache and "blocks" not in part._cache
+    assert "chebyshev" in part._cache and "stage" not in part._cache
 
 
 @pytest.mark.parametrize("t", [0.5, 20.0])
