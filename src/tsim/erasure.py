@@ -56,7 +56,9 @@ def apply_random_phases(gamma: np.ndarray, species: str,
     phases = np.asarray(phases, dtype=np.float64)
     if phases.shape != (d,):
         raise ValueError(f"need {d} phases for {species}, got {phases.shape}")
-    return gamma * np.expand_dims(np.exp(1j * phases), 1 - axis)
+    factors = np.exp(1j * phases)
+    # tau rows take one factor each, upsilon columns broadcast over the last axis
+    return gamma * (factors[:, None] if axis == 0 else factors)
 
 
 def site_phase_sequence(basis: FockBasis, site: int, theta: float) -> np.ndarray:

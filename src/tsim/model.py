@@ -28,6 +28,10 @@ endpoints (site order fixed by the bit convention).  Cross-species operators
 commute: the two species are distinguishable, and since the only inter-species
 term is density-density, no cross-species sign convention can affect any
 matrix element.
+
+The parity signs are the Jordan-Wigner ones, so with one species frozen each
+block is the second quantization of an L x L single-particle matrix (Lieb,
+Schultz & Mattis, Ann. Phys. 16, 407 (1961)): see ``Hamiltonian.parts``.
 """
 
 from __future__ import annotations
@@ -37,12 +41,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvecs
 
 from .fock import FockBasis
 
 TAU = "tau"
 UPSILON = "upsilon"
 SPECIES = (TAU, UPSILON)  # the axis order of gamma
+# outward pad of the spectral interval, relative to H's norm bound: the
+# eigenvalues of a dense H fall up to about 4e-16 of its norm outside the
+# unpadded exact interval
+_SPECTRAL_PAD = 1e-12
 
 
 @dataclass(frozen=True)
@@ -109,12 +118,19 @@ class Hamiltonian:
 
     ``hop_x`` and ``hop_y`` are the real single-species hopping matrices
     (None for a frozen species) and ``D`` is the real (d_x, d_y) diagonal.
-    Immutable; ``_cache`` holds what propagation derives from it.
+    ``parts`` writes H as a sum of one-body parts, each a triple
+    (hop, pot, n): the L x L single-particle hopping matrix, a (k, L) array
+    of on-site potentials, and the particle number n of the species the part
+    moves.  Block k of a part is the second quantization of the
+    single-particle matrix h_k = hop + diag(pot[k]) on n fermions, so its
+    spectrum is the sums of n distinct eigenvalues of h_k.  Immutable;
+    ``_cache`` holds what propagation derives from it.
     """
 
     hop_x: sp.csr_array | None
     hop_y: sp.csr_array | None
     D: np.ndarray
+    parts: tuple[tuple[np.ndarray, np.ndarray, int], ...]
     _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
@@ -123,30 +139,47 @@ class Hamiltonian:
 
     def apply(self, g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """H gamma as a C-contiguous complex array, written into ``out``
-        (which must not overlap gamma) when given.  The hop matrices are
-        real, so they act on gamma's float64 view (d_x, 2*d_y): hop_x on the
-        whole view, hop_y on its real and its imaginary columns."""
-        if out is not None and np.may_share_memory(out, g):
+        (C-contiguous complex128, not overlapping gamma) when given.  The hop
+        matrices are real, so they act on gamma's float64 view (d_x, 2*d_y):
+        hop_x on the whole view, adding its product into ``out`` in place
+        through scipy's private ``csr_matvecs`` (the kernel behind
+        ``csr_array @ dense``), and hop_y on the real and the imaginary
+        columns, each product a new array."""
+        # the in-place product writes through out's flat float64 view, which
+        # any other layout would silently copy
+        if out is None:
+            out = np.empty(np.shape(g), np.complex128)
+        elif out.dtype != np.complex128 or not out.flags.c_contiguous:
+            raise ValueError("out must be a C-contiguous complex128 array")
+        elif np.may_share_memory(out, g):
             raise ValueError("out must not share memory with the state")
         g = np.ascontiguousarray(g, dtype=np.complex128)
-        out = np.multiply(self.D, g, out=out)
+        np.multiply(self.D, g, out=out)
         gf, of = g.view(np.float64), out.view(np.float64)
         if self.hop_x is not None:
-            of += self.hop_x @ gf
+            h = self.hop_x
+            csr_matvecs(*h.shape, gf.shape[1], h.indptr, h.indices, h.data,
+                        gf.ravel(), of.ravel())
         if self.hop_y is not None:
             for c in range(2):
                 of[:, c::2] += (self.hop_y @ gf[:, c::2].T).T
         return out
 
     def spectral_bounds(self) -> tuple[float, float]:
-        """Gershgorin interval [lo, hi] that holds every eigenvalue: D plus
-        or minus the absolute row sums of the hop matrices."""
-        r = np.zeros(self.D.shape)
-        if self.hop_x is not None:
-            r = r + abs(self.hop_x).sum(axis=1)[:, None]
-        if self.hop_y is not None:
-            r = r + abs(self.hop_y).sum(axis=1)[None, :]
-        return float((self.D - r).min()), float((self.D + r).max())
+        """Interval [lo, hi] that holds every eigenvalue, cached: each part
+        adds the extreme sums of n eigenvalues of its h_k (exact for one
+        part, a Weyl bound for several), padded outward by ``_SPECTRAL_PAD``
+        times the norm bound sum(n * max_k ||h_k||)."""
+        if "bounds" not in self._cache:
+            lo = hi = norm = 0.0
+            for hop, pot, n in self.parts:
+                w = np.linalg.eigvalsh(hop + pot[:, :, None] * np.eye(len(hop)))
+                lo += w[:, :n].sum(axis=1).min()
+                hi += w[:, w.shape[1] - n:].sum(axis=1).max()
+                norm += n * np.abs(w).max()
+            pad = _SPECTRAL_PAD * norm
+            self._cache["bounds"] = float(lo - pad), float(hi + pad)
+        return self._cache["bounds"]
 
 
 def hop_sign(mask: int, i: int, j: int) -> int:
@@ -180,7 +213,9 @@ def _build(lattice: LatticeSpec, params: ModelParams, basis_tau: FockBasis,
            basis_upsilon: FockBasis, tau: bool, upsilon: bool) -> Hamiltonian:
     """Hopping and on-site potential of each mobile species, plus the cross
     coupling.  D is accumulated per site in a fixed term order: tau
-    potential, upsilon potential, cross coupling."""
+    potential, upsilon potential, cross coupling.  Each mobile species gives
+    one part, j times the adjacency plus its potential; the first also takes
+    the cross coupling set by each config of the other species."""
     if basis_tau.sites != lattice.sites or basis_upsilon.sites != lattice.sites:
         raise ValueError(
             f"bases on {basis_tau.sites}/{basis_upsilon.sites} sites do not "
@@ -189,18 +224,26 @@ def _build(lattice: LatticeSpec, params: ModelParams, basis_tau: FockBasis,
     if len(params.u_tau) != lattice.sites or len(params.u_upsilon) != lattice.sites:
         raise ValueError("potential sequences must have one entry per site")
     occ_x, occ_y = (b.occupations == 1 for b in (basis_tau, basis_upsilon))
+    adjacency = np.zeros((lattice.sites, lattice.sites))
+    for i, k in lattice.edges:
+        adjacency[i, k] = adjacency[k, i] = 1.0
     diag = np.zeros((basis_tau.dim, basis_upsilon.dim))
-    hops = []
-    for mobile, basis, occ, j, u, axis in (
-            (tau, basis_tau, occ_x, params.j_tau, params.u_tau, np.s_[:, None]),
-            (upsilon, basis_upsilon, occ_y, params.j_upsilon, params.u_upsilon,
-             np.s_[None, :])):
+    hops, parts = [], []
+    for mobile, basis, other, occ, j, u, axis in (
+            (tau, basis_tau, basis_upsilon, occ_x, params.j_tau, params.u_tau,
+             np.s_[:, None]),
+            (upsilon, basis_upsilon, basis_tau, occ_y, params.j_upsilon,
+             params.u_upsilon, np.s_[None, :])):
         hops.append(_hop_matrix(basis, lattice.edges, j) if mobile else None)
+        if mobile:
+            cross = np.zeros((1, lattice.sites)) if parts else other.occupations
+            pot = np.asarray(u) + params.u_cross * cross
+            parts.append((j * adjacency, pot, basis.particles))
         for i, ui in enumerate(u if mobile else ()):
             diag += np.where(occ[:, i], ui, 0.0)[axis]
     for i in range(lattice.sites):
         diag += np.where(np.outer(occ_x[:, i], occ_y[:, i]), params.u_cross, 0.0)
-    return Hamiltonian(*hops, diag)
+    return Hamiltonian(*hops, diag, tuple(parts))
 
 
 def build_full(lattice: LatticeSpec, params: ModelParams,

@@ -12,12 +12,16 @@ by one ``np.linalg.eigh`` call and keeps only U, 16 * dim * b bytes, rebuilt
 with its factorization when |t| changes.  U serves t and -t, which is all a
 cycle asks of H1 and H2, and is one batched matmul on the columns or rows of
 gamma.  Every other operator runs the Chebyshev expansion of Tal-Ezer &
-Kosloff, J. Chem. Phys. 81, 3967 (1984), over the operator's Gershgorin
-interval, folded into the operator once, with a term count fixed a priori,
-in place on three buffers shaped like gamma.
-The operator is real, so each product runs in real arithmetic on gamma's
-float64 view inside ``Hamiltonian.apply`` (Kosloff, J. Phys. Chem. 92, 2087
-(1988)).  No step renormalizes its output.
+Kosloff, J. Chem. Phys. 81, 3967 (1984), with a term count fixed a priori,
+in place on three buffers shaped like gamma.  Its interval is
+``Hamiltonian.spectral_bounds``, taken from the operator's one-body parts:
+exact for H1 and H2, a Weyl bound for a sum of parts, and padded outward by
+``model._SPECTRAL_PAD`` of the norm bound.  It is computed and folded into
+the operator on the operator's first Chebyshev call.  The operator is real,
+so each product runs in real arithmetic on gamma's float64 view inside
+``Hamiltonian.apply`` (Kosloff, J. Phys. Chem. 92, 2087 (1988)), which adds
+the hop_x product into its output buffer in place; the full H's hop_y
+product still allocates.  No step renormalizes its output.
 """
 
 from __future__ import annotations
@@ -64,10 +68,12 @@ def _apply_eigen(op: Hamiltonian, gamma: np.ndarray, t: float) -> np.ndarray:
 
 def _chebyshev_apply(op: Hamiltonian, g: np.ndarray, t: float) -> np.ndarray:
     """exp(-i*t*H) g as exp(-i*b*t) sum_k c_k T_k((H - b)/a) g on the
-    Gershgorin interval [b - a, b + a], c_k = (2 - delta_k0) (-i)^k J_k(a*t),
-    in one expansion however long t is.  T_k = H~ T_(k-1) - T_(k-2), with
-    H~ = 2(H - b)/a cached per operator, runs on g (on g^T for H2, so the
-    hop acts on axis 0) in three rotating buffers."""
+    operator's spectral interval [b - a, b + a], with c_k = (2 - delta_k0)
+    (-i)^k J_k(a*t), in one expansion however long t is.  The interval is
+    computed here, on the operator's first call, never for an eigen-path
+    operator.  T_k = H~ T_(k-1) - T_(k-2), with H~ = 2(H - b)/a cached per
+    operator, runs on g (on g^T for H2, so the hop acts on axis 0) in three
+    rotating buffers."""
     if "chebyshev" not in op._cache:
         lo, hi = op.spectral_bounds()
         # a point interval means H = b, and then any half-width bounds it
@@ -76,7 +82,8 @@ def _chebyshev_apply(op: Hamiltonian, g: np.ndarray, t: float) -> np.ndarray:
         hops, D = ((op.hop_y, None), op.D.T) if flip else ((op.hop_x, op.hop_y), op.D)
         D = np.subtract(D, b, order="C")
         D *= 2 / a
-        h = Hamiltonian(*[None if x is None else 2 / a * x for x in hops], D)
+        # the folded copy only applies, so it needs no one-body parts
+        h = Hamiltonian(*[None if x is None else 2 / a * x for x in hops], D, ())
         op._cache["chebyshev"] = h, flip, a, b
     h, flip, a, b = op._cache["chebyshev"]
     # J_k(x) falls off faster than exponentially once k exceeds |x|

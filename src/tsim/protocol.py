@@ -155,9 +155,13 @@ def build_initial_state(initial: str | tuple[complex, ...] | np.ndarray,
     return (amps / np.linalg.norm(amps)).reshape(dims)
 
 
+def _bases(config: ProtocolConfig) -> tuple[FockBasis, FockBasis]:
+    return (enumerate_basis(config.lattice.sites, config.n_tau),
+            enumerate_basis(config.lattice.sites, config.n_upsilon))
+
+
 def prepare(config: ProtocolConfig) -> ProtocolContext:
-    basis_tau = enumerate_basis(config.lattice.sites, config.n_tau)
-    basis_upsilon = enumerate_basis(config.lattice.sites, config.n_upsilon)
+    basis_tau, basis_upsilon = _bases(config)
     h1 = model.build_h1(config.lattice, config.params, basis_tau, basis_upsilon)
     h2 = model.build_h2(config.lattice, config.params, basis_tau, basis_upsilon)
     initial = build_initial_state(config.initial, basis_tau, basis_upsilon)
@@ -224,18 +228,23 @@ def run_protocol(config: ProtocolConfig,
 
 def run_full_hamiltonian(config: ProtocolConfig) -> ProtocolResult:
     """Continuous evolution under the full Hamiltonian for the protocol's
-    total forward time, with diagnostics at every stage boundary."""
-    ctx = prepare(config)
-    h = model.build_full(config.lattice, config.params, ctx.basis_tau,
-                         ctx.basis_upsilon)
-    state = ctx.initial
-    records = [StageRecord(0, STAGE_INIT, 0.0, ctx.measure(state))]
+    total forward time, with diagnostics at every stage boundary.  It
+    builds neither stepwise Hamiltonian."""
+    basis_tau, basis_upsilon = _bases(config)
+    initial = build_initial_state(config.initial, basis_tau, basis_upsilon)
+    h = model.build_full(config.lattice, config.params, basis_tau, basis_upsilon)
+
+    def measure(state):
+        return observables.measure(state, basis_tau, basis_upsilon, initial)
+
+    state = initial
+    records = [StageRecord(0, STAGE_INIT, 0.0, measure(state))]
     t = 0.0
     for cycle in range(1, config.cycles + 1):
         for dt in (config.t1, config.t2):
             state = evolve(state, h, dt)
             t += dt
-            records.append(StageRecord(cycle, STAGE_FULL, t, ctx.measure(state)))
+            records.append(StageRecord(cycle, STAGE_FULL, t, measure(state)))
     return ProtocolResult(tuple(records), state, ())
 
 

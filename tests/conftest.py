@@ -45,4 +45,7 @@ def stepwise_generator(ctx) -> Hamiltonian:
     t1, t2 = ctx.config.t1, ctx.config.t2
     w1, w2 = t1 / (t1 + t2), t2 / (t1 + t2)
     return Hamiltonian(w1 * ctx.h1.hop_x, w2 * ctx.h2.hop_y,
-                       w1 * ctx.h1.D + w2 * ctx.h2.D)
+                       w1 * ctx.h1.D + w2 * ctx.h2.D,
+                       tuple((w * hop, w * pot, n)
+                             for w, op in ((w1, ctx.h1), (w2, ctx.h2))
+                             for hop, pot, n in op.parts))

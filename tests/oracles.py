@@ -130,6 +130,21 @@ def species_sector_hamiltonian(sites, edges, particles, j, u) -> np.ndarray:
     return h[np.ix_(sel, sel)]
 
 
+def stepwise_spectral_extremes(sites, edges, n_mobile, n_frozen, j, u,
+                               u_cross) -> tuple[float, float]:
+    """Lowest and highest eigenvalue over all diagonal blocks of a stepwise
+    Hamiltonian: one :func:`species_sector_hamiltonian` block per config of
+    the frozen species, its mobile species with hopping j and potential
+    u + u_cross * occupancy of that config, each by dense ``eigvalsh``."""
+    lo, hi = np.inf, -np.inf
+    for frozen in sector_masks(sites, n_frozen):
+        eff = [u[i] + u_cross * ((frozen >> i) & 1) for i in range(sites)]
+        w = np.linalg.eigvalsh(
+            species_sector_hamiltonian(sites, edges, n_mobile, j, eff))
+        lo, hi = min(lo, w[0]), max(hi, w[-1])
+    return lo, hi
+
+
 def sparse_species_hamiltonian(sites, edges, particles, j, u) -> sp.csr_array:
     """:func:`species_sector_hamiltonian` built sparse, for lattices too
     large for 2^sites dense matrices: every mask of the sector gets the hop

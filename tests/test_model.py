@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 import oracles
 from tsim.fock import enumerate_basis
-from tsim.model import (LatticeSpec, ModelParams, build_full, build_h1,
-                        build_h2, hop_sign)
+from tsim.model import (_SPECTRAL_PAD, LatticeSpec, ModelParams, build_full,
+                        build_h1, build_h2, hop_sign)
 from conftest import stepwise_generator
 from tsim.protocol import ProtocolConfig, prepare
 
@@ -316,6 +316,81 @@ def test_operators_match_oracle_on_random_lattices():
     check()
     # some drawn bonds skip an occupied site, so the parity sign -1 was tested
     assert -1 in signs
+
+
+def test_spectral_interval_matches_block_oracle_on_random_lattices():
+    # H1 and H2 take the exact interval: the extreme eigenvalues of every
+    # dense oracle block lie inside it, each within the pad of its ends; the
+    # full H and the stepwise generator take Weyl sums of such intervals
+    signs, hops = set(), set()
+    tol = 2 * _SPECTRAL_PAD * 100  # the pad on a one-body norm bound under 100
+
+    def within(bounds, extremes):
+        (lo, hi), (want_lo, want_hi) = bounds, extremes
+        assert 0 <= want_lo - lo <= tol and 0 <= hi - want_hi <= tol
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(_random_lattice(), st.data(), st.integers(0, 2**32 - 1))
+    def check(lattice, data, seed):
+        sites, edges = lattice.sites, lattice.edges
+        n_tau = data.draw(st.integers(0, sites))
+        n_upsilon = data.draw(st.integers(0, sites))
+        rng = np.random.default_rng(seed)
+        j_tau, j_upsilon = rng.uniform(0.5, 1.5, 2) * rng.choice([-1, 1], 2)
+        params = ModelParams(j_tau=float(j_tau), j_upsilon=float(j_upsilon),
+                             u_tau=tuple(rng.uniform(-1, 1, sites)),
+                             u_upsilon=tuple(rng.uniform(-1, 1, sites)),
+                             u_cross=float(rng.uniform(-2, 2)))
+        hops.update(np.sign([j_tau, j_upsilon]))
+        bt, bu = enumerate_basis(sites, n_tau), enumerate_basis(sites, n_upsilon)
+        signs.update(hop_sign(mask, i, j) for b in (bt, bu) for mask in b.configs
+                     for i, j in edges if (mask >> i) & 1 != (mask >> j) & 1)
+        x = oracles.stepwise_spectral_extremes(
+            sites, edges, n_tau, n_upsilon, j_tau, params.u_tau, params.u_cross)
+        y = oracles.stepwise_spectral_extremes(
+            sites, edges, n_upsilon, n_tau, j_upsilon, params.u_upsilon,
+            params.u_cross)
+        free_y = oracles.stepwise_spectral_extremes(
+            sites, edges, n_upsilon, 0, j_upsilon, params.u_upsilon, 0.0)
+        within(build_h1(lattice, params, bt, bu).spectral_bounds(), x)
+        within(build_h2(lattice, params, bt, bu).spectral_bounds(), y)
+        within(build_full(lattice, params, bt, bu).spectral_bounds(),
+               np.add(x, free_y))
+        t1, t2 = rng.uniform(0.5, 2.0, 2)
+        ctx = prepare(ProtocolConfig(lattice=lattice, n_tau=n_tau,
+                                     n_upsilon=n_upsilon, params=params,
+                                     t1=float(t1), t2=float(t2)))
+        within(stepwise_generator(ctx).spectral_bounds(),
+               (t1 * np.array(x) + t2 * np.array(y)) / (t1 + t2))
+
+    check()
+    # bonds that skip an occupied site, and hoppings of both signs, occurred
+    assert -1 in signs and hops == {-1.0, 1.0}
+
+
+def test_apply_accumulates_through_the_private_product():
+    # apply adds hop_x's product into out through scipy's private
+    # csr_matvecs; a scipy that drops it or changes what it does fails here
+    from scipy.sparse._sparsetools import csr_matvecs
+    rng = np.random.default_rng(23)
+    lattice, bt, bu, params = _operators(
+        6, 2, 3, _params(6, rng), edges=LatticeSpec.chain(6).edges + ((0, 5),))
+    op = build_h1(lattice, params, bt, bu)
+    hop = op.hop_x
+    assert hop.min() < 0  # the closing bond skips an occupied site
+    x, y = rng.uniform(-0.25, 0.25, (2, bt.dim, 2 * bu.dim))
+    want = hop @ x + y
+    csr_matvecs(*hop.shape, x.shape[1], hop.indptr, hop.indices, hop.data,
+                x.ravel(), y.ravel())
+    assert np.max(np.abs(y - want)) < 1e-15
+    # the product lands in out through its flat view, which any other
+    # layout or dtype would copy and lose
+    g = (x[:, ::2] + 1j * x[:, 1::2]).copy()
+    for out in (np.empty(g.shape, np.complex128, order="F"),
+                np.empty((bt.dim, 2 * bu.dim), np.complex128)[:, ::2],
+                np.empty(g.shape, np.complex64)):
+        with pytest.raises(ValueError, match="C-contiguous complex128"):
+            op.apply(g, out=out)
 
 
 @pytest.mark.parametrize("sites,edges,particles", [

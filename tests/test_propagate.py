@@ -10,8 +10,8 @@ from scipy.linalg import expm
 import oracles
 from conftest import random_state, stepwise_generator
 from tsim.fock import enumerate_basis
-from tsim.model import (Hamiltonian, LatticeSpec, ModelParams, build_full,
-                        build_h1, build_h2, hop_sign)
+from tsim.model import (_SPECTRAL_PAD, Hamiltonian, LatticeSpec, ModelParams,
+                        build_full, build_h1, build_h2, hop_sign)
 from tsim.propagate import _chebyshev_apply, evolve
 
 
@@ -71,14 +71,17 @@ def test_two_site_analytic_oracle():
 
 
 def test_one_configuration_evolves_by_a_phase():
-    # both species fill the chain, so H is the number D and its spectral
-    # interval has zero width
+    # both species fill the chain, so H is the number D, and its spectral
+    # interval holds that one eigenvalue within the pad
     params = ModelParams(j_tau=1.0, j_upsilon=1.0, u_tau=(0.3, 0.0, 0.0),
                          u_upsilon=(0.0, 0.0, 0.0), u_cross=0.7)
     bt, bu = enumerate_basis(3, 3), enumerate_basis(3, 3)
     h = build_full(LatticeSpec.chain(3), params, bt, bu)
     energy = h.D[0, 0]
-    assert h.spectral_bounds() == (energy, energy) and abs(energy - 2.4) < 1e-15
+    assert abs(energy - 2.4) < 1e-15
+    lo, hi = h.spectral_bounds()
+    # H's one-body norm bound is under 100, and pads each side
+    assert lo <= energy <= hi and hi - lo <= 2 * _SPECTRAL_PAD * 100
     psi = np.array([[1.0 + 0j]])
     out = evolve(psi, h, 1.3)
     assert abs(out[0, 0] - np.exp(-1j * energy * 1.3)) < 1e-15
@@ -220,7 +223,7 @@ def test_non_finite_time_rejected(build, t):
 
 
 def test_long_time_matches_eigendecomposition():
-    # a*|t| is about 3,600 at t = 400 and 26,700 at t = 3000, each one
+    # a*|t| is about 2,550 at t = 400 and 19,100 at t = 3000, each one
     # expansion with the a-priori term count; a count cut short of the Bessel
     # tail fails well above 1e-10
     lattice, params, bt, bu = _chain_setup(6, 2, 2, seed=71)
@@ -414,7 +417,8 @@ def test_chebyshev_matches_sparse_oracle_blocks_at_l12(mobile):
     # L=12, 6+6 is where whole-gamma Chebyshev is the default for H1 and H2.
     # Column n of gamma under H1 (row m under H2) evolves by its own block,
     # which the sparse oracle builds from the masks alone; a slice of the
-    # operator to a few columns (rows) keeps the check cheap
+    # operator to a few columns (rows), with the potentials of its one-body
+    # blocks sliced the same way, keeps the check cheap
     lattice = _ring(12)
     rng = np.random.default_rng(131)
     params = ModelParams(j_tau=0.9, j_upsilon=1.2,
@@ -424,11 +428,13 @@ def test_chebyshev_matches_sparse_oracle_blocks_at_l12(mobile):
     picks = rng.choice(basis.dim, 3, replace=False)
     if mobile == "h1":
         op = build_h1(lattice, params, basis, basis)
-        part = Hamiltonian(op.hop_x, None, op.D[:, picks])
+        (hop, pot, n), = op.parts
+        part = Hamiltonian(op.hop_x, None, op.D[:, picks], ((hop, pot[picks], n),))
         j, u = params.j_tau, params.u_tau
     else:
         op = build_h2(lattice, params, basis, basis)
-        part = Hamiltonian(None, op.hop_y, op.D[picks, :])
+        (hop, pot, n), = op.parts
+        part = Hamiltonian(None, op.hop_y, op.D[picks, :], ((hop, pot[picks], n),))
         j, u = params.j_upsilon, params.u_upsilon
     psi = random_state(part.D.shape, 137)
     blocks = []
@@ -452,8 +458,10 @@ def test_chebyshev_matches_sparse_oracle_blocks_at_l12(mobile):
                          ids=["h1", "h2", "full"])
 def test_chebyshev_peak_memory(build, t):
     # three rotating buffers and one accumulator, each the size of gamma,
-    # plus the hop product; the folded operator is built once per operator,
-    # by the first call, and is not counted
+    # plus the full H's hop_y product, numpy's cast buffer of D * gamma
+    # (all of gamma at this size) and H2's transposed result; the folded
+    # operator is built once per operator, by the first call, and is not
+    # counted
     import tracemalloc
     lattice, params, bt, bu = _chain_setup(8, 4, 4, seed=97)
     op = build(lattice, params, bt, bu)
@@ -471,6 +479,8 @@ def test_chebyshev_peak_memory(build, t):
 
 
 def test_spectral_bounds_once_per_operator(monkeypatch):
+    # the interval is computed on an operator's first Chebyshev call, once,
+    # and never for an operator that the eigen path serves
     calls = []
     bounds = Hamiltonian.spectral_bounds
 
@@ -480,10 +490,14 @@ def test_spectral_bounds_once_per_operator(monkeypatch):
 
     monkeypatch.setattr(Hamiltonian, "spectral_bounds", counting_bounds)
     lattice, params, bt, bu = _chain_setup(5, 2, 2, seed=103)
-    ops = [build_full(lattice, params, bt, bu), build_h2(lattice, params, bt, bu)]
+    full, h2 = build_full(lattice, params, bt, bu), build_h2(lattice, params, bt, bu)
     psi = random_state((bt.dim, bu.dim), 107)
-    for op in ops:
-        for t in (0.8, -0.8, 2.5, -0.1):
+    times = (0.8, -0.8, 2.5, -0.1)
+    for t in times:
+        evolve(psi, h2, t)
+    assert calls == [] and "bounds" not in h2._cache
+    for op in (full, h2):
+        for t in times:
             evolve(psi, op, t)
             _chebyshev_apply(op, psi, t)
-    assert calls == ops
+    assert calls == [full, h2]
