@@ -182,30 +182,22 @@ class Hamiltonian:
         return self._cache["bounds"]
 
 
-def hop_sign(mask: int, i: int, j: int) -> int:
-    """Fermionic parity sign for a hop between sites i and j of ``mask``.
-
-    Counts occupied sites strictly between the endpoints under the fixed
-    site order; the endpoints themselves do not contribute.
-    """
-    if i > j:
-        i, j = j, i
-    between = (1 << j) - (1 << (i + 1))
-    return -1 if bin(mask & between).count("1") & 1 else 1
-
-
 def _hop_matrix(basis: FockBasis, edges, j: float) -> sp.csr_array:
     """Single-species hopping: entry (target, source) is j times the parity
-    sign of the hop from config ``source`` to config ``target``."""
-    index = {c: r for r, c in enumerate(basis.configs)}
-    rows, cols, vals = [], [], []
-    for r, mask in enumerate(basis.configs):
-        for i, k in edges:
-            if (mask >> i) & 1 != (mask >> k) & 1:
-                rows.append(index[mask ^ (1 << i) ^ (1 << k)])
-                cols.append(r)
-                vals.append(j * hop_sign(mask, i, k))
-    return sp.csr_array((np.array(vals, dtype=float), (rows, cols)),
+    sign of the hop from config ``source`` to config ``target``, -1 when an
+    odd number of sites strictly between the bond's ends is occupied.  All
+    (config, edge) pairs are built at once, in the order source, then edge."""
+    configs = np.array(basis.configs, dtype=np.int64)
+    occ = basis.occupations == 1
+    lo, hi = np.sort(np.array(edges, dtype=np.intp).reshape(-1, 2), axis=1).T
+    # a hop needs exactly one occupied end
+    cols, e = np.nonzero(occ[:, lo] != occ[:, hi])
+    lo, hi = lo[e], hi[e]
+    # occupied sites in (lo, hi): the count through hi - 1 less that through lo
+    count = np.cumsum(occ, axis=1)
+    odd = (count[cols, hi - 1] - count[cols, lo]) & 1
+    rows = np.searchsorted(configs, configs[cols] ^ (1 << lo) ^ (1 << hi))
+    return sp.csr_array((j * np.where(odd, -1.0, 1.0), (rows, cols)),
                         shape=(basis.dim, basis.dim))
 
 

@@ -3,6 +3,15 @@ occupation densities, fidelity.
 
 All entropies are in nats.  Probabilities below 1e-300 are treated as exact
 zeros (the 0*ln 0 = 0 convention) so the logarithm never sees a zero.
+
+The Schmidt weights are the eigenvalues, by ``np.linalg.eigvalsh``, of the
+Hermitian Gram matrix g g^dagger on gamma's smaller side (g = gamma, or
+gamma^T when d_y < d_x), not an SVD of gamma.  Their absolute error is
+about 1e-17 per weight, so weights below about 1e-16 are noise, some of them
+negative; the 1e-300 floor drops the negative ones.  On dense low-rank states
+the noise weights add up: against an SVD, S_ent moves by up to about 5e-13
+at L <= 12 (a rank-1 gamma: 1.3e-13 at 70 x 70, 3.0e-13 at 252 x 252 and
+5.5e-13 at 924 x 924).
 """
 
 from __future__ import annotations
@@ -24,13 +33,18 @@ def _entropy(p: np.ndarray) -> float:
 
 
 def schmidt_spectrum(gamma: np.ndarray) -> np.ndarray:
-    """Descending squared singular values of gamma."""
-    return np.linalg.svd(gamma, compute_uv=False) ** 2
+    """Descending Schmidt weights of gamma, min(d_x, d_y) of them: the
+    eigenvalues of the Gram matrix g g^dagger on gamma's smaller side, its
+    squared singular values.  Weights below about 1e-16 are roundoff noise
+    and may be slightly negative."""
+    g = gamma if gamma.shape[0] <= gamma.shape[1] else gamma.T
+    return np.linalg.eigvalsh(g @ g.conj().T)[::-1]
 
 
 def entanglement_entropy(gamma: np.ndarray) -> float:
     """Von Neumann entropy of the species bipartition, from the Schmidt
-    spectrum: -sum sigma_k^2 ln sigma_k^2 over singular values of gamma."""
+    spectrum: -sum sigma_k^2 ln sigma_k^2 over singular values of gamma;
+    the 1e-300 floor drops the spectrum's negative noise weights."""
     try:
         return _entropy(schmidt_spectrum(gamma))
     except np.linalg.LinAlgError as exc:

@@ -102,6 +102,8 @@ def _chebyshev_apply(op: Hamiltonian, g: np.ndarray, t: float) -> np.ndarray:
             prev, cur = cur, prev
         acc += np.multiply(cur, c[k], out=tmp)
     acc *= np.exp(-1j * b * t)
+    # free the buffers before H2's transposed copy, so it takes their place
+    del prev, cur, tmp
     return np.ascontiguousarray(acc.T) if flip else acc
 
 

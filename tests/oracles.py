@@ -57,6 +57,16 @@ def _hop_matrix(sites, edges, j):
     return hop
 
 
+def hop_sign(mask: int, i: int, j: int) -> int:
+    """Fermionic parity sign for a hop between sites i and j of ``mask``:
+    -1 when an odd number of sites strictly between the endpoints is
+    occupied; the endpoints themselves do not contribute."""
+    if i > j:
+        i, j = j, i
+    between = (1 << j) - (1 << (i + 1))
+    return -1 if bin(mask & between).count("1") & 1 else 1
+
+
 def sector_masks(sites: int, particles: int) -> list[int]:
     return sorted(
         sum(1 << i for i in occ)

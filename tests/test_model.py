@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import hop_sign
 from tsim.fock import enumerate_basis
-from tsim.model import (_SPECTRAL_PAD, LatticeSpec, ModelParams, build_full,
-                        build_h1, build_h2, hop_sign)
+from tsim.model import (_SPECTRAL_PAD, LatticeSpec, ModelParams, _hop_matrix,
+                        build_full, build_h1, build_h2)
 from conftest import stepwise_generator
 from tsim.protocol import ProtocolConfig, prepare
 
@@ -205,6 +206,34 @@ def test_number_conservation():
         for c, mask in enumerate(basis.configs):
             movable = sum((mask >> i) & 1 != (mask >> j) & 1 for i, j in lattice.edges)
             assert np.count_nonzero(cols == c) == movable
+
+
+@pytest.mark.parametrize("edges", [
+    ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (0, 3)),
+    ((0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)),
+], ids=["ring-with-chord", "ladder-2x3"])
+def test_hop_matrix_matches_per_config_loop(edges):
+    # every (target, source) entry against a loop over configs and bonds
+    # that signs each hop by the oracle's parity count, at every filling
+    lattice = LatticeSpec(6, edges)
+    signs = set()
+    for particles in range(7):
+        basis = enumerate_basis(6, particles)
+        hop = _hop_matrix(basis, lattice.edges, -0.8)
+        assert hop.has_sorted_indices and hop.has_canonical_format
+        index = {mask: r for r, mask in enumerate(basis.configs)}
+        want = {}
+        for c, mask in enumerate(basis.configs):
+            for i, j in lattice.edges:
+                if (mask >> i) & 1 != (mask >> j) & 1:
+                    sign = hop_sign(mask, i, j)
+                    signs.add(sign)
+                    want[index[mask ^ (1 << i) ^ (1 << j)], c] = -0.8 * sign
+        rows = np.repeat(np.arange(basis.dim), np.diff(hop.indptr))
+        got = dict(zip(zip(rows.tolist(), hop.indices.tolist()), hop.data.tolist()))
+        assert len(got) == hop.nnz and got == want
+    # bonds that skip an occupied site carry the sign -1
+    assert signs == {-1, 1}
 
 
 def test_dimension_mismatch_rejected():

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 import oracles
 from conftest import random_state, shannon_entropies
 from tsim.fock import enumerate_basis
-from tsim.observables import entanglement_entropy, fidelity, measure
+from tsim.observables import (entanglement_entropy, fidelity, measure,
+                              schmidt_spectrum)
 
 
 def densities(gamma, bt, bu):
@@ -73,6 +74,35 @@ def test_schmidt_symmetry_under_transpose():
     for seed in range(5):
         g = random_state((6, 9), seed)
         assert abs(entanglement_entropy(g) - entanglement_entropy(g.T)) < 1e-12
+
+
+def _low_rank(d_x, d_y, rank, rng):
+    """A normalized dense gamma of the given rank: a sum of ``rank`` random
+    outer products."""
+    a, b = (rng.standard_normal((d, rank, 2)) @ [1, 1j] for d in (d_x, d_y))
+    g = a @ b.T
+    return g / np.linalg.norm(g)
+
+
+def test_schmidt_spectrum_matches_svd():
+    # the Gram route on either side of gamma, in descending order, against
+    # the squared singular values
+    rng = np.random.default_rng(29)
+    states = [random_state(shape, seed)
+              for seed, shape in enumerate(((5, 10), (10, 5), (8, 8)))]
+    states += [_low_rank(9, 12, rank, rng) for rank in (1, 3)]
+    states += [_low_rank(12, 9, rank, rng) for rank in (1, 3)]
+    states += [random_state((15, 15), seed) for seed in range(20)]
+    for g in states:
+        w = schmidt_spectrum(g)
+        assert w.shape == (min(g.shape),)
+        assert np.all(np.diff(w) <= 0)
+        assert np.max(np.abs(w - np.linalg.svd(g, compute_uv=False) ** 2)) < 1e-14
+    # on a dense rank-1 gamma the noise weights add up in the entropy
+    for d in (70, 252):
+        g = _low_rank(d, d, 1, rng)
+        assert abs(entanglement_entropy(g)
+                   - oracles.entanglement_from_vector(g.ravel(), d, d)) < 1e-12
 
 
 def test_domain_wall_densities():
