@@ -2,7 +2,8 @@
 
 Unknown keys are rejected, missing keys take the documented defaults, and
 every constraint violation names the offending key path.  ``serialize_config``
-emits a canonical document that reparses to an equal configuration.
+emits a canonical document that reparses to an equal configuration.  One key
+table, ``_KEYS``, lists the plain sections' keys for parsing and serialization.
 
 Minimal document::
 
@@ -17,7 +18,7 @@ random-phase erasure of the upsilon species, and the domain-wall initial state.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from math import comb, hypot, isfinite
 
 from .erasure import ErasureSpec
@@ -92,6 +93,31 @@ def _vector(sec: dict, path: str, key: str, default: tuple) -> tuple[float, ...]
     return tuple(float(v) for v in val)
 
 
+def _str(sec: dict, path: str, key: str, default):
+    val = sec.get(key, default)
+    if not isinstance(val, str):
+        raise ConfigError(f"{path}.{key}: expected a string")
+    return val
+
+
+# the keys of each plain section in document order, each with its reader
+_KEYS = {
+    "params": {"j_tau": _num, "j_upsilon": _num, "u_tau": _vector,
+               "u_upsilon": _vector, "u_cross": _num},
+    "protocol": {"t1": _num, "t2": _num, "cycles": _int, "seed": _int},
+    "controls": {"no_erasure_run": _bool, "full_hamiltonian_run": _bool,
+                 "trotter_steps": _int},
+    "output": {"out_dir": _str, "dump_states": _bool, "dump_phases": _bool},
+}
+
+
+def _read(doc: dict, name: str, defaults: dict) -> dict:
+    """Every key of plain section ``name``, read or taken from ``defaults``."""
+    sec = _section(doc, name, tuple(_KEYS[name]))
+    return {key: read(sec, name, key, defaults[key])
+            for key, read in _KEYS[name].items()}
+
+
 def _lattice(doc: dict) -> LatticeSpec:
     sec = _section(doc, "lattice", ("sites", "chain", "edges"))
     if "sites" not in sec:
@@ -130,8 +156,7 @@ def parse_config(text: str) -> tuple[ProtocolConfig, OutputOptions]:
         raise ConfigError(f"malformed document: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("top level: must be an object")
-    known = ("lattice", "particles", "params", "protocol", "erasure",
-             "controls", "initial", "output")
+    known = ("lattice", "particles", "erasure", "initial", *_KEYS)
     for key in doc:
         if key not in known:
             raise ConfigError(f"{key}: unknown key")
@@ -149,29 +174,17 @@ def parse_config(text: str) -> tuple[ProtocolConfig, OutputOptions]:
         if not 0 <= n <= sites:
             raise ConfigError(f"particles.{key}: must be in [0, {sites}]")
 
-    sec = _section(doc, "params", ("j_tau", "j_upsilon", "u_tau", "u_upsilon",
-                                   "u_cross"))
-    base = ModelParams.defaults(sites)
-    params = ModelParams(
-        j_tau=_num(sec, "params", "j_tau", base.j_tau),
-        j_upsilon=_num(sec, "params", "j_upsilon", base.j_upsilon),
-        u_tau=_vector(sec, "params", "u_tau", base.u_tau),
-        u_upsilon=_vector(sec, "params", "u_upsilon", base.u_upsilon),
-        u_cross=_num(sec, "params", "u_cross", base.u_cross),
-    )
+    params = ModelParams(**_read(doc, "params", asdict(ModelParams.defaults(sites))))
 
     # the protocol, erasure, controls and initial defaults are ProtocolConfig's
     dflt = {f.name: f.default for f in fields(ProtocolConfig)}
-    sec = _section(doc, "protocol", ("t1", "t2", "cycles", "seed"))
-    t1, t2 = (_num(sec, "protocol", key, dflt[key]) for key in ("t1", "t2"))
-    for key, t in (("t1", t1), ("t2", t2)):
-        if t <= 0:
+    proto = _read(doc, "protocol", {**dflt, "seed": dflt["master_seed"]})
+    for key in ("t1", "t2"):
+        if proto[key] <= 0:
             raise ConfigError(f"protocol.{key}: must be positive")
-    cycles = _int(sec, "protocol", "cycles", dflt["cycles"])
-    if cycles < 1:
+    if proto["cycles"] < 1:
         raise ConfigError("protocol.cycles: must be at least 1")
-    seed = _int(sec, "protocol", "seed", dflt["master_seed"])
-    if seed < 0:
+    if proto["seed"] < 0:
         raise ConfigError("protocol.seed: must be nonnegative")
 
     sec = _section(doc, "erasure", ("kind", "species", "site", "theta"))
@@ -192,12 +205,8 @@ def parse_config(text: str) -> tuple[ProtocolConfig, OutputOptions]:
     if erasure.site is not None and not 0 <= erasure.site < sites:
         raise ConfigError(f"erasure.site: must be in [0, {sites})")
 
-    sec = _section(doc, "controls", ("no_erasure_run", "full_hamiltonian_run",
-                                     "trotter_steps"))
-    no_erasure, full_run = (_bool(sec, "controls", key, dflt[key]) for key in
-                            ("no_erasure_run", "full_hamiltonian_run"))
-    trotter_steps = _int(sec, "controls", "trotter_steps", dflt["trotter_steps"])
-    if trotter_steps < 1:
+    controls = _read(doc, "controls", dflt)
+    if controls["trotter_steps"] < 1:
         raise ConfigError("controls.trotter_steps: must be at least 1")
 
     initial = doc.get("initial", dflt["initial"])
@@ -223,22 +232,13 @@ def parse_config(text: str) -> tuple[ProtocolConfig, OutputOptions]:
     else:
         raise ConfigError("initial: expected a preset name or amplitude pairs")
 
-    sec = _section(doc, "output", ("out_dir", "dump_states", "dump_phases"))
-    out = OutputOptions()
-    out_dir = sec.get("out_dir", out.out_dir)
-    if not isinstance(out_dir, str):
-        raise ConfigError("output.out_dir: expected a string")
-    output = OutputOptions(
-        out_dir=out_dir,
-        dump_states=_bool(sec, "output", "dump_states", out.dump_states),
-        dump_phases=_bool(sec, "output", "dump_phases", out.dump_phases),
-    )
+    output = OutputOptions(**_read(doc, "output", asdict(OutputOptions())))
 
     config = ProtocolConfig(
         lattice=lattice, n_tau=n_tau, n_upsilon=n_upsilon, params=params,
-        t1=t1, t2=t2, cycles=cycles, erasure=erasure, master_seed=seed,
-        initial=initial, no_erasure_run=no_erasure,
-        full_hamiltonian_run=full_run, trotter_steps=trotter_steps,
+        t1=proto["t1"], t2=proto["t2"], cycles=proto["cycles"],
+        erasure=erasure, master_seed=proto["seed"], initial=initial,
+        **controls,
     )
     return config, output
 
@@ -250,32 +250,15 @@ def serialize_config(config: ProtocolConfig, output: OutputOptions) -> str:
     else:
         initial = [[z.real, z.imag] for z in config.initial]
     doc = {
-        "lattice": {
-            "sites": config.lattice.sites,
-            "edges": [list(e) for e in config.lattice.edges],
-        },
+        "lattice": asdict(config.lattice),
         "particles": {"tau": config.n_tau, "upsilon": config.n_upsilon},
-        "params": {
-            "j_tau": config.params.j_tau,
-            "j_upsilon": config.params.j_upsilon,
-            "u_tau": list(config.params.u_tau),
-            "u_upsilon": list(config.params.u_upsilon),
-            "u_cross": config.params.u_cross,
-        },
+        "params": asdict(config.params),
         "protocol": {"t1": config.t1, "t2": config.t2,
                      "cycles": config.cycles, "seed": config.master_seed},
-        "erasure": {"kind": config.erasure.kind,
-                    "species": config.erasure.species,
-                    **({"site": config.erasure.site}
-                       if config.erasure.site is not None else {}),
-                    **({"theta": config.erasure.theta}
-                       if config.erasure.theta is not None else {})},
-        "controls": {"no_erasure_run": config.no_erasure_run,
-                     "full_hamiltonian_run": config.full_hamiltonian_run,
-                     "trotter_steps": config.trotter_steps},
+        "erasure": {key: val for key, val in asdict(config.erasure).items()
+                    if val is not None},
+        "controls": {key: getattr(config, key) for key in _KEYS["controls"]},
         "initial": initial,
-        "output": {"out_dir": output.out_dir,
-                   "dump_states": output.dump_states,
-                   "dump_phases": output.dump_phases},
+        "output": asdict(output),
     }
     return json.dumps(doc, indent=2) + "\n"

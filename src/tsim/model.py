@@ -166,20 +166,18 @@ class Hamiltonian:
         return out
 
     def spectral_bounds(self) -> tuple[float, float]:
-        """Interval [lo, hi] that holds every eigenvalue, cached: each part
-        adds the extreme sums of n eigenvalues of its h_k (exact for one
-        part, a Weyl bound for several), padded outward by ``_SPECTRAL_PAD``
-        times the norm bound sum(n * max_k ||h_k||)."""
-        if "bounds" not in self._cache:
-            lo = hi = norm = 0.0
-            for hop, pot, n in self.parts:
-                w = np.linalg.eigvalsh(hop + pot[:, :, None] * np.eye(len(hop)))
-                lo += w[:, :n].sum(axis=1).min()
-                hi += w[:, w.shape[1] - n:].sum(axis=1).max()
-                norm += n * np.abs(w).max()
-            pad = _SPECTRAL_PAD * norm
-            self._cache["bounds"] = float(lo - pad), float(hi + pad)
-        return self._cache["bounds"]
+        """Interval [lo, hi] that holds every eigenvalue: each part adds the
+        extreme sums of n eigenvalues of its h_k (exact for one part, a Weyl
+        bound for several), padded outward by ``_SPECTRAL_PAD`` times the
+        norm bound sum(n * max_k ||h_k||)."""
+        lo = hi = norm = 0.0
+        for hop, pot, n in self.parts:
+            w = np.linalg.eigvalsh(hop + pot[:, :, None] * np.eye(len(hop)))
+            lo += w[:, :n].sum(axis=1).min()
+            hi += w[:, w.shape[1] - n:].sum(axis=1).max()
+            norm += n * np.abs(w).max()
+        pad = _SPECTRAL_PAD * norm
+        return float(lo - pad), float(hi + pad)
 
 
 def _hop_matrix(basis: FockBasis, edges, j: float) -> sp.csr_array:

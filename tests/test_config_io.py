@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -299,3 +300,24 @@ def test_chain_false_with_edges_uses_edges():
                       "particles": {"tau": 1, "upsilon": 1}})
     config, _ = parse_config(doc)
     assert config.lattice.edges == ((0, 2), (1, 2))
+
+
+def test_readme_config_block_shows_the_defaults():
+    # README presents its one json block as the defaults of every section
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    blocks = re.findall(r"^```json\n(.*?)^```",
+                        readme.read_text(encoding="utf-8"), flags=re.S | re.M)
+    assert len(blocks) == 1
+    minimal = {"lattice": {"sites": 6}, "particles": {"tau": 2, "upsilon": 2}}
+    assert (serialize_config(*parse_config(blocks[0]))
+            == serialize_config(*parse_config(json.dumps(minimal))))
+
+
+@pytest.mark.parametrize("section", ["lattice", "particles", "params",
+                                     "protocol", "erasure", "controls",
+                                     "output"])
+def test_every_object_section_rejects_unknown_keys(section):
+    doc = {**_SMALL, section: {**_SMALL.get(section, {}), "potato": 2}}
+    message = f"{section}.potato: unknown key"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_config(json.dumps(doc))
