@@ -1,9 +1,13 @@
 """Configuration documents: a single JSON object with nested sections.
 
 Unknown keys are rejected, missing keys take the documented defaults, and
-every constraint violation names the offending key path.  ``serialize_config``
-emits a canonical document that reparses to an equal configuration.  One key
-table, ``_KEYS``, lists the plain sections' keys for parsing and serialization.
+every constraint violation names the offending key path.  The document checks
+JSON types and forms; each range rule lives in the type that holds the value
+(``LatticeSpec``, ``ErasureSpec``, ``ProtocolConfig``), whose ``ValueError``
+reads ``"<field>: <rule>"`` and is reported here at the field's key path.
+``serialize_config`` emits a canonical document that reparses to an equal
+configuration.  One key table, ``_KEYS``, lists the plain sections' keys for
+parsing and serialization.
 
 Minimal document::
 
@@ -22,8 +26,7 @@ from dataclasses import asdict, dataclass, fields
 from math import comb, hypot, isfinite
 
 from .erasure import ErasureSpec
-from .fock import MAX_SITES
-from .model import SPECIES, LatticeSpec, ModelParams
+from .model import LatticeSpec, ModelParams
 from .protocol import DOMAIN_WALL, ProtocolConfig
 
 
@@ -65,6 +68,9 @@ def _num(sec: dict, path: str, key: str, default):
 
 
 def _int(sec: dict, path: str, key: str, default):
+    """An integer; a key without a default is required."""
+    if default is None and key not in sec:
+        raise ConfigError(f"{path}.{key}: required")
     val = sec.get(key, default)
     if isinstance(val, bool) or not isinstance(val, int):
         raise ConfigError(f"{path}.{key}: expected an integer")
@@ -87,9 +93,6 @@ def _vector(sec: dict, path: str, key: str, default: tuple) -> tuple[float, ...]
     for i, v in enumerate(val):
         if not _finite(v):
             raise ConfigError(f"{path}.{key}[{i}]: expected a finite number")
-    if len(val) != len(default):
-        raise ConfigError(
-            f"{path}.{key}: expected {len(default)} entries, got {len(val)}")
     return tuple(float(v) for v in val)
 
 
@@ -110,6 +113,23 @@ _KEYS = {
     "output": {"out_dir": _str, "dump_states": _bool, "dump_phases": _bool},
 }
 
+# the key path of each field that a range rule of a library type names
+_PATHS = {
+    **{key: f"{name}.{key}" for name, keys in _KEYS.items() for key in keys},
+    **{key: f"erasure.{key}" for key in ("kind", "species", "site", "theta")},
+    "sites": "lattice.sites", "edges": "lattice.edges", "n_tau": "particles.tau",
+    "n_upsilon": "particles.upsilon", "master_seed": "protocol.seed",
+}
+
+
+def _make(cls, **kwargs):
+    """``cls(**kwargs)``, a range rule's error reported at its key path."""
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        field, rule = str(exc).split(": ", 1)
+        raise ConfigError(f"{_PATHS[field]}: {rule}") from exc
+
 
 def _read(doc: dict, name: str, defaults: dict) -> dict:
     """Every key of plain section ``name``, read or taken from ``defaults``."""
@@ -120,32 +140,20 @@ def _read(doc: dict, name: str, defaults: dict) -> dict:
 
 def _lattice(doc: dict) -> LatticeSpec:
     sec = _section(doc, "lattice", ("sites", "chain", "edges"))
-    if "sites" not in sec:
-        raise ConfigError("lattice.sites: required")
     sites = _int(sec, "lattice", "sites", None)
-    if sites is None or sites < 1:
-        raise ConfigError("lattice.sites: must be a positive integer")
-    if sites > MAX_SITES:
-        raise ConfigError(f"lattice.sites: must be at most {MAX_SITES}")
     chain = _bool(sec, "lattice", "chain", "edges" not in sec)
     if chain == ("edges" in sec):
         raise ConfigError("lattice.edges: conflicts with lattice.chain" if chain
                           else "lattice.chain: false needs lattice.edges")
     if chain:
-        return LatticeSpec.chain(sites)
+        return _make(LatticeSpec.chain, sites=sites)
     raw = sec["edges"]
-    if not isinstance(raw, list):
+    if not (isinstance(raw, list) and all(
+            isinstance(e, list) and len(e) == 2
+            and all(isinstance(v, int) and not isinstance(v, bool) for v in e)
+            for e in raw)):
         raise ConfigError("lattice.edges: expected a list of site pairs")
-    edges = []
-    for e in raw:
-        if (not isinstance(e, list) or len(e) != 2
-                or any(isinstance(v, bool) or not isinstance(v, int) for v in e)):
-            raise ConfigError("lattice.edges: expected a list of site pairs")
-        edges.append((e[0], e[1]))
-    try:
-        return LatticeSpec(sites=sites, edges=tuple(edges))
-    except ValueError as exc:
-        raise ConfigError(f"lattice.edges: {exc}") from exc
+    return _make(LatticeSpec, sites=sites, edges=tuple(map(tuple, raw)))
 
 
 def parse_config(text: str) -> tuple[ProtocolConfig, OutputOptions]:
@@ -165,49 +173,25 @@ def parse_config(text: str) -> tuple[ProtocolConfig, OutputOptions]:
     sites = lattice.sites
 
     sec = _section(doc, "particles", ("tau", "upsilon"))
-    for key in ("tau", "upsilon"):
-        if key not in sec:
-            raise ConfigError(f"particles.{key}: required")
     n_tau = _int(sec, "particles", "tau", None)
     n_upsilon = _int(sec, "particles", "upsilon", None)
-    for key, n in (("tau", n_tau), ("upsilon", n_upsilon)):
-        if not 0 <= n <= sites:
-            raise ConfigError(f"particles.{key}: must be in [0, {sites}]")
 
     params = ModelParams(**_read(doc, "params", asdict(ModelParams.defaults(sites))))
 
     # the protocol, erasure, controls and initial defaults are ProtocolConfig's
     dflt = {f.name: f.default for f in fields(ProtocolConfig)}
     proto = _read(doc, "protocol", {**dflt, "seed": dflt["master_seed"]})
-    for key in ("t1", "t2"):
-        if proto[key] <= 0:
-            raise ConfigError(f"protocol.{key}: must be positive")
-    if proto["cycles"] < 1:
-        raise ConfigError("protocol.cycles: must be at least 1")
-    if proto["seed"] < 0:
-        raise ConfigError("protocol.seed: must be nonnegative")
 
     sec = _section(doc, "erasure", ("kind", "species", "site", "theta"))
-    kind = sec.get("kind", dflt["erasure"].kind)
-    species = sec.get("species", dflt["erasure"].species)
-    if species not in SPECIES:
-        raise ConfigError(f"erasure.species: must be one of {SPECIES}")
-    site = sec.get("site")
-    theta = sec.get("theta")
-    try:
-        erasure = ErasureSpec(
-            kind=kind, species=species,
-            site=None if site is None else _int(sec, "erasure", "site", None),
-            theta=None if theta is None else _num(sec, "erasure", "theta", None),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"erasure: {exc}") from exc
-    if erasure.site is not None and not 0 <= erasure.site < sites:
-        raise ConfigError(f"erasure.site: must be in [0, {sites})")
+    site, theta = sec.get("site"), sec.get("theta")
+    erasure = _make(
+        ErasureSpec, kind=sec.get("kind", dflt["erasure"].kind),
+        species=sec.get("species", dflt["erasure"].species),
+        site=None if site is None else _int(sec, "erasure", "site", None),
+        theta=None if theta is None else _num(sec, "erasure", "theta", None),
+    )
 
     controls = _read(doc, "controls", dflt)
-    if controls["trotter_steps"] < 1:
-        raise ConfigError("controls.trotter_steps: must be at least 1")
 
     initial = doc.get("initial", dflt["initial"])
     if isinstance(initial, str):
@@ -218,28 +202,30 @@ def parse_config(text: str) -> tuple[ProtocolConfig, OutputOptions]:
                    for z in initial):
             raise ConfigError("initial: expected [re, im] pairs of finite numbers")
         initial = tuple(complex(re, im) for re, im in initial)
+    else:
+        raise ConfigError("initial: expected a preset name or amplitude pairs")
+
+    output = OutputOptions(**_read(doc, "output", asdict(OutputOptions())))
+
+    config = _make(
+        ProtocolConfig,
+        lattice=lattice, n_tau=n_tau, n_upsilon=n_upsilon, params=params,
+        t1=proto["t1"], t2=proto["t2"], cycles=proto["cycles"],
+        erasure=erasure, master_seed=proto["seed"], initial=initial,
+        **controls,
+    )
+    if not isinstance(initial, str):
+        # once the particle numbers are in range: comb refuses a negative one
         expected = comb(sites, n_tau) * comb(sites, n_upsilon)
         if len(initial) != expected:
-            raise ConfigError(
-                f"initial: expected {expected} amplitude pairs, got {len(initial)}"
-            )
+            raise ConfigError(f"initial: expected {expected} amplitude pairs, "
+                              f"got {len(initial)}")
         # hypot returns inf, with no warning, when the norm overflows
         norm = hypot(*(x for z in initial for x in (z.real, z.imag)))
         if norm == 0.0:
             raise ConfigError("initial: amplitudes are all zero")
         if not isfinite(norm):
             raise ConfigError("initial: the amplitude norm overflows a float")
-    else:
-        raise ConfigError("initial: expected a preset name or amplitude pairs")
-
-    output = OutputOptions(**_read(doc, "output", asdict(OutputOptions())))
-
-    config = ProtocolConfig(
-        lattice=lattice, n_tau=n_tau, n_upsilon=n_upsilon, params=params,
-        t1=proto["t1"], t2=proto["t2"], cycles=proto["cycles"],
-        erasure=erasure, master_seed=proto["seed"], initial=initial,
-        **controls,
-    )
     return config, output
 
 

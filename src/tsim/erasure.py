@@ -32,14 +32,15 @@ class ErasureSpec:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
+            raise ValueError(f"kind: must be one of {KINDS}, got {self.kind!r}")
         if self.species not in SPECIES:
-            raise ValueError(f"species must be one of {SPECIES}, got {self.species!r}")
+            raise ValueError(
+                f"species: must be one of {SPECIES}, got {self.species!r}")
         if self.kind == SITE_PHASE:
             if self.site is None or self.theta is None:
-                raise ValueError("site-phase erasure needs both site and theta")
+                raise ValueError("kind: site-phase erasure needs both site and theta")
         elif self.site is not None or self.theta is not None:
-            raise ValueError("random-phase erasure takes neither site nor theta")
+            raise ValueError("kind: random-phase erasure takes neither site nor theta")
 
 
 def apply_random_phases(gamma: np.ndarray, species: str,

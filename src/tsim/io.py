@@ -22,13 +22,18 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _write_lines(out_dir, name: str, lines: list[str]) -> Path:
+    """ASCII text file ``out_dir/name``, one line per entry."""
+    path = Path(out_dir) / name
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    return path
+
+
 def write_trajectory(records, out_dir, name: str = "trajectory.csv") -> Path:
     """One CSV row per stage record."""
     if not records:
         raise ValueError("no records to write")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / name
     lines = [TRAJECTORY_HEADER]
     for r in records:
         rep = r.report
@@ -37,21 +42,16 @@ def write_trajectory(records, out_dir, name: str = "trajectory.csv") -> Path:
             _fmt(rep.s_tau), _fmt(rep.s_upsilon), _fmt(rep.s_total),
             _fmt(rep.s_ent), _fmt(rep.fidelity_to_initial),
         ]))
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
-    return path
+    return _write_lines(out_dir, name, lines)
 
 
 def write_phases(phase_log, out_dir, name: str = "phases.csv") -> Path:
     """Audit dump of the phases applied at each erase stage."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / name
     lines = ["cycle,index,theta"]
     for cycle, phases in phase_log:
         for i, theta in enumerate(phases):
             lines.append(f"{cycle},{i},{_fmt(theta)}")
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
-    return path
+    return _write_lines(out_dir, name, lines)
 
 
 def write_state(gamma: np.ndarray, path) -> Path:

@@ -43,7 +43,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse._sparsetools import csr_matvecs
 
-from .fock import FockBasis
+from .fock import MAX_SITES, FockBasis
 
 TAU = "tau"
 UPSILON = "upsilon"
@@ -62,19 +62,21 @@ class LatticeSpec:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if self.sites <= 0:
-            raise ValueError(f"sites must be positive, got {self.sites}")
+        if self.sites < 1:
+            raise ValueError("sites: must be a positive integer")
+        if self.sites > MAX_SITES:
+            raise ValueError(f"sites: must be at most {MAX_SITES}")
         seen = set()
         norm = []
         for e in self.edges:
             i, j = e
             if i == j:
-                raise ValueError(f"self-loop edge ({i}, {j})")
+                raise ValueError(f"edges: self-loop edge ({i}, {j})")
             if not (0 <= i < self.sites and 0 <= j < self.sites):
-                raise ValueError(f"edge ({i}, {j}) outside [0, {self.sites})")
+                raise ValueError(f"edges: edge ({i}, {j}) outside [0, {self.sites})")
             key = (min(i, j), max(i, j))
             if key in seen:
-                raise ValueError(f"duplicate edge ({i}, {j})")
+                raise ValueError(f"edges: duplicate edge ({i}, {j})")
             seen.add(key)
             norm.append(key)
         object.__setattr__(self, "edges", tuple(norm))
@@ -82,7 +84,8 @@ class LatticeSpec:
     @classmethod
     def chain(cls, sites: int) -> "LatticeSpec":
         """Open 1D chain: bonds (i, i+1)."""
-        return cls(sites=sites, edges=tuple((i, i + 1) for i in range(sites - 1)))
+        # lazy, so the site rules reject an oversized chain before it is built
+        return cls(sites=sites, edges=((i, i + 1) for i in range(sites - 1)))
 
 
 @dataclass(frozen=True)

@@ -65,6 +65,9 @@ DOMAIN_WALL = "domain-wall"
 
 @dataclass(frozen=True)
 class ProtocolConfig:
+    """One run.  Construction checks each range rule of a run not checked by
+    its parts' own types; every such ``ValueError`` reads ``"<field>: <rule>"``."""
+
     lattice: LatticeSpec
     n_tau: int
     n_upsilon: int
@@ -80,17 +83,23 @@ class ProtocolConfig:
     trotter_steps: int = 1
 
     def __post_init__(self):
-        if not (0 <= self.n_tau <= self.lattice.sites
-                and 0 <= self.n_upsilon <= self.lattice.sites):
-            raise ValueError("particle numbers must lie in [0, sites]")
-        if not (0 < self.t1 < np.inf and 0 < self.t2 < np.inf):
-            raise ValueError("stage durations must be positive and finite")
-        if self.cycles < 1:
-            raise ValueError("cycles must be at least 1")
-        if self.trotter_steps < 1:
-            raise ValueError("trotter_steps must be at least 1")
+        sites = self.lattice.sites
+        for name in ("n_tau", "n_upsilon"):
+            if not 0 <= getattr(self, name) <= sites:
+                raise ValueError(f"{name}: must be in [0, {sites}]")
+        for name in ("u_tau", "u_upsilon"):
+            if (n := len(getattr(self.params, name))) != sites:
+                raise ValueError(f"{name}: expected {sites} entries, got {n}")
+        for name in ("t1", "t2"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name}: must be positive and finite")
+        for name in ("cycles", "trotter_steps"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name}: must be at least 1")
         if self.master_seed < 0:
-            raise ValueError("master_seed must be nonnegative")
+            raise ValueError("master_seed: must be nonnegative")
+        if self.erasure.site is not None and not 0 <= self.erasure.site < sites:
+            raise ValueError(f"site: must be in [0, {sites})")
 
 
 @dataclass(frozen=True)

@@ -135,6 +135,21 @@ _NAN, _INF = float("nan"), float("inf")
      "initial: expected 16 amplitude pairs, got 3"),
     ({"initial": 5}, None, "initial: expected a preset name or amplitude pairs"),
     ({"output": {"out_dir": 3}}, None, "output.out_dir: expected a string"),
+    # the range rules of the library types, each at its key path
+    ({"particles": {"tau": 5, "upsilon": 1}}, None, "particles.tau: must be in [0, 4]"),
+    ({"protocol": {"t1": 0}}, None, "protocol.t1: must be positive and finite"),
+    ({"protocol": {"cycles": 0}}, None, "protocol.cycles: must be at least 1"),
+    ({"erasure": {"kind": "site-phase", "site": 4, "theta": 0.5}}, None,
+     "erasure.site: must be in [0, 4)"),
+    ({"erasure": {"kind": "total"}}, None,
+     "erasure.kind: must be one of ('random-phase', 'site-phase'), got 'total'"),
+    ({"erasure": {"kind": "site-phase", "site": 1}}, None,
+     "erasure.kind: site-phase erasure needs both site and theta"),
+    ({"lattice": {"sites": 4, "edges": [[0, 1], [1, 0]]}}, None,
+     "lattice.edges: duplicate edge (1, 0)"),
+    ({"lattice": {"sites": 4, "edges": [[0, 5]]}}, None,
+     "lattice.edges: edge (0, 5) outside [0, 4)"),
+    ({"params": {"u_tau": [0, 0]}}, None, "params.u_tau: expected 4 entries, got 2"),
 ], ids=["t1-nan", "t2-inf", "j_tau-nan", "u_cross-minus-inf", "u_tau-entry-nan",
         "j_upsilon-huge-int", "theta-nan", "initial-nan", "initial-bool",
         "initial-zero", "initial-norm-overflow", "top-level-list",
@@ -142,7 +157,10 @@ _NAN, _INF = float("nan"), float("inf")
         "sites-zero", "sites-above-max", "edges-not-list", "edge-not-pair", "edge-self-loop",
         "particles-missing", "seed-negative", "erasure-species",
         "trotter-steps-zero", "initial-unknown-preset", "initial-count",
-        "initial-type", "out-dir-not-string"])
+        "initial-type", "out-dir-not-string", "particles-above-sites",
+        "t1-zero", "cycles-zero", "erasure-site-out-of-range", "erasure-kind",
+        "site-phase-without-theta", "edge-duplicate", "edge-outside",
+        "u_tau-length"])
 def test_non_finite_numbers_rejected_with_key_path(section, literal, message):
     # Python's json parser accepts NaN, Infinity and integers beyond the
     # float range; each must fail at its key path, not later in the run, as

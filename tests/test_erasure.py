@@ -125,7 +125,7 @@ def test_erasure_spec_validation():
         ErasureSpec(kind="site-phase", site=1)  # theta missing
     with pytest.raises(ValueError):
         ErasureSpec(kind="random-phase", site=1)
-    with pytest.raises(ValueError, match="species must be one of"):
+    with pytest.raises(ValueError, match="species: must be one of"):
         ErasureSpec(species="both")
     spec = ErasureSpec(kind="site-phase", species="tau", site=0, theta=0.5)
     basis = enumerate_basis(3, 1)

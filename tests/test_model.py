@@ -43,8 +43,11 @@ def test_lattice_validation():
     with pytest.raises(ValueError):
         LatticeSpec(4, ((0, 1), (1, 0)))
     for sites in (0, -1):
-        with pytest.raises(ValueError, match="sites must be positive"):
+        with pytest.raises(ValueError, match="sites: must be a positive integer"):
             LatticeSpec(sites, ())
+    # one bit of a machine word per site: 64 would fail only at enumeration
+    with pytest.raises(ValueError, match="sites: must be at most 63"):
+        LatticeSpec.chain(64)
     assert LatticeSpec.chain(4).edges == ((0, 1), (1, 2), (2, 3))
 
 

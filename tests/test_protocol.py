@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -186,15 +187,23 @@ def test_keep_cycle_states():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^n_tau: "):
         desk_config(n_tau=7)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^t1: "):
         desk_config(t1=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^cycles: "):
         desk_config(cycles=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^trotter_steps: "):
         desk_config(trotter_steps=0)
     # numpy's SeedSequence would refuse it only at the first erase, after two
     # propagated stages, and without naming the field
     with pytest.raises(ValueError, match="master_seed"):
         desk_config(master_seed=-1)
+    # each would otherwise fail in the run: the site at cycle 1's erase, the
+    # potentials in prepare, neither naming its field
+    chain4 = LatticeSpec.chain(4)
+    with pytest.raises(ValueError, match=re.escape("site: must be in [0, 4)")):
+        desk_config(lattice=chain4, params=ModelParams.defaults(4),
+                    erasure=ErasureSpec(kind="site-phase", site=9, theta=0.5))
+    with pytest.raises(ValueError, match="^u_tau: expected 4 entries, got 6"):
+        desk_config(lattice=chain4)
