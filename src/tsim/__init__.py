@@ -7,9 +7,9 @@ from .model import (Hamiltonian, LatticeSpec, ModelParams, build_full,
                     build_h1, build_h2)
 from .observables import EntropyReport, entanglement_entropy, fidelity, measure
 from .propagate import evolve
-from .protocol import (ProtocolConfig, ProtocolResult, StageRecord,
-                       build_initial_state, prepare, run_cycle,
-                       run_full_hamiltonian, run_protocol, run_trotter)
+from .protocol import (ProtocolConfig, ProtocolResult, StageRecord, prepare,
+                       run_cycle, run_full_hamiltonian, run_protocol,
+                       run_trotter)
 
 __all__ = [
     "EntropyReport",
@@ -25,7 +25,6 @@ __all__ = [
     "build_full",
     "build_h1",
     "build_h2",
-    "build_initial_state",
     "draw_phases",
     "entanglement_entropy",
     "enumerate_basis",

@@ -3,8 +3,9 @@
 Unknown keys are rejected, missing keys take the documented defaults, and
 every constraint violation names the offending key path.  The document checks
 JSON types and forms; each range rule lives in the type that holds the value
-(``LatticeSpec``, ``ErasureSpec``, ``ProtocolConfig``), whose ``ValueError``
-reads ``"<field>: <rule>"`` and is reported here at the field's key path.
+(``LatticeSpec``, ``ModelParams``, ``ErasureSpec``, ``ProtocolConfig``, which
+owns every rule on ``initial``), whose ``ValueError`` reads
+``"<field>: <rule>"`` and is reported here at the field's key path.
 ``serialize_config`` emits a canonical document that reparses to an equal
 configuration.  One key table, ``_KEYS``, lists the plain sections' keys for
 parsing and serialization.
@@ -23,11 +24,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, fields
-from math import comb, hypot, isfinite
+from math import isfinite
 
 from .erasure import ErasureSpec
 from .model import LatticeSpec, ModelParams
-from .protocol import DOMAIN_WALL, ProtocolConfig
+from .protocol import ProtocolConfig
 
 
 class ConfigError(ValueError):
@@ -85,9 +86,9 @@ def _bool(sec: dict, path: str, key: str, default):
 
 
 def _vector(sec: dict, path: str, key: str, default: tuple) -> tuple[float, ...]:
-    val = sec.get(key)
-    if val is None:
+    if key not in sec:
         return default
+    val = sec[key]
     if not isinstance(val, list):
         raise ConfigError(f"{path}.{key}: expected a list of numbers")
     for i, v in enumerate(val):
@@ -119,6 +120,7 @@ _PATHS = {
     **{key: f"erasure.{key}" for key in ("kind", "species", "site", "theta")},
     "sites": "lattice.sites", "edges": "lattice.edges", "n_tau": "particles.tau",
     "n_upsilon": "particles.upsilon", "master_seed": "protocol.seed",
+    "initial": "initial",
 }
 
 
@@ -176,57 +178,41 @@ def parse_config(text: str) -> tuple[ProtocolConfig, OutputOptions]:
     n_tau = _int(sec, "particles", "tau", None)
     n_upsilon = _int(sec, "particles", "upsilon", None)
 
-    params = ModelParams(**_read(doc, "params", asdict(ModelParams.defaults(sites))))
+    params = _make(ModelParams,
+                   **_read(doc, "params", asdict(ModelParams.defaults(sites))))
 
     # the protocol, erasure, controls and initial defaults are ProtocolConfig's
     dflt = {f.name: f.default for f in fields(ProtocolConfig)}
     proto = _read(doc, "protocol", {**dflt, "seed": dflt["master_seed"]})
 
     sec = _section(doc, "erasure", ("kind", "species", "site", "theta"))
-    site, theta = sec.get("site"), sec.get("theta")
     erasure = _make(
         ErasureSpec, kind=sec.get("kind", dflt["erasure"].kind),
         species=sec.get("species", dflt["erasure"].species),
-        site=None if site is None else _int(sec, "erasure", "site", None),
-        theta=None if theta is None else _num(sec, "erasure", "theta", None),
+        site=_int(sec, "erasure", "site", None) if "site" in sec else None,
+        theta=_num(sec, "erasure", "theta", None) if "theta" in sec else None,
     )
 
     controls = _read(doc, "controls", dflt)
 
     initial = doc.get("initial", dflt["initial"])
-    if isinstance(initial, str):
-        if initial != DOMAIN_WALL:
-            raise ConfigError(f"initial: unknown preset {initial!r}")
-    elif isinstance(initial, list):
+    if isinstance(initial, list):
         if not all(isinstance(z, list) and len(z) == 2 and all(map(_finite, z))
                    for z in initial):
             raise ConfigError("initial: expected [re, im] pairs of finite numbers")
         initial = tuple(complex(re, im) for re, im in initial)
-    else:
+    elif not isinstance(initial, str):
         raise ConfigError("initial: expected a preset name or amplitude pairs")
 
     output = OutputOptions(**_read(doc, "output", asdict(OutputOptions())))
 
-    config = _make(
+    return _make(
         ProtocolConfig,
         lattice=lattice, n_tau=n_tau, n_upsilon=n_upsilon, params=params,
         t1=proto["t1"], t2=proto["t2"], cycles=proto["cycles"],
         erasure=erasure, master_seed=proto["seed"], initial=initial,
         **controls,
-    )
-    if not isinstance(initial, str):
-        # once the particle numbers are in range: comb refuses a negative one
-        expected = comb(sites, n_tau) * comb(sites, n_upsilon)
-        if len(initial) != expected:
-            raise ConfigError(f"initial: expected {expected} amplitude pairs, "
-                              f"got {len(initial)}")
-        # hypot returns inf, with no warning, when the norm overflows
-        norm = hypot(*(x for z in initial for x in (z.real, z.imag)))
-        if norm == 0.0:
-            raise ConfigError("initial: amplitudes are all zero")
-        if not isfinite(norm):
-            raise ConfigError("initial: the amplitude norm overflows a float")
-    return config, output
+    ), output
 
 
 def serialize_config(config: ProtocolConfig, output: OutputOptions) -> str:

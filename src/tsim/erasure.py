@@ -36,6 +36,8 @@ class ErasureSpec:
         if self.species not in SPECIES:
             raise ValueError(
                 f"species: must be one of {SPECIES}, got {self.species!r}")
+        if self.theta is not None and not np.isfinite(self.theta):
+            raise ValueError("theta: must be finite")
         if self.kind == SITE_PHASE:
             if self.site is None or self.theta is None:
                 raise ValueError("kind: site-phase erasure needs both site and theta")

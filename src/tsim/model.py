@@ -101,11 +101,11 @@ class ModelParams:
     def __post_init__(self):
         for name in ("j_tau", "j_upsilon", "u_cross"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+                raise ValueError(f"{name}: must be finite")
         for name in ("u_tau", "u_upsilon"):
             vals = tuple(float(v) for v in getattr(self, name))
             if not all(math.isfinite(v) for v in vals):
-                raise ValueError(f"{name} entries must be finite")
+                raise ValueError(f"{name}: entries must be finite")
             object.__setattr__(self, name, vals)
 
     @classmethod

@@ -44,11 +44,10 @@ def schmidt_spectrum(gamma: np.ndarray) -> np.ndarray:
 def entanglement_entropy(gamma: np.ndarray) -> float:
     """Von Neumann entropy of the species bipartition, from the Schmidt
     spectrum: -sum sigma_k^2 ln sigma_k^2 over singular values of gamma;
-    the 1e-300 floor drops the spectrum's negative noise weights."""
-    try:
-        return _entropy(schmidt_spectrum(gamma))
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError("Schmidt decomposition failed") from exc
+    the 1e-300 floor drops the spectrum's negative noise weights.  An
+    eigensolve that does not converge, as on a gamma of NaNs, raises numpy's
+    ``LinAlgError``, a ``ValueError``."""
+    return _entropy(schmidt_spectrum(gamma))
 
 
 def fidelity(a: np.ndarray, b: np.ndarray) -> float:

@@ -32,22 +32,23 @@ of the two stepwise Hamiltonians (the cross coupling appears in both, so the
 sum differs from the full Hamiltonian).
 
 Every stage and comparison step calls ``propagate.evolve``, which picks its
-method from the operator alone: one cached U(|t|) built from the block
-eigendecomposition for H1 and H2 while dim * b**2 <= 2**28 (chains up to
-L=8, 4+4), Chebyshev for larger H1 and H2, and the full Hamiltonian.  So
-the cycles and the Trotter run take the same method on the same operators.
+method from the operator alone (see its docstring for the rule), so the cycles
+and the Trotter run take the same method on the same operators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from math import comb, hypot, isfinite
 
 import numpy as np
 
 from . import erasure as er
 from . import model, observables
 from .fock import FockBasis, enumerate_basis
-from .model import Hamiltonian, LatticeSpec, ModelParams
+from .model import (Hamiltonian, LatticeSpec, ModelParams, build_full,
+                    build_h1, build_h2)
 from .propagate import evolve
 
 STAGE_INIT = "init"
@@ -100,6 +101,24 @@ class ProtocolConfig:
             raise ValueError("master_seed: must be nonnegative")
         if self.erasure.site is not None and not 0 <= self.erasure.site < sites:
             raise ValueError(f"site: must be in [0, {sites})")
+        if isinstance(self.initial, str):
+            if self.initial != DOMAIN_WALL:
+                raise ValueError(f"initial: unknown preset {self.initial!r}")
+            return
+        # once the particle numbers are in range: comb refuses a negative one
+        expected = comb(sites, self.n_tau) * comb(sites, self.n_upsilon)
+        if len(self.initial) != expected:
+            raise ValueError(f"initial: expected {expected} amplitude pairs, "
+                             f"got {len(self.initial)}")
+        parts = [x for z in self.initial for x in (z.real, z.imag)]
+        if not all(map(isfinite, parts)):
+            raise ValueError("initial: amplitudes must be finite")
+        # hypot returns inf, with no warning, when the norm overflows
+        norm = hypot(*parts)
+        if norm == 0.0:
+            raise ValueError("initial: amplitudes are all zero")
+        if not isfinite(norm):
+            raise ValueError("initial: the amplitude norm overflows a float")
 
 
 @dataclass(frozen=True)
@@ -120,63 +139,46 @@ class ProtocolResult:
 
 @dataclass
 class ProtocolContext:
-    """Operators and bases prepared once per configuration."""
+    """The bases and initial gamma of one configuration; H1 and H2 are built
+    on first use, so a run that never reads one never builds it."""
 
     config: ProtocolConfig
     basis_tau: FockBasis
     basis_upsilon: FockBasis
-    h1: Hamiltonian
-    h2: Hamiltonian
     initial: np.ndarray
+
+    @cached_property
+    def h1(self) -> Hamiltonian:
+        return build_h1(self.config.lattice, self.config.params,
+                        self.basis_tau, self.basis_upsilon)
+
+    @cached_property
+    def h2(self) -> Hamiltonian:
+        return build_h2(self.config.lattice, self.config.params,
+                        self.basis_tau, self.basis_upsilon)
 
     def measure(self, state: np.ndarray) -> observables.EntropyReport:
         return observables.measure(state, self.basis_tau, self.basis_upsilon,
                                    self.initial)
 
 
-def build_initial_state(initial: str | tuple[complex, ...] | np.ndarray,
-                        basis_tau: FockBasis,
-                        basis_upsilon: FockBasis) -> np.ndarray:
-    """gamma of a named preset, or of explicit amplitudes listed row-major
-    over gamma and normalized.
-
-    The domain-wall preset packs every particle of both species onto the
-    lowest-index sites: a single composite Fock basis vector, the first of
-    each ascending basis.
-    """
-    dims = (basis_tau.dim, basis_upsilon.dim)
-    if isinstance(initial, str):
-        if initial != DOMAIN_WALL:
-            raise ValueError(f"unknown initial-state preset {initial!r}")
-        gamma = np.zeros(dims, dtype=np.complex128)
-        gamma[0, 0] = 1.0
-        return gamma
-    amps = np.asarray(initial, dtype=np.complex128)
-    if amps.shape != (dims[0] * dims[1],):
-        raise ValueError(
-            f"explicit amplitudes have length {amps.shape}, need {dims[0] * dims[1]}"
-        )
-    # scaled by the largest modulus first, the sum of squares cannot overflow
-    peak = np.abs(amps).max(initial=0.0)
-    if not 0.0 < peak < np.inf:
-        raise ValueError("amplitudes are not normalizable")
-    amps = amps / peak
-    return (amps / np.linalg.norm(amps)).reshape(dims)
-
-
-def _bases(config: ProtocolConfig) -> tuple[FockBasis, FockBasis]:
-    return (enumerate_basis(config.lattice.sites, config.n_tau),
-            enumerate_basis(config.lattice.sites, config.n_upsilon))
-
-
 def prepare(config: ProtocolConfig) -> ProtocolContext:
-    basis_tau, basis_upsilon = _bases(config)
-    h1 = model.build_h1(config.lattice, config.params, basis_tau, basis_upsilon)
-    h2 = model.build_h2(config.lattice, config.params, basis_tau, basis_upsilon)
-    initial = build_initial_state(config.initial, basis_tau, basis_upsilon)
-    return ProtocolContext(config=config, basis_tau=basis_tau,
-                           basis_upsilon=basis_upsilon, h1=h1, h2=h2,
-                           initial=initial)
+    """The bases and initial gamma.  The domain-wall preset packs every
+    particle onto the lowest sites: the first vector of each ascending basis.
+    Explicit amplitudes list gamma row-major and are normalized."""
+    sites = config.lattice.sites
+    basis_tau = enumerate_basis(sites, config.n_tau)
+    basis_upsilon = enumerate_basis(sites, config.n_upsilon)
+    dims = (basis_tau.dim, basis_upsilon.dim)
+    if isinstance(config.initial, str):
+        initial = np.zeros(dims, dtype=np.complex128)
+        initial[0, 0] = 1.0
+    else:
+        amps = np.asarray(config.initial, dtype=np.complex128)
+        # scaled by the largest modulus first, the sum of squares cannot overflow
+        amps = amps / np.abs(amps).max()
+        initial = (amps / np.linalg.norm(amps)).reshape(dims)
+    return ProtocolContext(config, basis_tau, basis_upsilon, initial)
 
 
 def run_cycle(state: np.ndarray, ctx: ProtocolContext,
@@ -239,21 +241,16 @@ def run_full_hamiltonian(config: ProtocolConfig) -> ProtocolResult:
     """Continuous evolution under the full Hamiltonian for the protocol's
     total forward time, with diagnostics at every stage boundary.  It
     builds neither stepwise Hamiltonian."""
-    basis_tau, basis_upsilon = _bases(config)
-    initial = build_initial_state(config.initial, basis_tau, basis_upsilon)
-    h = model.build_full(config.lattice, config.params, basis_tau, basis_upsilon)
-
-    def measure(state):
-        return observables.measure(state, basis_tau, basis_upsilon, initial)
-
-    state = initial
-    records = [StageRecord(0, STAGE_INIT, 0.0, measure(state))]
+    ctx = prepare(config)
+    h = build_full(config.lattice, config.params, ctx.basis_tau, ctx.basis_upsilon)
+    state = ctx.initial
+    records = [StageRecord(0, STAGE_INIT, 0.0, ctx.measure(state))]
     t = 0.0
     for cycle in range(1, config.cycles + 1):
         for dt in (config.t1, config.t2):
             state = evolve(state, h, dt)
             t += dt
-            records.append(StageRecord(cycle, STAGE_FULL, t, measure(state)))
+            records.append(StageRecord(cycle, STAGE_FULL, t, ctx.measure(state)))
     return ProtocolResult(tuple(records), state, ())
 
 
@@ -265,11 +262,12 @@ def run_trotter(config: ProtocolConfig) -> ProtocolResult:
     ctx = prepare(config)
     dt1 = config.t1 * config.cycles / n
     dt2 = config.t2 * config.cycles / n
+    h1, h2 = ctx.h1, ctx.h2  # built once, before the first step
     state = ctx.initial
     records = [StageRecord(0, STAGE_INIT, 0.0, ctx.measure(state))]
     for _ in range(n):
-        state = evolve(state, ctx.h1, dt1)
-        state = evolve(state, ctx.h2, dt2)
+        state = evolve(state, h1, dt1)
+        state = evolve(state, h2, dt2)
     total = config.cycles * (config.t1 + config.t2)
     records.append(StageRecord(config.cycles, STAGE_TROTTER, total,
                                ctx.measure(state)))

@@ -8,9 +8,8 @@ import pytest
 from tsim.config import ConfigError, OutputOptions, parse_config, serialize_config
 from tsim.io import (TRAJECTORY_HEADER, read_state, write_phases, write_state,
                      write_trajectory)
-from tsim.fock import enumerate_basis
 from tsim.model import LatticeSpec, ModelParams
-from tsim.protocol import ProtocolConfig, build_initial_state, run_protocol
+from tsim.protocol import ProtocolConfig, prepare, run_protocol
 
 MINIMAL = """
 {"lattice": {"sites": 6, "chain": true},
@@ -150,6 +149,14 @@ _NAN, _INF = float("nan"), float("inf")
     ({"lattice": {"sites": 4, "edges": [[0, 5]]}}, None,
      "lattice.edges: edge (0, 5) outside [0, 4)"),
     ({"params": {"u_tau": [0, 0]}}, None, "params.u_tau: expected 4 entries, got 2"),
+    # JSON null is a value of the wrong type, not an absent key
+    ({"params": {"u_tau": None}}, None, "params.u_tau: expected a list of numbers"),
+    ({"params": {"u_upsilon": None}}, None,
+     "params.u_upsilon: expected a list of numbers"),
+    ({"erasure": {"kind": "site-phase", "site": None, "theta": 0.5}}, None,
+     "erasure.site: expected an integer"),
+    ({"erasure": {"kind": "site-phase", "site": 1, "theta": None}}, None,
+     "erasure.theta: expected a finite number"),
 ], ids=["t1-nan", "t2-inf", "j_tau-nan", "u_cross-minus-inf", "u_tau-entry-nan",
         "j_upsilon-huge-int", "theta-nan", "initial-nan", "initial-bool",
         "initial-zero", "initial-norm-overflow", "top-level-list",
@@ -160,7 +167,8 @@ _NAN, _INF = float("nan"), float("inf")
         "initial-type", "out-dir-not-string", "particles-above-sites",
         "t1-zero", "cycles-zero", "erasure-site-out-of-range", "erasure-kind",
         "site-phase-without-theta", "edge-duplicate", "edge-outside",
-        "u_tau-length"])
+        "u_tau-length", "u_tau-null", "u_upsilon-null", "erasure-site-null",
+        "erasure-theta-null"])
 def test_non_finite_numbers_rejected_with_key_path(section, literal, message):
     # Python's json parser accepts NaN, Infinity and integers beyond the
     # float range; each must fail at its key path, not later in the run, as
@@ -176,8 +184,7 @@ def test_huge_initial_amplitudes_normalize():
     # the squares of 1e200 overflow, yet the norm 4e200 is a float, so the
     # document is valid and its state normalizes
     config, _ = parse_config(json.dumps({**_SMALL, "initial": [[1e200, 0.0]] * 16}))
-    basis = enumerate_basis(4, 1)
-    state = build_initial_state(config.initial, basis, basis)
+    state = prepare(config).initial
     assert np.allclose(state, 0.25, rtol=0, atol=1e-16)
 
 

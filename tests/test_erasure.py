@@ -127,6 +127,8 @@ def test_erasure_spec_validation():
         ErasureSpec(kind="random-phase", site=1)
     with pytest.raises(ValueError, match="species: must be one of"):
         ErasureSpec(species="both")
+    with pytest.raises(ValueError, match="^theta: must be finite"):
+        ErasureSpec(kind="site-phase", site=1, theta=float("nan"))
     spec = ErasureSpec(kind="site-phase", species="tau", site=0, theta=0.5)
     basis = enumerate_basis(3, 1)
     seq = erasure_phases(spec, basis, master_seed=0, cycle=1)

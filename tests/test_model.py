@@ -52,9 +52,9 @@ def test_lattice_validation():
 
 
 @pytest.mark.parametrize("field, value, message", [
-    ("j_tau", float("nan"), "j_tau must be finite"),
-    ("u_cross", float("-inf"), "u_cross must be finite"),
-    ("u_upsilon", (0.0, float("inf"), 0.0), "u_upsilon entries must be finite"),
+    ("j_tau", float("nan"), "j_tau: must be finite"),
+    ("u_cross", float("-inf"), "u_cross: must be finite"),
+    ("u_upsilon", (0.0, float("inf"), 0.0), "u_upsilon: entries must be finite"),
 ])
 def test_model_params_reject_non_finite(field, value, message):
     with pytest.raises(ValueError, match=message):

@@ -105,6 +105,12 @@ def test_schmidt_spectrum_matches_svd():
                    - oracles.entanglement_from_vector(g.ravel(), d, d)) < 1e-12
 
 
+def test_failed_eigensolve_is_a_value_error():
+    # numpy's LinAlgError, which the CLI reports as one error line
+    with pytest.raises(ValueError):
+        entanglement_entropy(np.full((3, 3), np.nan))
+
+
 def test_domain_wall_densities():
     bt = enumerate_basis(6, 2)
     bu = enumerate_basis(6, 2)

@@ -4,14 +4,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from tsim import protocol
 from tsim.erasure import ErasureSpec
 from tsim.fock import enumerate_basis
 from tsim.model import LatticeSpec, ModelParams, build_full
 from tsim.propagate import evolve
 from tsim.protocol import (CYCLE_STAGES, STAGE_ERASE, STAGE_INIT,
-                           ProtocolConfig, build_initial_state, prepare,
-                           run_cycle, run_full_hamiltonian, run_protocol,
-                           run_trotter)
+                           ProtocolConfig, prepare, run_cycle,
+                           run_full_hamiltonian, run_protocol, run_trotter)
 
 
 def desk_config(**overrides):
@@ -21,9 +21,14 @@ def desk_config(**overrides):
     return ProtocolConfig(**base)
 
 
+def _config_4_1_1(**overrides):
+    return desk_config(lattice=LatticeSpec.chain(4), n_tau=1, n_upsilon=1,
+                       params=ModelParams.defaults(4), **overrides)
+
+
 def test_domain_wall_initial_state():
     bt, bu = enumerate_basis(6, 2), enumerate_basis(6, 2)
-    psi = build_initial_state("domain-wall", bt, bu)
+    psi = prepare(desk_config()).initial
     assert psi[bt.configs.index(0b000011), bu.configs.index(0b000011)] == 1.0
     assert np.count_nonzero(psi) == 1
 
@@ -39,23 +44,24 @@ def test_domain_wall_report_all_zero():
 
 
 def test_explicit_amplitudes_passthrough():
-    bt, bu = enumerate_basis(4, 1), enumerate_basis(4, 1)
     amps = np.zeros(16, dtype=complex)
     amps[5] = 1.0
-    psi = build_initial_state(tuple(amps), bt, bu)
+    psi = prepare(_config_4_1_1(initial=tuple(amps))).initial
     # explicit amplitudes list gamma row-major
     assert psi.shape == (4, 4) and psi[1, 1] == 1.0
     assert np.array_equal(psi.ravel(), amps)
 
 
 def test_initial_state_errors():
-    bt, bu = enumerate_basis(4, 1), enumerate_basis(4, 1)
-    with pytest.raises(ValueError):
-        build_initial_state("checkerboard", bt, bu)
-    with pytest.raises(ValueError):
-        build_initial_state(tuple(np.zeros(7, dtype=complex)), bt, bu)
-    with pytest.raises(ValueError):
-        build_initial_state(tuple(np.zeros(16, dtype=complex)), bt, bu)
+    with pytest.raises(ValueError, match="^initial: "):
+        _config_4_1_1(initial="checkerboard")
+    with pytest.raises(ValueError, match="^initial: "):
+        _config_4_1_1(initial=tuple(np.zeros(7, dtype=complex)))
+    with pytest.raises(ValueError, match="^initial: "):
+        _config_4_1_1(initial=tuple(np.zeros(16, dtype=complex)))
+    # a document cannot carry a NaN; a library caller can
+    with pytest.raises(ValueError, match="^initial: amplitudes must be finite$"):
+        _config_4_1_1(initial=(complex("nan"),) + (1j,) * 15)
 
 
 def test_control_cycle_is_unitary_round_trip():
@@ -169,6 +175,24 @@ def test_full_hamiltonian_run_conserves_energy():
     assert len(result.records) == 1 + 2 * cfg.cycles
     final = result.final_state
     assert abs(np.vdot(final, h.apply(final)).real - e0) < 1e-9
+
+
+def test_stepwise_operators_are_built_on_first_use(monkeypatch):
+    # protocol resolves the builders in its own namespace at call time
+    built = []
+    for name in ("build_h1", "build_h2"):
+        def build(*args, _name=name, _real=getattr(protocol, name)):
+            built.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(protocol, name, build)
+    cfg = desk_config()
+    ctx = prepare(cfg)
+    run_full_hamiltonian(cfg)
+    assert built == []
+    assert ctx.h1 is ctx.h1
+    assert built == ["build_h1"]
+    run_protocol(cfg)
+    assert built == ["build_h1", "build_h1", "build_h2"]
 
 
 def test_trotter_single_step_is_one_stepwise_pass():

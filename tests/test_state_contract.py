@@ -1,17 +1,17 @@
 """Every function that returns a state returns a new C-contiguous complex128
 gamma of shape (d_x, d_y), and leaves its input state untouched."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import random_state
 from tsim.erasure import apply_random_phases
-from tsim.fock import enumerate_basis
 from tsim.io import read_state, write_state
 from tsim.model import LatticeSpec, ModelParams, build_full, build_h1, build_h2
 from tsim.propagate import evolve
-from tsim.protocol import (ProtocolConfig, build_initial_state, prepare,
-                           run_cycle, run_protocol)
+from tsim.protocol import ProtocolConfig, prepare, run_cycle, run_protocol
 
 SHAPE = (15, 20)  # 6 sites, 2 tau and 3 upsilon particles
 
@@ -41,14 +41,10 @@ def ctx():
     return prepare(ProtocolConfig(lattice, 2, 3, params, cycles=2))
 
 
-def test_initial_states():
-    bt, bu = enumerate_basis(6, 2), enumerate_basis(6, 3)
-    check_state(build_initial_state("domain-wall", bt, bu))
-    amps = random_state(SHAPE, 1).ravel()
-    before = amps.copy()
-    check_state(build_initial_state(amps, bt, bu), amps)
-    check_state(build_initial_state(tuple(amps), bt, bu))
-    assert np.array_equal(amps, before)
+def test_initial_states(ctx):
+    check_state(ctx.initial)
+    amps = tuple(random_state(SHAPE, 1).ravel())
+    check_state(prepare(replace(ctx.config, initial=amps)).initial)
 
 
 @pytest.mark.parametrize("build", [build_h1, build_h2, build_full],
