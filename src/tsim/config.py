@@ -7,8 +7,9 @@ JSON types and forms; each range rule lives in the type that holds the value
 owns every rule on ``initial``), whose ``ValueError`` reads
 ``"<field>: <rule>"`` and is reported here at the field's key path.
 ``serialize_config`` emits a canonical document that reparses to an equal
-configuration.  One key table, ``_KEYS``, lists the plain sections' keys for
-parsing and serialization.
+configuration.  One key table, ``_KEYS``, lists the keys of every section
+except ``initial``, each with the reader that checks its JSON type; every
+present key of a section is read before the section's range rules run.
 
 Minimal document::
 
@@ -23,7 +24,7 @@ random-phase erasure of the upsilon species, and the domain-wall initial state.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from math import isfinite
 
 from .erasure import ErasureSpec
@@ -42,16 +43,6 @@ class OutputOptions:
     dump_phases: bool = False
 
 
-def _section(doc: dict, name: str, allowed: tuple[str, ...]) -> dict:
-    sec = doc.get(name, {})
-    if not isinstance(sec, dict):
-        raise ConfigError(f"{name}: must be an object")
-    for key in sec:
-        if key not in allowed:
-            raise ConfigError(f"{name}.{key}: unknown key")
-    return sec
-
-
 def _finite(val) -> bool:
     """A number, not a boolean, with a finite float value; the json parser
     accepts NaN, Infinity and integers beyond the float range."""
@@ -61,67 +52,66 @@ def _finite(val) -> bool:
         return False
 
 
-def _num(sec: dict, path: str, key: str, default):
-    val = sec.get(key, default)
+def _num(val, path: str) -> float:
     if not _finite(val):
-        raise ConfigError(f"{path}.{key}: expected a finite number")
+        raise ConfigError(f"{path}: expected a finite number")
     return float(val)
 
 
-def _int(sec: dict, path: str, key: str, default):
-    """An integer; a key without a default is required."""
-    if default is None and key not in sec:
-        raise ConfigError(f"{path}.{key}: required")
-    val = sec.get(key, default)
+def _int(val, path: str) -> int:
     if isinstance(val, bool) or not isinstance(val, int):
-        raise ConfigError(f"{path}.{key}: expected an integer")
+        raise ConfigError(f"{path}: expected an integer")
     return val
 
 
-def _bool(sec: dict, path: str, key: str, default):
-    val = sec.get(key, default)
+def _bool(val, path: str) -> bool:
     if not isinstance(val, bool):
-        raise ConfigError(f"{path}.{key}: expected a boolean")
+        raise ConfigError(f"{path}: expected a boolean")
     return val
 
 
-def _vector(sec: dict, path: str, key: str, default: tuple) -> tuple[float, ...]:
-    if key not in sec:
-        return default
-    val = sec[key]
-    if not isinstance(val, list):
-        raise ConfigError(f"{path}.{key}: expected a list of numbers")
-    for i, v in enumerate(val):
-        if not _finite(v):
-            raise ConfigError(f"{path}.{key}[{i}]: expected a finite number")
-    return tuple(float(v) for v in val)
-
-
-def _str(sec: dict, path: str, key: str, default):
-    val = sec.get(key, default)
+def _str(val, path: str) -> str:
     if not isinstance(val, str):
-        raise ConfigError(f"{path}.{key}: expected a string")
+        raise ConfigError(f"{path}: expected a string")
     return val
 
 
-# the keys of each plain section in document order, each with its reader
+def _vector(val, path: str) -> tuple[float, ...]:
+    if not isinstance(val, list):
+        raise ConfigError(f"{path}: expected a list of numbers")
+    return tuple(_num(v, f"{path}[{i}]") for i, v in enumerate(val))
+
+
+def _edges(val, path: str) -> tuple[tuple[int, int], ...]:
+    if not (isinstance(val, list) and all(
+            isinstance(e, list) and len(e) == 2
+            and all(isinstance(v, int) and not isinstance(v, bool) for v in e)
+            for e in val)):
+        raise ConfigError(f"{path}: expected a list of site pairs")
+    return tuple(map(tuple, val))
+
+
+# the keys of each section but ``initial`` in document order, each with the
+# reader that checks its JSON type or form
 _KEYS = {
+    "lattice": {"sites": _int, "chain": _bool, "edges": _edges},
+    "particles": {"tau": _int, "upsilon": _int},
     "params": {"j_tau": _num, "j_upsilon": _num, "u_tau": _vector,
                "u_upsilon": _vector, "u_cross": _num},
     "protocol": {"t1": _num, "t2": _num, "cycles": _int, "seed": _int},
+    "erasure": {"kind": _str, "species": _str, "site": _int, "theta": _num},
     "controls": {"no_erasure_run": _bool, "full_hamiltonian_run": _bool,
                  "trotter_steps": _int},
     "output": {"out_dir": _str, "dump_states": _bool, "dump_phases": _bool},
 }
 
+# the field each key fills, where the two names differ
+_FIELDS = {"tau": "n_tau", "upsilon": "n_upsilon", "seed": "master_seed"}
+
 # the key path of each field that a range rule of a library type names
-_PATHS = {
-    **{key: f"{name}.{key}" for name, keys in _KEYS.items() for key in keys},
-    **{key: f"erasure.{key}" for key in ("kind", "species", "site", "theta")},
-    "sites": "lattice.sites", "edges": "lattice.edges", "n_tau": "particles.tau",
-    "n_upsilon": "particles.upsilon", "master_seed": "protocol.seed",
-    "initial": "initial",
-}
+_PATHS = {_FIELDS.get(key, key): f"{name}.{key}"
+          for name, keys in _KEYS.items() for key in keys}
+_PATHS["initial"] = "initial"
 
 
 def _make(cls, **kwargs):
@@ -134,28 +124,24 @@ def _make(cls, **kwargs):
 
 
 def _read(doc: dict, name: str, defaults: dict) -> dict:
-    """Every key of plain section ``name``, read or taken from ``defaults``."""
-    sec = _section(doc, name, tuple(_KEYS[name]))
-    return {key: read(sec, name, key, defaults[key])
-            for key, read in _KEYS[name].items()}
-
-
-def _lattice(doc: dict) -> LatticeSpec:
-    sec = _section(doc, "lattice", ("sites", "chain", "edges"))
-    sites = _int(sec, "lattice", "sites", None)
-    chain = _bool(sec, "lattice", "chain", "edges" not in sec)
-    if chain == ("edges" in sec):
-        raise ConfigError("lattice.edges: conflicts with lattice.chain" if chain
-                          else "lattice.chain: false needs lattice.edges")
-    if chain:
-        return _make(LatticeSpec.chain, sites=sites)
-    raw = sec["edges"]
-    if not (isinstance(raw, list) and all(
-            isinstance(e, list) and len(e) == 2
-            and all(isinstance(v, int) and not isinstance(v, bool) for v in e)
-            for e in raw)):
-        raise ConfigError("lattice.edges: expected a list of site pairs")
-    return _make(LatticeSpec, sites=sites, edges=tuple(map(tuple, raw)))
+    """Section ``name`` by field name: each present key read, each missing
+    one taken from ``defaults``, and a missing key without one required."""
+    sec = doc.get(name, {})
+    if not isinstance(sec, dict):
+        raise ConfigError(f"{name}: must be an object")
+    for key in sec:
+        if key not in _KEYS[name]:
+            raise ConfigError(f"{name}.{key}: unknown key")
+    out = {}
+    for key, read in _KEYS[name].items():
+        field, path = _FIELDS.get(key, key), f"{name}.{key}"
+        if key in sec:
+            out[field] = read(sec[key], path)
+        elif field in defaults:
+            out[field] = defaults[field]
+        else:
+            raise ConfigError(f"{path}: required")
+    return out
 
 
 def parse_config(text: str) -> tuple[ProtocolConfig, OutputOptions]:
@@ -166,33 +152,27 @@ def parse_config(text: str) -> tuple[ProtocolConfig, OutputOptions]:
         raise ConfigError(f"malformed document: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("top level: must be an object")
-    known = ("lattice", "particles", "erasure", "initial", *_KEYS)
     for key in doc:
-        if key not in known:
+        if key != "initial" and key not in _KEYS:
             raise ConfigError(f"{key}: unknown key")
 
-    lattice = _lattice(doc)
-    sites = lattice.sites
+    # ProtocolConfig's defaults; the particle counts and lattice have none
+    dflt = {f.name: f.default for f in fields(ProtocolConfig)
+            if f.default is not MISSING}
 
-    sec = _section(doc, "particles", ("tau", "upsilon"))
-    n_tau = _int(sec, "particles", "tau", None)
-    n_upsilon = _int(sec, "particles", "upsilon", None)
+    lat = _read(doc, "lattice", {"chain": None, "edges": None})
+    chain = lat["edges"] is None if lat["chain"] is None else lat["chain"]
+    if chain != (lat["edges"] is None):
+        raise ConfigError("lattice.edges: conflicts with lattice.chain" if chain
+                          else "lattice.chain: false needs lattice.edges")
+    lattice = (_make(LatticeSpec.chain, sites=lat["sites"]) if chain
+               else _make(LatticeSpec, sites=lat["sites"], edges=lat["edges"]))
 
-    params = _make(ModelParams,
-                   **_read(doc, "params", asdict(ModelParams.defaults(sites))))
-
-    # the protocol, erasure, controls and initial defaults are ProtocolConfig's
-    dflt = {f.name: f.default for f in fields(ProtocolConfig)}
-    proto = _read(doc, "protocol", {**dflt, "seed": dflt["master_seed"]})
-
-    sec = _section(doc, "erasure", ("kind", "species", "site", "theta"))
-    erasure = _make(
-        ErasureSpec, kind=sec.get("kind", dflt["erasure"].kind),
-        species=sec.get("species", dflt["erasure"].species),
-        site=_int(sec, "erasure", "site", None) if "site" in sec else None,
-        theta=_num(sec, "erasure", "theta", None) if "theta" in sec else None,
-    )
-
+    particles = _read(doc, "particles", dflt)
+    params = _make(ModelParams, **_read(
+        doc, "params", asdict(ModelParams.defaults(lattice.sites))))
+    proto = _read(doc, "protocol", dflt)
+    erasure = _make(ErasureSpec, **_read(doc, "erasure", asdict(dflt["erasure"])))
     controls = _read(doc, "controls", dflt)
 
     initial = doc.get("initial", dflt["initial"])
@@ -206,13 +186,8 @@ def parse_config(text: str) -> tuple[ProtocolConfig, OutputOptions]:
 
     output = OutputOptions(**_read(doc, "output", asdict(OutputOptions())))
 
-    return _make(
-        ProtocolConfig,
-        lattice=lattice, n_tau=n_tau, n_upsilon=n_upsilon, params=params,
-        t1=proto["t1"], t2=proto["t2"], cycles=proto["cycles"],
-        erasure=erasure, master_seed=proto["seed"], initial=initial,
-        **controls,
-    ), output
+    return _make(ProtocolConfig, lattice=lattice, params=params, erasure=erasure,
+                 initial=initial, **particles, **proto, **controls), output
 
 
 def serialize_config(config: ProtocolConfig, output: OutputOptions) -> str:

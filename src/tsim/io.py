@@ -45,13 +45,13 @@ def write_trajectory(records, out_dir, name: str = "trajectory.csv") -> Path:
     return _write_lines(out_dir, name, lines)
 
 
-def write_phases(phase_log, out_dir, name: str = "phases.csv") -> Path:
+def write_phases(phase_log, out_dir) -> Path:
     """Audit dump of the phases applied at each erase stage."""
     lines = ["cycle,index,theta"]
     for cycle, phases in phase_log:
         for i, theta in enumerate(phases):
             lines.append(f"{cycle},{i},{_fmt(theta)}")
-    return _write_lines(out_dir, name, lines)
+    return _write_lines(out_dir, "phases.csv", lines)
 
 
 def write_state(gamma: np.ndarray, path) -> Path:

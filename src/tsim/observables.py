@@ -2,7 +2,8 @@
 occupation densities, fidelity.
 
 All entropies are in nats.  Probabilities below 1e-300 are treated as exact
-zeros (the 0*ln 0 = 0 convention) so the logarithm never sees a zero.
+zeros (the 0*ln 0 = 0 convention) so the logarithm never sees a zero; a NaN
+or infinite probability raises ``ValueError``.
 
 The Schmidt weights are the eigenvalues, by ``np.linalg.eigvalsh``, of the
 Hermitian Gram matrix g g^dagger on gamma's smaller side (g = gamma, or
@@ -17,6 +18,7 @@ at L <= 12 (a rank-1 gamma: 1.3e-13 at 70 x 70, 3.0e-13 at 252 x 252 and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
@@ -26,8 +28,11 @@ _P_FLOOR = 1e-300
 
 
 def _entropy(p: np.ndarray) -> float:
-    p = p[p > _P_FLOOR]
+    # NaN passes the floor, so a NaN or infinite p makes the sum non-finite
+    p = p[~(p <= _P_FLOOR)]
     s = float(-(p * np.log(p)).sum())
+    if not isfinite(s):
+        raise ValueError("entropy: probabilities are not finite")
     # clamp a roundoff tail a few ulps below 0, and an empty sum's -0.0
     return s if s > 0.0 else 0.0
 
@@ -44,9 +49,10 @@ def schmidt_spectrum(gamma: np.ndarray) -> np.ndarray:
 def entanglement_entropy(gamma: np.ndarray) -> float:
     """Von Neumann entropy of the species bipartition, from the Schmidt
     spectrum: -sum sigma_k^2 ln sigma_k^2 over singular values of gamma;
-    the 1e-300 floor drops the spectrum's negative noise weights.  An
-    eigensolve that does not converge, as on a gamma of NaNs, raises numpy's
-    ``LinAlgError``, a ``ValueError``."""
+    the 1e-300 floor drops the spectrum's negative noise weights.  A gamma
+    with NaN or infinite entries raises ``ValueError``: numpy's
+    ``LinAlgError`` if the eigensolve does not converge, else the entropy's
+    own."""
     return _entropy(schmidt_spectrum(gamma))
 
 

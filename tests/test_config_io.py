@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tsim.config import ConfigError, OutputOptions, parse_config, serialize_config
+from tsim.config import (_KEYS, ConfigError, OutputOptions, parse_config,
+                         serialize_config)
 from tsim.io import (TRAJECTORY_HEADER, read_state, write_phases, write_state,
                      write_trajectory)
 from tsim.model import LatticeSpec, ModelParams
@@ -157,6 +158,12 @@ _NAN, _INF = float("nan"), float("inf")
      "erasure.site: expected an integer"),
     ({"erasure": {"kind": "site-phase", "site": 1, "theta": None}}, None,
      "erasure.theta: expected a finite number"),
+    # every key of the table is type-checked before any range rule
+    ({"erasure": {"kind": 5}}, None, "erasure.kind: expected a string"),
+    ({"erasure": {"species": None}}, None, "erasure.species: expected a string"),
+    ({"particles": {"tau": "2", "upsilon": 1}}, None,
+     "particles.tau: expected an integer"),
+    ({"lattice": {"sites": "4"}}, None, "lattice.sites: expected an integer"),
 ], ids=["t1-nan", "t2-inf", "j_tau-nan", "u_cross-minus-inf", "u_tau-entry-nan",
         "j_upsilon-huge-int", "theta-nan", "initial-nan", "initial-bool",
         "initial-zero", "initial-norm-overflow", "top-level-list",
@@ -168,7 +175,8 @@ _NAN, _INF = float("nan"), float("inf")
         "t1-zero", "cycles-zero", "erasure-site-out-of-range", "erasure-kind",
         "site-phase-without-theta", "edge-duplicate", "edge-outside",
         "u_tau-length", "u_tau-null", "u_upsilon-null", "erasure-site-null",
-        "erasure-theta-null"])
+        "erasure-theta-null", "erasure-kind-not-string",
+        "erasure-species-null", "particles-tau-string", "sites-string"])
 def test_non_finite_numbers_rejected_with_key_path(section, literal, message):
     # Python's json parser accepts NaN, Infinity and integers beyond the
     # float range; each must fail at its key path, not later in the run, as
@@ -178,6 +186,13 @@ def test_non_finite_numbers_rejected_with_key_path(section, literal, message):
         text = text.replace('"BIG"', literal)
     with pytest.raises(ConfigError, match=re.escape(message)):
         parse_config(text)
+
+
+def test_key_names_are_unique_across_sections():
+    # a range rule's field maps to one key path only if no two sections
+    # share a key name
+    keys = [key for section in _KEYS.values() for key in section]
+    assert len(keys) == len(set(keys))
 
 
 def test_huge_initial_amplitudes_normalize():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import random_state, shannon_entropies
 from tsim.fock import enumerate_basis
-from tsim.observables import (entanglement_entropy, fidelity, measure,
+from tsim.observables import (_entropy, entanglement_entropy, fidelity, measure,
                               schmidt_spectrum)
 
 
@@ -105,10 +105,28 @@ def test_schmidt_spectrum_matches_svd():
                    - oracles.entanglement_from_vector(g.ravel(), d, d)) < 1e-12
 
 
-def test_failed_eigensolve_is_a_value_error():
-    # numpy's LinAlgError, which the CLI reports as one error line
+@pytest.mark.parametrize("shape", [(1, 2), (2, 3), (3, 3)],
+                         ids=["1x2", "2x3", "3x3"])
+def test_failed_eigensolve_is_a_value_error(shape):
+    # numpy's LinAlgError where the eigensolve fails, else the entropy's own
+    # ValueError on NaN weights; the CLI reports either as one error line
     with pytest.raises(ValueError):
-        entanglement_entropy(np.full((3, 3), np.nan))
+        entanglement_entropy(np.full(shape, np.nan))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_entropy_rejects_non_finite_probabilities(bad):
+    with pytest.raises(ValueError, match="not finite"):
+        _entropy(np.array([0.5, bad, 0.0]))
+
+
+def test_measure_rejects_nan_state():
+    # the Schmidt eigensolve of a 2 x 2 NaN gamma does not raise, so only
+    # the entropy's own check stops it
+    basis = enumerate_basis(2, 1)
+    g = np.full((2, 2), np.nan, dtype=complex)
+    with pytest.raises(ValueError):
+        measure(g, basis, basis, g)
 
 
 def test_domain_wall_densities():
