@@ -25,6 +25,8 @@ def main():
     parser.add_argument("--t", type=float, default=2.0)
     parser.add_argument("--out", default="out/irreversibility.csv")
     args = parser.parse_args()
+    if args.seeds < 1:
+        parser.error("--seeds must be at least 1")
 
     lattice = LatticeSpec.chain(args.sites)
     params = ModelParams.defaults(args.sites)

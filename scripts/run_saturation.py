@@ -26,6 +26,10 @@ def main():
     parser.add_argument("--t", type=float, default=2.0)
     parser.add_argument("--out", default="out/saturation.csv")
     args = parser.parse_args()
+    if args.seeds < 1:
+        parser.error("--seeds must be at least 1")
+    if args.cycles < 1:
+        parser.error("--cycles must be at least 1")
 
     lattice = LatticeSpec.chain(args.sites)
     params = ModelParams.defaults(args.sites)

@@ -13,7 +13,13 @@ with its factorization when |t| changes.  U serves t and -t, which is all a
 cycle asks of H1 and H2, and is one batched matmul on the columns or rows of
 gamma.  Every other operator runs the Chebyshev expansion of Tal-Ezer &
 Kosloff, J. Chem. Phys. 81, 3967 (1984), with a term count fixed a priori,
-in place on three buffers shaped like gamma.  Its interval is
+in place on three buffers and an accumulator.  A stepwise operator acts on
+each column of gamma (H1) or row (H2) alone, so its expansion splits them
+into ``_THREADS`` = min(2, usable CPUs) contiguous slabs, each run by one
+thread of a pool started on the first split, with its own buffers, writing
+its part of the result.  The product accumulates each entry in the same
+order at any slab width, so the result is bit-identical at any slab count;
+the full H couples both axes and runs as one slab.  Its interval is
 ``Hamiltonian.spectral_bounds``, taken from the operator's one-body parts:
 exact for H1 and H2, a Weyl bound for a sum of parts, and padded outward by
 ``model._SPECTRAL_PAD`` of the norm bound.  It is computed and folded into
@@ -21,10 +27,16 @@ the operator on the operator's first Chebyshev call.  The operator is real,
 so each product runs in real arithmetic on gamma's float64 view inside
 ``Hamiltonian.apply`` (Kosloff, J. Phys. Chem. 92, 2087 (1988)), which adds
 the hop_x product into its output buffer in place; the full H's hop_y
-product still allocates.  No step renormalizes its output.
+product still allocates.  The eigen path stays on the calling thread: at
+its sizes a thread handoff costs more than the batched matmul it would
+split.  No step renormalizes its output.
 """
 
 from __future__ import annotations
+
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.special import jv
@@ -36,6 +48,11 @@ from .model import Hamiltonian
 _EIGEN_WORK_MAX = 2**28
 # Chebyshev terms end at the last Bessel coefficient above _CHEB_CUTOFF
 _CHEB_CUTOFF = 1e-15
+# the most slabs a one-hop Chebyshev stage splits into, one pool thread each;
+# the pool starts on the first call that splits
+_THREADS = min(2, len(os.sched_getaffinity(0)))
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
 
 
 def _apply_eigen(op: Hamiltonian, gamma: np.ndarray, t: float) -> np.ndarray:
@@ -66,14 +83,54 @@ def _apply_eigen(op: Hamiltonian, gamma: np.ndarray, t: float) -> np.ndarray:
     return np.ascontiguousarray(sub.T) if by_column else sub
 
 
+def _recurrence(h: Hamiltonian, src: np.ndarray, c: np.ndarray,
+                phase: complex) -> np.ndarray:
+    """phase * sum_k c_k T_k(h) src with T_k = h T_(k-1) - T_(k-2), T_1 =
+    h src / 2, in three rotating buffers and an accumulator, each shaped
+    like src and allocated by the thread that runs it: a slab thread's heap
+    reuses the buffers it freed, while at L=10 the calling thread's go back
+    to the system and fault in again on every call."""
+    prev = np.array(src, dtype=np.complex128, order="C")
+    cur = h.apply(prev)
+    cur *= 0.5
+    acc, tmp = c[0] * prev, np.empty_like(prev)
+    for k in range(1, len(c)):
+        if k > 1:  # T_k over T_(k-2)
+            np.subtract(h.apply(cur, out=tmp), prev, out=prev)
+            prev, cur = cur, prev
+        acc += np.multiply(cur, c[k], out=tmp)
+    acc *= phase
+    return acc
+
+
+def _slab_pool() -> ThreadPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_THREADS, thread_name_prefix="tsim-slab")
+        return _pool
+
+
+def _forget_pool() -> None:
+    # a forked child inherits the pool but not its threads, so work it
+    # queued there would wait forever
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
 def _chebyshev_apply(op: Hamiltonian, g: np.ndarray, t: float) -> np.ndarray:
     """exp(-i*t*H) g as exp(-i*b*t) sum_k c_k T_k((H - b)/a) g on the
     operator's spectral interval [b - a, b + a], with c_k = (2 - delta_k0)
     (-i)^k J_k(a*t), in one expansion however long t is.  The interval is
     computed here, on the operator's first call, never for an eigen-path
-    operator.  T_k = H~ T_(k-1) - T_(k-2), with H~ = 2(H - b)/a cached per
-    operator, runs on g (on g^T for H2, so the hop acts on axis 0) in three
-    rotating buffers."""
+    operator.  The recurrence on H~ = 2(H - b)/a, cached per operator, runs
+    on g (on g^T for H2, so the hop acts on axis 0).  A one-hop operator's
+    columns (of g^T for H2) evolve independently, so they run as up to
+    ``_THREADS`` contiguous slabs on the pool's threads, each writing its
+    columns (rows for H2) of the result."""
     if "chebyshev" not in op._cache:
         lo, hi = op.spectral_bounds()
         # a point interval means H = b, and then any half-width bounds it
@@ -91,20 +148,25 @@ def _chebyshev_apply(op: Hamiltonian, g: np.ndarray, t: float) -> np.ndarray:
     n = max(2, np.flatnonzero(np.abs(bessel) > _CHEB_CUTOFF)[-1] + 1)
     c = np.array([2, -2j, -2, 2j])[np.arange(n) % 4] * bessel[:n]
     c[0] /= 2
-    # the call's own C-order copy of g (of g^T for H2)
-    prev = np.array(g.T if flip else g, dtype=np.complex128, order="C")
-    cur = h.apply(prev)
-    cur *= 0.5  # T_1 = (H - b)/a g
-    acc, tmp = c[0] * prev, np.empty_like(prev)
-    for k in range(1, n):
-        if k > 1:  # T_k over T_(k-2)
-            np.subtract(h.apply(cur, out=tmp), prev, out=prev)
-            prev, cur = cur, prev
-        acc += np.multiply(cur, c[k], out=tmp)
-    acc *= np.exp(-1j * b * t)
-    # free the buffers before H2's transposed copy, so it takes their place
-    del prev, cur, tmp
-    return np.ascontiguousarray(acc.T) if flip else acc
+    phase = np.exp(-1j * b * t)
+    src = g.T if flip else g
+    cols = src.shape[1]
+    # the full H's second hop couples the columns, so it runs as one slab
+    slabs = min(_THREADS, cols) if h.hop_y is None else 1
+    if slabs == 1:
+        acc = _recurrence(h, src, c, phase)
+        # a C-order copy, made once the recurrence's buffers are freed
+        return np.ascontiguousarray(acc.T) if flip else acc
+    out = np.empty(g.shape, dtype=np.complex128)
+    dst = out.T if flip else out
+
+    def run(j: int) -> None:
+        s = np.s_[:, cols * j // slabs:cols * (j + 1) // slabs]
+        dst[s] = _recurrence(Hamiltonian(h.hop_x, None, h.D[s], ()), src[s], c, phase)
+
+    # reading each result raises the first error a slab met
+    list(_slab_pool().map(run, range(slabs)))
+    return out
 
 
 def evolve(gamma: np.ndarray, op: Hamiltonian, t: float) -> np.ndarray:

@@ -125,3 +125,22 @@ def test_overflowing_initial_amplitudes_exit_1_without_warning(tmp_path, capsys)
     err = capsys.readouterr().err
     assert err.count("error: initial: the amplitude norm overflows") == 2
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("script,flag", [
+    ("run_irreversibility.py", "--seeds"),
+    ("run_saturation.py", "--seeds"),
+    ("run_saturation.py", "--cycles"),
+])
+def test_scripts_reject_empty_ensembles(script, flag, tmp_path, monkeypatch, capsys):
+    # an empty ensemble fails at the flag, before any run or output file
+    import runpy
+    from pathlib import Path
+    path = Path(__file__).resolve().parent.parent / "scripts" / script
+    out = tmp_path / "out.csv"
+    monkeypatch.setattr("sys.argv", [script, flag, "0", "--out", str(out)])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(path), run_name="__main__")
+    assert exc.value.code == 2
+    assert f"error: {flag} must be at least 1" in capsys.readouterr().err
+    assert not out.exists()

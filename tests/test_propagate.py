@@ -1,3 +1,5 @@
+import os
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +12,7 @@ from scipy.linalg import expm
 import oracles
 from oracles import hop_sign
 from conftest import random_state, stepwise_generator
+from tsim import propagate
 from tsim.fock import enumerate_basis
 from tsim.model import (_SPECTRAL_PAD, Hamiltonian, LatticeSpec, ModelParams,
                         build_full, build_h1, build_h2)
@@ -476,22 +479,26 @@ def _chebyshev_peak(build, sites, t):
 @pytest.mark.parametrize("t", [0.5, 20.0])
 @pytest.mark.parametrize("build", [build_h1, build_h2, build_full],
                          ids=["h1", "h2", "full"])
-def test_chebyshev_peak_memory(build, t):
-    # three rotating buffers and one accumulator, each the size of gamma,
-    # plus the full H's hop_y product, numpy's cast buffer of D * gamma
+def test_chebyshev_peak_memory(build, t, monkeypatch):
+    # one slab: three rotating buffers and one accumulator, each the size of
+    # gamma, plus the full H's hop_y product, numpy's cast buffer of D * gamma
     # (all of gamma at this size) and H2's transposed result, made once the
-    # buffers are freed; the folded
+    # buffers are freed; two slabs: the result, held from the start, beside
+    # each slab's buffers and cast buffer, half of gamma's each.  The folded
     # operator is built once per operator, by the first call, and is not
     # counted
-    peak, nbytes = _chebyshev_peak(build, 8, t)
-    assert peak <= 6.5 * nbytes
-    if build is build_h2:
-        # H2's transposed copy of its result reuses its freed buffers, so
-        # its peak is H1's; at 10 sites the cast buffer no longer holds all
-        # of gamma, and a copy made beside the live buffers adds a whole one
-        h1, _ = _chebyshev_peak(build_h1, 10, t)
-        h2, nbytes = _chebyshev_peak(build_h2, 10, t)
-        assert h2 <= h1 + 0.25 * nbytes
+    for threads in (1, 2):
+        monkeypatch.setattr(propagate, "_THREADS", threads)
+        peak, nbytes = _chebyshev_peak(build, 8, t)
+        assert peak <= 6.5 * nbytes, threads
+        if build is build_h2:
+            # H2's transposed copy of its result reuses its freed buffers, and
+            # its slabs write their rows of the result, so its peak is H1's;
+            # at 10 sites the cast buffer no longer holds all of gamma, and a
+            # copy made beside the live buffers adds a whole one
+            h1, _ = _chebyshev_peak(build_h1, 10, t)
+            h2, nbytes = _chebyshev_peak(build_h2, 10, t)
+            assert h2 <= h1 + 0.25 * nbytes, threads
 
 
 def test_spectral_bounds_once_per_operator(monkeypatch):
@@ -517,3 +524,144 @@ def test_spectral_bounds_once_per_operator(monkeypatch):
             evolve(psi, op, t)
             _chebyshev_apply(op, psi, t)
     assert calls == [full, h2]
+
+
+@pytest.fixture(scope="module")
+def chain10():
+    """H1 and H2 of an L=10, 5+5 chain with random couplings, where evolve
+    takes Chebyshev, and a random gamma."""
+    lattice, params, bt, bu = _chain_setup(10, 5, 5, seed=139)
+    return ({"h1": build_h1(lattice, params, bt, bu),
+             "h2": build_h2(lattice, params, bt, bu)},
+            random_state((bt.dim, bu.dim), 149))
+
+
+def _slabs_and_one_thread(monkeypatch, op, psi, t):
+    """The Chebyshev result on two slabs, the column counts of the slabs
+    that ran off the calling thread, and the result on one thread."""
+    slabs, recurrence = [], propagate._recurrence
+
+    def counting(h, src, c, phase):
+        if threading.current_thread() is not threading.main_thread():
+            slabs.append(src.shape[1])
+        return recurrence(h, src, c, phase)
+
+    monkeypatch.setattr(propagate, "_recurrence", counting)
+    monkeypatch.setattr(propagate, "_THREADS", 2)
+    two = _chebyshev_apply(op, psi, t)
+    monkeypatch.setattr(propagate, "_THREADS", 1)
+    one = _chebyshev_apply(op, psi, t)
+    assert two.flags.c_contiguous and one.flags.c_contiguous
+    return two, sorted(slabs), one
+
+
+@pytest.mark.parametrize("t", [0.125, -0.125, 2.0, -2.0])
+@pytest.mark.parametrize("mobile", ["h1", "h2"])
+def test_slabs_match_one_thread_at_l10(chain10, mobile, t, monkeypatch):
+    # each column of gamma (row, for H2) sees the same arithmetic in a slab
+    # as in the whole, so the split is exact to the bit
+    ops, psi = chain10
+    two, slabs, one = _slabs_and_one_thread(monkeypatch, ops[mobile], psi, t)
+    assert slabs == [126, 126]
+    assert np.array_equal(two, one)
+
+
+@pytest.mark.parametrize("lattice,n_tau,n_upsilon,slabs", [
+    # gamma (20, 15): H1 splits 15 columns, H2 20 rows
+    pytest.param(LatticeSpec(6, _ring(6).edges + ((0, 3),)), 3, 2,
+                 {"h1": [7, 8], "h2": [10, 10]}, id="ring-chord-3-2"),
+    # gamma (15, 20)
+    pytest.param(_ladder(3), 2, 3, {"h1": [10, 10], "h2": [7, 8]},
+                 id="ladder-2-3"),
+    # gamma (15, 1) and (1, 20): one column for H1, one row for H2, which
+    # run on the calling thread
+    pytest.param(_ladder(3), 2, 0, {"h1": [], "h2": [7, 8]}, id="ladder-2-0"),
+    pytest.param(_ladder(3), 0, 3, {"h1": [10, 10], "h2": []}, id="ladder-0-3"),
+])
+def test_slabs_match_one_thread_off_chain(lattice, n_tau, n_upsilon, slabs,
+                                          monkeypatch):
+    sites = lattice.sites
+    rng = np.random.default_rng(151)
+    params = ModelParams(j_tau=0.8, j_upsilon=-1.1,
+                         u_tau=tuple(rng.uniform(-1, 1, sites)),
+                         u_upsilon=tuple(rng.uniform(-1, 1, sites)),
+                         u_cross=1.7)
+    bt, bu = enumerate_basis(sites, n_tau), enumerate_basis(sites, n_upsilon)
+    # bonds that skip an occupied site carry a fermionic sign of -1
+    assert any(hop_sign(mask, i, j) == -1
+               for basis in (bt, bu) for mask in basis.configs
+               for i, j in lattice.edges if (mask >> i) & 1 != (mask >> j) & 1)
+    psi = random_state((bt.dim, bu.dim), 157)
+    for name, build in (("h1", build_h1), ("h2", build_h2)):
+        op = build(lattice, params, bt, bu)
+        for t in (1.9, -0.4):
+            two, ran, one = _slabs_and_one_thread(monkeypatch, op, psi, t)
+            assert ran == slabs[name]
+            assert np.array_equal(two, one)
+
+
+def test_slab_error_reaches_caller(chain10, monkeypatch):
+    # an error inside a slab thread is raised by evolve, and the pool still
+    # serves the next call
+    ops, psi = chain10
+    monkeypatch.setattr(propagate, "_THREADS", 2)
+    recurrence = propagate._recurrence
+
+    def failing(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("slab failed")
+        return recurrence(*args)
+
+    monkeypatch.setattr(propagate, "_recurrence", failing)
+    with pytest.raises(RuntimeError, match="slab failed"):
+        evolve(psi, ops["h1"], 0.125)
+    monkeypatch.setattr(propagate, "_recurrence", recurrence)
+    two = evolve(psi, ops["h1"], 0.125)
+    monkeypatch.setattr(propagate, "_THREADS", 1)
+    assert np.array_equal(two, evolve(psi, ops["h1"], 0.125))
+
+
+def test_desk_run_starts_no_thread(monkeypatch):
+    # the desk's H1 and H2 take the eigen path, and its full H runs as one
+    # slab, so the pool is never created
+    from tsim.protocol import (ProtocolConfig, run_full_hamiltonian,
+                               run_protocol, run_trotter)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("the slab pool was created")
+
+    monkeypatch.setattr(propagate, "_pool", None)
+    monkeypatch.setattr(propagate, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(propagate, "_THREADS", 2)
+    cfg = ProtocolConfig(lattice=LatticeSpec.chain(6), n_tau=2, n_upsilon=2,
+                         params=ModelParams.defaults(6), cycles=3, trotter_steps=4)
+    for run in (run_protocol, run_full_hamiltonian, run_trotter):
+        run(cfg)
+    assert propagate._pool is None
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_splits_on_its_own_pool(monkeypatch):
+    # a child forked after the pool started has none of its threads, so it
+    # must start its own pool rather than queue work on the inherited one
+    import signal
+    import warnings
+    lattice, params, bt, bu = _chain_setup(6, 3, 3, seed=163)
+    op = build_h1(lattice, params, bt, bu)
+    psi = random_state((bt.dim, bu.dim), 167)
+    monkeypatch.setattr(propagate, "_THREADS", 2)
+    expected = _chebyshev_apply(op, psi, 1.9)
+    assert propagate._pool is not None
+    with warnings.catch_warnings():
+        # newer Pythons warn that forking a threaded process may deadlock
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            signal.alarm(30)  # a hung child dies by SIGALRM
+            code = int(not np.array_equal(_chebyshev_apply(op, psi, 1.9), expected))
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
