@@ -76,14 +76,17 @@ def _cmd_simulate(args) -> int:
     config, output = _load(args.config, args.seed, args.out)
     out_dir = Path(output.out_dir)
 
-    result = run_protocol(config, keep_cycle_states=output.dump_states)
+    states_dir = out_dir / "states"
+
+    def dump(cycle, state):
+        tio.write_state(state, states_dir / tio.state_dump_name(cycle))
+
+    # each cycle's state is written as the cycle ends, never held to the end
+    result = run_protocol(config, on_cycle=dump if output.dump_states else None)
     tio.write_trajectory(result.records, out_dir)
     if output.dump_phases and result.phases:
         tio.write_phases(result.phases, out_dir)
     if output.dump_states:
-        states_dir = out_dir / "states"
-        for cycle, state in enumerate(result.cycle_states, start=1):
-            tio.write_state(state, states_dir / tio.state_dump_name(cycle))
         tio.write_state(result.final_state, states_dir / "state_final.tsim")
 
     if config.full_hamiltonian_run:

@@ -61,7 +61,7 @@ def apply_random_phases(gamma: np.ndarray, species: str,
         raise ValueError(f"need {d} phases for {species}, got {phases.shape}")
     factors = np.exp(1j * phases)
     # tau rows take one factor each, upsilon columns broadcast over the last axis
-    return gamma * (factors[:, None] if axis == 0 else factors)
+    return np.multiply(gamma, factors[:, None] if axis == 0 else factors, order="C")
 
 
 def site_phase_sequence(basis: FockBasis, site: int, theta: float) -> np.ndarray:

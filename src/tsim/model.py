@@ -141,19 +141,27 @@ class Hamiltonian:
         return self.D.size
 
     def apply(self, g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """H gamma as a C-contiguous complex array, written into ``out``
-        (C-contiguous complex128, not overlapping gamma) when given.  The hop
-        matrices are real, so they act on gamma's float64 view (d_x, 2*d_y):
+        """H gamma, for a gamma of D's shape, as a C-contiguous complex
+        array, written into ``out`` (C-contiguous complex128 of D's shape,
+        not overlapping gamma) when given.  The hop matrices are real, so
+        they act on gamma's float64 view (d_x, 2*d_y):
         hop_x on the whole view, adding its product into ``out`` in place
         through scipy's private ``csr_matvecs`` (the kernel behind
         ``csr_array @ dense``), and hop_y on the real and the imaginary
         columns, each product a new array."""
+        # csr_matvecs checks no shape: it would read past a smaller state's
+        # buffer, or multiply a broadcast one wrongly
+        if np.shape(g) != self.D.shape:
+            raise ValueError(f"state shape {np.shape(g)} is not the operator's "
+                             f"{self.D.shape}")
         # the in-place product writes through out's flat float64 view, which
         # any other layout would silently copy
         if out is None:
-            out = np.empty(np.shape(g), np.complex128)
-        elif out.dtype != np.complex128 or not out.flags.c_contiguous:
-            raise ValueError("out must be a C-contiguous complex128 array")
+            out = np.empty(self.D.shape, np.complex128)
+        elif (out.shape != self.D.shape or out.dtype != np.complex128
+              or not out.flags.c_contiguous):
+            raise ValueError(f"out must be a C-contiguous complex128 array of "
+                             f"shape {self.D.shape}")
         elif np.may_share_memory(out, g):
             raise ValueError("out must not share memory with the state")
         g = np.ascontiguousarray(g, dtype=np.complex128)

@@ -38,6 +38,7 @@ and the Trotter run take the same method on the same operators.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb, hypot, isfinite
@@ -134,7 +135,6 @@ class ProtocolResult:
     records: tuple[StageRecord, ...]
     final_state: np.ndarray
     phases: tuple[tuple[int, tuple[float, ...]], ...]
-    cycle_states: tuple[np.ndarray, ...] = ()
 
 
 @dataclass
@@ -219,22 +219,23 @@ def run_cycle(state: np.ndarray, ctx: ProtocolContext,
 
 
 def run_protocol(config: ProtocolConfig,
-                 keep_cycle_states: bool = False) -> ProtocolResult:
-    """Run all cycles; deterministic given the configuration."""
+                 on_cycle: Callable[[int, np.ndarray], None] | None = None
+                 ) -> ProtocolResult:
+    """Run all cycles; deterministic given the configuration.  ``on_cycle``,
+    when given, is called as ``on_cycle(cycle, state)`` as each cycle ends,
+    so a caller can stream the states without the run holding them."""
     ctx = prepare(config)
     state = ctx.initial
     records = [StageRecord(0, STAGE_INIT, 0.0, ctx.measure(state))]
     phase_log = []
-    cycle_states = []
     for cycle in range(1, config.cycles + 1):
         state, recs, phases = run_cycle(state, ctx, cycle)
         records.extend(recs)
         if phases is not None:
             phase_log.append((cycle, tuple(float(p) for p in phases)))
-        if keep_cycle_states:
-            cycle_states.append(state)
-    return ProtocolResult(tuple(records), state, tuple(phase_log),
-                          tuple(cycle_states))
+        if on_cycle is not None:
+            on_cycle(cycle, state)
+    return ProtocolResult(tuple(records), state, tuple(phase_log))
 
 
 def run_full_hamiltonian(config: ProtocolConfig) -> ProtocolResult:

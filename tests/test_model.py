@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -423,6 +425,26 @@ def test_apply_accumulates_through_the_private_product():
                 np.empty(g.shape, np.complex64)):
         with pytest.raises(ValueError, match="C-contiguous complex128"):
             op.apply(g, out=out)
+
+
+@pytest.mark.parametrize("sites,particles,shape", [
+    # the private product would read past this state's buffer (NaNs)
+    (10, 5, (1, 252)),
+    # and multiply this one, broadcast over the columns, wrongly
+    (6, 2, (15, 1)),
+], ids=["L10-row", "desk-column"])
+@pytest.mark.parametrize("given_out", [False, True], ids=["new", "out"])
+def test_apply_rejects_a_state_of_another_shape(sites, particles, shape, given_out):
+    lattice, bt, bu, params = _operators(sites, particles, particles, _params(sites))
+    op = build_h1(lattice, params, bt, bu)
+    out = np.empty(op.D.shape, np.complex128) if given_out else None
+    want = re.escape(f"state shape {shape} is not the operator's {op.D.shape}")
+    with pytest.raises(ValueError, match=want):
+        op.apply(np.ones(shape), out=out)
+    # an out of another shape is refused too, even one gamma would fill
+    for bad in (np.empty(shape, np.complex128), np.empty(op.dim, np.complex128)):
+        with pytest.raises(ValueError, match=re.escape(f"of shape {op.D.shape}")):
+            op.apply(np.ones(op.D.shape), out=bad)
 
 
 @pytest.mark.parametrize("sites,edges,particles", [

@@ -203,11 +203,12 @@ def test_trotter_single_step_is_one_stepwise_pass():
     assert np.array_equal(trot.final_state, manual)
 
 
-def test_keep_cycle_states():
+def test_on_cycle_sees_each_cycle_state():
     cfg = desk_config(cycles=3)
-    result = run_protocol(cfg, keep_cycle_states=True)
-    assert len(result.cycle_states) == 3
-    assert np.array_equal(result.cycle_states[-1], result.final_state)
+    seen = []
+    result = run_protocol(cfg, on_cycle=lambda cycle, state: seen.append((cycle, state)))
+    assert [cycle for cycle, _ in seen] == [1, 2, 3]
+    assert np.array_equal(seen[-1][1], result.final_state)
 
 
 def test_config_validation():

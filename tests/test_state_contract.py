@@ -24,11 +24,16 @@ def check_state(out, *inputs):
 
 
 def call(fn, state, *args):
-    """fn(state, *args), checking that ``state`` is unchanged and unshared."""
+    """fn(state, *args), checking that ``state`` is unchanged and unshared,
+    and that a Fortran-ordered copy of it gives the same C-ordered result."""
     before = state.copy()
     out = fn(state, *args)
     assert np.array_equal(state, before)
     check_state(out, state)
+    given = np.asfortranarray(state)
+    again = fn(given, *args)
+    check_state(again, given)
+    assert np.array_equal(again, out)
     return out
 
 
@@ -70,12 +75,13 @@ def test_run_cycle(ctx):
 
 
 def test_run_protocol(ctx):
-    result = run_protocol(ctx.config, keep_cycle_states=True)
+    states = []
+    result = run_protocol(ctx.config, on_cycle=lambda cycle, state: states.append(state))
     check_state(result.final_state)
-    assert len(result.cycle_states) == 2
-    for state in result.cycle_states:
+    assert len(states) == 2
+    for state in states:
         check_state(state)
-    assert not np.shares_memory(*result.cycle_states)
+    assert not np.shares_memory(*states)
 
 
 def test_read_state(tmp_path):
