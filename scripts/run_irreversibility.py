@@ -9,12 +9,17 @@ domain wall).  Writes one CSV row per seed.
 
 import argparse
 import csv
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from tsim.model import LatticeSpec, ModelParams
 from tsim.protocol import ProtocolConfig, run_protocol
+
+# the flag each ProtocolConfig field comes from, to name it in a usage error
+FLAGS = {"sites": "--sites", "n_tau": "--particles",
+         "n_upsilon": "--particles", "t1": "--t", "t2": "--t"}
 
 
 def main():
@@ -28,14 +33,17 @@ def main():
     if args.seeds < 1:
         parser.error("--seeds must be at least 1")
 
-    lattice = LatticeSpec.chain(args.sites)
-    params = ModelParams.defaults(args.sites)
+    try:
+        base = ProtocolConfig(lattice=LatticeSpec.chain(args.sites),
+                              n_tau=args.particles, n_upsilon=args.particles,
+                              params=ModelParams.defaults(args.sites),
+                              t1=args.t, t2=args.t, cycles=1)
+    except ValueError as exc:
+        field, rule = str(exc).split(": ", 1)
+        parser.error(f"{FLAGS[field]}: {rule}")
     rows = []
     for seed in range(args.seeds):
-        cfg = ProtocolConfig(lattice=lattice, n_tau=args.particles,
-                             n_upsilon=args.particles, params=params,
-                             t1=args.t, t2=args.t, cycles=1, master_seed=seed)
-        final = run_protocol(cfg).records[-1].report
+        final = run_protocol(replace(base, master_seed=seed)).records[-1].report
         rows.append((seed, final.s_tau, final.s_upsilon, final.s_total,
                      final.s_ent, final.fidelity_to_initial))
 

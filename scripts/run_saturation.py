@@ -9,12 +9,17 @@ from the CSV.
 
 import argparse
 import csv
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from tsim.model import LatticeSpec, ModelParams
 from tsim.protocol import ProtocolConfig, run_protocol
+
+# the flag each ProtocolConfig field comes from, to name it in a usage error
+FLAGS = {"sites": "--sites", "n_tau": "--particles",
+         "n_upsilon": "--particles", "t1": "--t", "t2": "--t"}
 
 
 def main():
@@ -31,18 +36,20 @@ def main():
     if args.cycles < 1:
         parser.error("--cycles must be at least 1")
 
-    lattice = LatticeSpec.chain(args.sites)
-    params = ModelParams.defaults(args.sites)
+    try:
+        base = ProtocolConfig(lattice=LatticeSpec.chain(args.sites),
+                              n_tau=args.particles, n_upsilon=args.particles,
+                              params=ModelParams.defaults(args.sites),
+                              t1=args.t, t2=args.t, cycles=args.cycles)
+    except ValueError as exc:
+        field, rule = str(exc).split(": ", 1)
+        parser.error(f"{FLAGS[field]}: {rule}")
     s_ent = np.zeros((args.seeds, args.cycles))
     s_tau = np.zeros_like(s_ent)
     s_total = np.zeros_like(s_ent)
     for seed in range(args.seeds):
-        cfg = ProtocolConfig(lattice=lattice, n_tau=args.particles,
-                             n_upsilon=args.particles, params=params,
-                             t1=args.t, t2=args.t, cycles=args.cycles,
-                             master_seed=seed)
-        finals = [r.report for r in run_protocol(cfg).records
-                  if r.stage == "rev1"]
+        records = run_protocol(replace(base, master_seed=seed)).records
+        finals = [r.report for r in records if r.stage == "rev1"]
         s_ent[seed] = [rep.s_ent for rep in finals]
         s_tau[seed] = [rep.s_tau for rep in finals]
         s_total[seed] = [rep.s_total for rep in finals]

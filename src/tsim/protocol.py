@@ -19,10 +19,13 @@ and therefore changes none of the recorded diagnostics of the rev1 stage.
 
 The state is the coefficient matrix gamma[m, n] over (tau config, upsilon
 config), a C-contiguous complex128 array; each stage returns a new one.
-Diagnostics are recorded after every stage; without the erase stage the cycle
-is a unitary round trip back to its starting state.  Phases are drawn fresh
-each cycle from (master_seed, cycle), so a trajectory is a pure function of
-its configuration.
+Diagnostics are recorded after every stage.  The erase record takes fwd2's
+entropies and densities and computes only its fidelity: the erasure is a
+diagonal phase on one species, a local unitary, so it changes no
+configuration probability and no Schmidt weight.  Without the erase stage the
+cycle is a unitary round trip back to its starting state.  Phases are drawn
+fresh each cycle from (master_seed, cycle), so a trajectory is a pure function
+of its configuration.
 
 Two comparison trajectories exist alongside the cycled protocol: continuous
 evolution under the full Hamiltonian, and a Trotterized variant that splits
@@ -39,7 +42,7 @@ and the Trotter run take the same method on the same operators.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from math import comb, hypot, isfinite
 
@@ -196,7 +199,8 @@ def run_cycle(state: np.ndarray, ctx: ProtocolContext,
 
     state = evolve(state, ctx.h2, cfg.t2)
     t_mid = t0 + cfg.t1 + cfg.t2
-    records.append(StageRecord(cycle, STAGE_FWD2, t_mid, ctx.measure(state)))
+    fwd2 = ctx.measure(state)
+    records.append(StageRecord(cycle, STAGE_FWD2, t_mid, fwd2))
 
     if not cfg.no_erasure_run:
         # the erased species' basis, in the SPECIES order of gamma's axes
@@ -204,7 +208,11 @@ def run_cycle(state: np.ndarray, ctx: ProtocolContext,
             model.SPECIES.index(cfg.erasure.species)]
         phases = er.erasure_phases(cfg.erasure, basis, cfg.master_seed, cycle)
         state = er.apply_random_phases(state, cfg.erasure.species, phases)
-        records.append(StageRecord(cycle, STAGE_ERASE, t_mid, ctx.measure(state)))
+        # a diagonal unitary on one species leaves |gamma|^2 and the
+        # Schmidt weights unchanged, so only the fidelity can move
+        erased = replace(fwd2, fidelity_to_initial=observables.fidelity(
+            ctx.initial, state))
+        records.append(StageRecord(cycle, STAGE_ERASE, t_mid, erased))
 
     state = evolve(state, ctx.h2, -cfg.t2)
     records.append(StageRecord(cycle, STAGE_REV2, t_mid + cfg.t2, ctx.measure(state)))

@@ -127,20 +127,40 @@ def test_overflowing_initial_amplitudes_exit_1_without_warning(tmp_path, capsys)
     assert not (tmp_path / "run").exists()
 
 
+def _script_usage_error(script, argv, tmp_path, monkeypatch, capsys):
+    """Run a script with argv, expecting a usage error before any run or
+    output file; returns its stderr."""
+    import runpy
+    from pathlib import Path
+    path = Path(__file__).resolve().parent.parent / "scripts" / script
+    out = tmp_path / "out.csv"
+    monkeypatch.setattr("sys.argv", [script, *argv, "--out", str(out)])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(path), run_name="__main__")
+    assert exc.value.code == 2
+    assert not out.exists()
+    return capsys.readouterr().err
+
+
 @pytest.mark.parametrize("script,flag", [
     ("run_irreversibility.py", "--seeds"),
     ("run_saturation.py", "--seeds"),
     ("run_saturation.py", "--cycles"),
 ])
 def test_scripts_reject_empty_ensembles(script, flag, tmp_path, monkeypatch, capsys):
-    # an empty ensemble fails at the flag, before any run or output file
-    import runpy
-    from pathlib import Path
-    path = Path(__file__).resolve().parent.parent / "scripts" / script
-    out = tmp_path / "out.csv"
-    monkeypatch.setattr("sys.argv", [script, flag, "0", "--out", str(out)])
-    with pytest.raises(SystemExit) as exc:
-        runpy.run_path(str(path), run_name="__main__")
-    assert exc.value.code == 2
-    assert f"error: {flag} must be at least 1" in capsys.readouterr().err
-    assert not out.exists()
+    err = _script_usage_error(script, [flag, "0"], tmp_path, monkeypatch, capsys)
+    assert f"error: {flag} must be at least 1" in err
+
+
+@pytest.mark.parametrize("script,argv,message", [
+    ("run_irreversibility.py", ["--t", "0"], "--t: must be positive and finite"),
+    ("run_irreversibility.py", ["--sites", "0"], "--sites: must be a positive integer"),
+    ("run_saturation.py", ["--particles", "9"], "--particles: must be in [0, 6]"),
+    ("run_saturation.py", ["--t", "nan"], "--t: must be positive and finite"),
+], ids=["irreversibility-t", "irreversibility-sites", "saturation-particles",
+        "saturation-t"])
+def test_scripts_reject_bad_model_flags(script, argv, message, tmp_path,
+                                        monkeypatch, capsys):
+    # a flag the run's configuration rejects names the flag
+    err = _script_usage_error(script, argv, tmp_path, monkeypatch, capsys)
+    assert f"error: {message}" in err

@@ -4,10 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tsim import protocol
-from tsim.erasure import ErasureSpec
+from tsim import observables, protocol
+from tsim.erasure import (ErasureSpec, apply_random_phases,
+                           erasure_phases)
 from tsim.fock import enumerate_basis
 from tsim.model import LatticeSpec, ModelParams, build_full
+from tsim.observables import fidelity
 from tsim.propagate import evolve
 from tsim.protocol import (CYCLE_STAGES, STAGE_ERASE, STAGE_INIT,
                            ProtocolConfig, prepare, run_cycle,
@@ -132,19 +134,54 @@ def test_entropies_return_on_control_run():
         assert abs(rec.report.s_ent) < 1e-6
 
 
-def test_erase_record_leaves_entropies_unchanged():
-    result = run_protocol(desk_config(cycles=2, master_seed=8))
-    by_cycle = {}
-    for rec in result.records:
-        by_cycle.setdefault(rec.cycle, {})[rec.stage] = rec
-    for cycle in (1, 2):
-        fwd2 = by_cycle[cycle]["fwd2"]
-        erase = by_cycle[cycle][STAGE_ERASE]
-        assert abs(erase.report.s_tau - fwd2.report.s_tau) < 1e-12
-        assert abs(erase.report.s_upsilon - fwd2.report.s_upsilon) < 1e-12
-        assert abs(erase.report.s_total - fwd2.report.s_total) < 1e-12
-        assert abs(erase.report.s_ent - fwd2.report.s_ent) < 1e-12
-        assert erase.model_time == fwd2.model_time
+# a ring with a chord: hops along the chord and the closing bond skip
+# occupied sites, so the hopping matrices carry -1 signs
+_RING_WITH_CHORD = LatticeSpec(
+    6, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (0, 3)))
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(master_seed=8),
+    dict(erasure=ErasureSpec(kind="site-phase", species="tau", site=2, theta=0.7)),
+    dict(lattice=_RING_WITH_CHORD, n_tau=3, n_upsilon=2, master_seed=8),
+], ids=["random-phase-upsilon-desk", "site-phase-tau", "ring-with-chord"])
+def test_erase_record_matches_a_measure_of_the_erased_state(overrides):
+    cfg = desk_config(**overrides)
+    ctx = prepare(cfg)
+    if cfg.lattice is _RING_WITH_CHORD:
+        assert {-1.0, 1.0} <= set(np.sign(ctx.h1.hop_x.data))
+    _, records, _ = run_cycle(ctx.initial, ctx, 1)
+    fwd2, erase = (r.report for r in records[1:3])
+    assert records[2].stage == STAGE_ERASE
+    # the erased state rebuilt by hand, from the stages that precede it
+    species = cfg.erasure.species
+    basis = ctx.basis_tau if species == "tau" else ctx.basis_upsilon
+    state = evolve(evolve(ctx.initial, ctx.h1, cfg.t1), ctx.h2, cfg.t2)
+    phases = erasure_phases(cfg.erasure, basis, cfg.master_seed, 1)
+    erased = apply_random_phases(state, species, phases)
+    want = ctx.measure(erased)
+    for name in ("s_tau", "s_upsilon", "s_total", "s_ent"):
+        assert abs(getattr(erase, name) - getattr(want, name)) < 1e-12
+        assert getattr(erase, name) == getattr(fwd2, name)
+    for name in ("densities_tau", "densities_upsilon"):
+        assert np.allclose(getattr(erase, name), getattr(want, name),
+                           atol=1e-12, rtol=0)
+        assert getattr(erase, name) == getattr(fwd2, name)
+    assert erase.fidelity_to_initial == fidelity(ctx.initial, erased)
+    assert records[2].model_time == records[1].model_time
+
+
+@pytest.mark.parametrize("no_erasure_run", [False, True])
+def test_each_cycle_measures_four_states(no_erasure_run, monkeypatch):
+    # the erase record reuses fwd2's diagnostics, so the erase stage adds
+    # no measure of its own
+    calls = []
+    def counting(*args, _real=observables.measure):
+        calls.append(args)
+        return _real(*args)
+    monkeypatch.setattr(observables, "measure", counting)
+    run_protocol(desk_config(cycles=3, no_erasure_run=no_erasure_run))
+    assert len(calls) == 1 + 4 * 3
 
 
 def test_phase_log_matches_draws():
