@@ -196,15 +196,18 @@ def serialize_config(config: ProtocolConfig, output: OutputOptions) -> str:
         initial = config.initial
     else:
         initial = [[z.real, z.imag] for z in config.initial]
+
+    def section(name: str) -> dict:
+        return {key: getattr(config, _FIELDS.get(key, key)) for key in _KEYS[name]}
+
     doc = {
         "lattice": asdict(config.lattice),
-        "particles": {"tau": config.n_tau, "upsilon": config.n_upsilon},
+        "particles": section("particles"),
         "params": asdict(config.params),
-        "protocol": {"t1": config.t1, "t2": config.t2,
-                     "cycles": config.cycles, "seed": config.master_seed},
+        "protocol": section("protocol"),
         "erasure": {key: val for key, val in asdict(config.erasure).items()
                     if val is not None},
-        "controls": {key: getattr(config, key) for key in _KEYS["controls"]},
+        "controls": section("controls"),
         "initial": initial,
         "output": asdict(output),
     }

@@ -20,16 +20,16 @@ bound for the full H.  The operator is real, so each product runs in real
 arithmetic on gamma's float64 view inside ``Hamiltonian.apply`` (Kosloff,
 J. Phys. Chem. 92, 2087 (1988)).  A one-hop operator's columns evolve on
 their own, so they run as up to ``_THREADS`` = min(2, usable CPUs)
-contiguous slabs, one per thread of a pool started on the first split.  The
-sparse product accumulates each entry in the same order at any slab width,
-so the result is bit-identical at any slab count.  The full H couples both
-axes and runs as one slab.  No step renormalizes its output.
+contiguous slabs on one pool, built at import, whose threads start on the
+first split.  The sparse product accumulates each entry in the same order
+at any slab width, so the result is bit-identical at any slab count.  The
+full H couples both axes and runs as one slab.  No step renormalizes its
+output.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -42,11 +42,9 @@ from .model import Hamiltonian
 _EIGEN_WORK_MAX = 2**28
 # Chebyshev terms end at the last Bessel coefficient above _CHEB_CUTOFF
 _CHEB_CUTOFF = 1e-15
-# the most slabs a one-hop Chebyshev stage splits into, one pool thread each;
-# the pool starts on the first call that splits
+# the most slabs a one-hop Chebyshev stage splits into, one thread each of a
+# pool built at import, whose threads start on the first split
 _THREADS = min(2, len(os.sched_getaffinity(0)))
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
 
 
 def _eigen(op: Hamiltonian, hop, _, D: np.ndarray, src: np.ndarray,
@@ -93,22 +91,15 @@ def _recurrence(h: Hamiltonian, src: np.ndarray, c: np.ndarray,
     return acc
 
 
-def _slab_pool() -> ThreadPoolExecutor:
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(_THREADS, thread_name_prefix="tsim-slab")
-        return _pool
-
-
-def _forget_pool() -> None:
+def _new_pool() -> None:
     # a forked child inherits the pool but not its threads, so work it
-    # queued there would wait forever
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
+    # queued there would wait forever; it gets a pool of its own
+    global _pool
+    _pool = ThreadPoolExecutor(_THREADS, thread_name_prefix="tsim-slab")
 
 
-os.register_at_fork(after_in_child=_forget_pool)
+_new_pool()
+os.register_at_fork(after_in_child=_new_pool)
 
 
 def _chebyshev(op: Hamiltonian, hop_x, hop_y, D: np.ndarray, src: np.ndarray,
@@ -150,7 +141,7 @@ def _chebyshev(op: Hamiltonian, hop_x, hop_y, D: np.ndarray, src: np.ndarray,
         out[s] = _recurrence(Hamiltonian(h.hop_x, None, h.D[s], ()), src[s], c, phase)
 
     # reading each result raises the first error a slab met
-    list(_slab_pool().map(run, range(slabs)))
+    list(_pool.map(run, range(slabs)))
     return out
 
 

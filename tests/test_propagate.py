@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 import threading
 from dataclasses import replace
 
@@ -621,29 +623,65 @@ def test_slab_error_reaches_caller(chain10, monkeypatch):
     assert np.array_equal(two, evolve(psi, ops["h1"], 0.125))
 
 
+def test_two_callers_share_the_pool(chain10, monkeypatch):
+    # two threads split their stages on the one pool at once, and each gets
+    # its own slabs back without waiting on the other's
+    ops, psi = chain10
+    monkeypatch.setattr(propagate, "_THREADS", 2)
+    times = (0.7, -0.7)
+    serial = {(name, t): evolve(psi, op, t) for name, op in ops.items() for t in times}
+    both, results = threading.Barrier(2), {}
+
+    def caller(name):
+        both.wait()
+        for t in times:
+            results[name, t] = evolve(psi, ops[name], t)
+
+    callers = [threading.Thread(target=caller, args=(name,), daemon=True)
+               for name in ops]
+    for thread in callers:
+        thread.start()
+    for thread in callers:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in callers)
+    assert results.keys() == serial.keys()
+    for key, expected in serial.items():
+        assert np.array_equal(results[key], expected), key
+
+
+def test_import_starts_no_thread():
+    # the pool is built at import, and its threads start on the first split
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = "import threading, tsim; print(threading.active_count())"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout == "1\n"
+
+
 def test_desk_run_starts_no_thread(monkeypatch):
     # the desk's H1 and H2 take the eigen path, and its full H runs as one
-    # slab, so the pool is never created
+    # slab, so no work reaches the pool and its threads never start
     from tsim.protocol import (ProtocolConfig, run_full_hamiltonian,
                                run_protocol, run_trotter)
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("the slab pool was created")
+    class NoPool:
+        def map(self, *args, **kwargs):
+            raise AssertionError("work reached the slab pool")
 
-    monkeypatch.setattr(propagate, "_pool", None)
-    monkeypatch.setattr(propagate, "ThreadPoolExecutor", no_pool)
+        submit = map
+
+    monkeypatch.setattr(propagate, "_pool", NoPool())
     monkeypatch.setattr(propagate, "_THREADS", 2)
     cfg = ProtocolConfig(lattice=LatticeSpec.chain(6), n_tau=2, n_upsilon=2,
                          params=ModelParams.defaults(6), cycles=3, trotter_steps=4)
     for run in (run_protocol, run_full_hamiltonian, run_trotter):
         run(cfg)
-    assert propagate._pool is None
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_child_splits_on_its_own_pool(monkeypatch):
-    # a child forked after the pool started has none of its threads, so it
-    # must start its own pool rather than queue work on the inherited one
+    # a child forked after the pool's threads started has none of them, so
+    # it must build its own pool rather than queue work on the inherited one
     import signal
     import warnings
     lattice, params, bt, bu = _chain_setup(6, 3, 3, seed=163)
@@ -651,7 +689,7 @@ def test_forked_child_splits_on_its_own_pool(monkeypatch):
     psi = random_state((bt.dim, bu.dim), 167)
     monkeypatch.setattr(propagate, "_THREADS", 2)
     expected = _chebyshev_apply(op, psi, 1.9)
-    assert propagate._pool is not None
+    parent_pool = propagate._pool
     with warnings.catch_warnings():
         # newer Pythons warn that forking a threaded process may deadlock
         warnings.simplefilter("ignore", DeprecationWarning)
@@ -660,7 +698,8 @@ def test_forked_child_splits_on_its_own_pool(monkeypatch):
         code = 1
         try:
             signal.alarm(30)  # a hung child dies by SIGALRM
-            code = int(not np.array_equal(_chebyshev_apply(op, psi, 1.9), expected))
+            code = int(propagate._pool is parent_pool or not np.array_equal(
+                _chebyshev_apply(op, psi, 1.9), expected))
         finally:
             os._exit(code)
     _, status = os.waitpid(pid, 0)
