@@ -6,12 +6,12 @@ H1's.  A stepwise operator moves one species, so it is block-diagonal over
 the frozen one, and ``_in_h1_layout`` hands H2 over as its hop on gamma^T:
 a one-hop operator's blocks are always the columns of the method's source.
 
-A stepwise operator whose factorization work dim * b**2 (b the dimension of
-its hop) is at most ``_EIGEN_WORK_MAX`` is solved exactly by one cached
-U(|t|): its blocks are factored by one batched ``np.linalg.eigh`` call, and
-only U is kept, rebuilt when |t| changes.  U serves t and -t, which is all a
-cycle asks of H1 and H2.  The eigen path stays on the calling thread: at its
-sizes a thread handoff costs more than the batched matmul it would split.
+A stepwise operator whose build work dim * b**2 (b its hop's dimension) is
+at most ``_EIGEN_WORK_MAX`` is solved exactly by one cached U(|t|), rebuilt
+when |t| changes, from the Slater determinants of the orbitals of its part's
+L x L one-body blocks (Thouless, Nucl. Phys. 21, 225 (1960)).  U serves t
+and -t, all a cycle asks of H1 and H2, on the calling thread, where a
+handoff would cost more than the matmul.
 
 Every other operator runs the Chebyshev expansion of Tal-Ezer & Kosloff,
 J. Chem. Phys. 81, 3967 (1984), with a term count fixed a priori, on the
@@ -31,14 +31,16 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import jv
 
+from .fock import enumerate_basis
 from .model import Hamiltonian
 
-# the eigen path costs n_blocks * b**3 = dim * b**2 to factor and caches its
-# one complex U(|t|) in 16 * dim * b bytes; a larger operator takes Chebyshev
+# the eigen path's U(|t|) costs n_blocks * b**3 = dim * b**2 in its matmuls
+# and is cached in 16 * dim * b bytes; a larger operator takes Chebyshev
 _EIGEN_WORK_MAX = 2**28
 # Chebyshev terms end at the last Bessel coefficient above _CHEB_CUTOFF
 _CHEB_CUTOFF = 1e-15
@@ -47,22 +49,58 @@ _CHEB_CUTOFF = 1e-15
 _THREADS = min(2, len(os.sched_getaffinity(0)))
 
 
-def _eigen(op: Hamiltonian, hop, _, D: np.ndarray, src: np.ndarray,
-           t: float) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _minor_tables(sites: int, n: int) -> tuple:
+    """Tables of the n x n minors det phi[S, A] of an L x L phi over
+    ``enumerate_basis(sites, n)``'s masks: per size r = 1..m, each r-set's
+    sites and its rests' indices among the (r - 1)-sets; the occupations;
+    past half filling, (-1)^(sum S), for Jacobi's det phi[S, A] = (-1)^(sum S
+    + sum A) det phi det phi[S^c, A^c], with m = L - n, complements reversed."""
+    m = min(n, sites - n)
+    levels, prev = [], np.zeros(1, np.int64)
+    for r in range(1, m + 1):
+        basis = enumerate_basis(sites, r)
+        masks = np.array(basis.configs, dtype=np.int64)
+        pick = np.nonzero(basis.occupations)[1].reshape(-1, r)
+        levels.append((pick, np.searchsorted(prev, masks[:, None] ^ (1 << pick))))
+        prev = masks
+    occ = enumerate_basis(sites, n).occupations
+    return levels, occ, 1 - 2 * (occ @ np.arange(sites) % 2) if m < n else None
+
+
+def _slater(phi: np.ndarray, levels, sign) -> np.ndarray:
+    """The minors det phi[S, A] of a stack of orthogonal phi by Laplace
+    expansion along the lowest site, each size's minors stack-last."""
+    lead, minors = phi.transpose(1, 2, 0), np.ones((1, 1, len(phi)))
+    for pick, rest in levels:
+        prev, first = minors[rest[:, 0]], lead[pick[:, 0]]
+        minors = np.zeros((len(pick), len(pick), len(phi)))
+        for p in range(pick.shape[1]):
+            term = prev[:, rest[:, p]]
+            term *= first[:, pick[:, p]]
+            (np.subtract if p % 2 else np.add)(minors, term, out=minors)
+    if sign is not None:
+        minors = minors[::-1, ::-1] * (np.outer(sign, sign)[..., None] * np.linalg.det(phi))
+    return np.ascontiguousarray(minors.transpose(2, 0, 1))
+
+
+def _eigen(op: Hamiltonian, _, __, ___, src: np.ndarray, t: float) -> np.ndarray:
     key, u = op._cache.get("stage", (None, None))
     if key != abs(t):
-        # block k is the hop matrix plus the diagonal of D's column k; its
-        # eigenvectors are dropped once U is built
-        stack = np.repeat(hop.toarray()[None], D.shape[1], axis=0)
-        i = np.arange(hop.shape[0])
-        stack[:, i, i] += D.T
-        w, v = np.linalg.eigh(stack)
-        key = abs(t)
-        # V diag(exp(-i*w*t)) V^T by real matmuls, which copy no V to complex
-        u = np.empty(v.shape, dtype=np.complex128)
-        u.real = (v * np.cos(key * w)[:, None, :]) @ v.swapaxes(1, 2)
-        u.imag = (v * -np.sin(key * w)[:, None, :]) @ v.swapaxes(1, 2)
-        op._cache["stage"] = key, u
+        hop, pot, n = op.parts[0]
+        w, phi = np.linalg.eigh(hop + pot[:, :, None] * np.eye(len(hop)))
+        levels, occ, sign = _minor_tables(len(hop), n)
+        e = abs(t) * (w @ occ.T)
+        cos, sin = np.cos(e), -np.sin(e)
+        # V diag(exp(-i*E*t)) V^T by real matmuls, a quarter of the blocks
+        # at a time, so that the build's transients stay below U
+        u = np.empty(e.shape + e.shape[1:], dtype=np.complex128)
+        step = -(-len(e) // 4)
+        for c in (np.s_[i:i + step] for i in range(0, len(e), step)):
+            v = _slater(phi[c], levels, sign)
+            u[c].real = (v * cos[c, None, :]) @ v.swapaxes(1, 2)
+            u[c].imag = (v * sin[c, None, :]) @ v.swapaxes(1, 2)
+        op._cache["stage"] = abs(t), u
     # V is real, so U(-t) x = conj(U(t) conj(x)) and one propagator serves both
     sub = np.ascontiguousarray(src.T if t > 0 else src.T.conj())
     sub = (u @ sub[..., None])[..., 0]
@@ -170,9 +208,11 @@ def evolve(gamma: np.ndarray, op: Hamiltonian, t: float) -> np.ndarray:
                          f"dims {gamma.shape}")
     if not np.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
+    b = [h.shape[0] for h in (op.hop_x, op.hop_y) if h is not None]
+    if len(op.parts) != len(b):  # both methods read the spectrum from them
+        raise ValueError(f"operator has {len(op.parts)} one-body parts for {len(b)} hops")
     if t == 0.0:
         return np.array(gamma, dtype=np.complex128, order="C")
     # the block path needs exactly one mobile species, with a b x b hop matrix
-    b = [h.shape[0] for h in (op.hop_x, op.hop_y) if h is not None]
     exact = len(b) == 1 and op.dim * b[0] ** 2 <= _EIGEN_WORK_MAX
     return _in_h1_layout(_eigen if exact else _chebyshev, op, gamma, t)

@@ -331,8 +331,9 @@ def test_factorization_is_lazy_and_shared(monkeypatch):
     ctx = prepare(cfg)
     assert calls == [] and builds == []
     run_cycle(ctx.initial, ctx, 1)
-    # fwd1/rev1 share one factorization of H1, fwd2/rev2 one of H2
-    assert calls == [(15, 15, 15), (15, 15, 15)]
+    # fwd1/rev1 share one factorization of H1, fwd2/rev2 one of H2: one
+    # eigh of the 15 one-body 6 x 6 blocks each
+    assert calls == [(15, 6, 6), (15, 6, 6)]
     # and the reverse stage reuses the forward propagator
     assert builds == [(15, 15), (15, 15)]
     run_cycle(ctx.initial, ctx, 2)
@@ -367,7 +368,8 @@ def test_method_follows_operator_size(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     # desk and L=8, 4+4: dim * b**2 is 5.1e4 and 2.4e7, so H1 and H2 factor
-    # once each; the full H and the stepwise generator have two mobile species
+    # their b one-body blocks once each; the full H and the stepwise
+    # generator have two mobile species
     for sites, n, b in ((6, 2, 15), (8, 4, 70)):
         ctx = prepare(config(sites, n))
         h_full = build_full(ctx.config.lattice, ctx.config.params,
@@ -375,7 +377,7 @@ def test_method_follows_operator_size(monkeypatch):
         for op in (ctx.h1, ctx.h2, ctx.h1, ctx.h2, h_full,
                    stepwise_generator(ctx)):
             evolve(ctx.initial, op, 0.5)
-        assert calls == [(b, b, b)] * 2
+        assert calls == [(b, sites, sites)] * 2
         calls.clear()
     # L=10, 5+5: dim * b**2 is 4.0e9, so H1 and H2 take Chebyshev
     ctx = prepare(config(10, 5))
@@ -384,7 +386,78 @@ def test_method_follows_operator_size(monkeypatch):
     assert calls == []
     # the Trotter run takes the same method as the cycles
     run_trotter(replace(config(6, 2), trotter_steps=4))
-    assert calls == [(15, 15, 15)] * 2
+    assert calls == [(15, 6, 6)] * 2
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 4, 6])
+@pytest.mark.parametrize("build", [build_h1, build_h2], ids=["h1", "h2"])
+def test_eigen_propagator_matches_oracle_blocks(build, n):
+    # U is built from the Slater minors of each block's one-body orbitals,
+    # past half filling (n = 4, 6) from the complementary minors; each block
+    # of the evolved gamma is checked against the mobile species' sector
+    # Hamiltonian built from creation operators, on a ring with a chord, with
+    # negative hopping amplitudes
+    lattice = LatticeSpec(6, _ring(6).edges + ((0, 3),))
+    rng = np.random.default_rng(151 + n)
+    params = ModelParams(j_tau=-0.9, j_upsilon=-1.1,
+                         u_tau=tuple(rng.uniform(-1, 1, 6)),
+                         u_upsilon=tuple(rng.uniform(-1, 1, 6)), u_cross=1.3)
+    mobile, frozen = enumerate_basis(6, n), enumerate_basis(6, 2)
+    if build is build_h1:
+        op = build_h1(lattice, params, mobile, frozen)
+        j, u = params.j_tau, params.u_tau
+    else:
+        op = build_h2(lattice, params, frozen, mobile)
+        j, u = params.j_upsilon, params.u_upsilon
+    # the closing bond and the chord skip sites, so hops with sign -1 occur
+    # wherever the mobile species can hop past another particle
+    assert (1 < n < 6) == any(hop_sign(mask, i, k) == -1
+                              for mask in mobile.configs
+                              for i, k in lattice.edges
+                              if (mask >> i) & 1 != (mask >> k) & 1)
+    blocks = []
+    for mask in frozen.configs:
+        eff = [u[i] + params.u_cross * ((mask >> i) & 1) for i in range(6)]
+        blocks.append(np.linalg.eigh(
+            oracles.species_sector_hamiltonian(6, lattice.edges, n, j, eff)))
+    psi = random_state(op.D.shape, 157)
+    for t in (2.0, -2.0, 20.0):
+        out = evolve(psi, op, t)
+        for k, (w, v) in enumerate(blocks):
+            idx = np.s_[:, k] if build is build_h1 else np.s_[k, :]
+            exact = v @ (np.exp(-1j * w * t) * (v.conj().T @ psi[idx]))
+            assert np.max(np.abs(out[idx] - exact)) < 1e-12
+    assert "stage" in op._cache and "chebyshev" not in op._cache
+
+
+def test_operator_without_one_body_parts_is_refused():
+    # both methods read the spectrum from the parts, so an operator that
+    # lacks them is refused before any propagator is built
+    lattice, params, bt, bu = _chain_setup(6, 2, 2, seed=163)
+    op = build_h1(lattice, params, bt, bu)
+    bare = Hamiltonian(op.hop_x, None, op.D, ())
+    with pytest.raises(ValueError, match="^operator has 0 one-body parts for 1 hop"):
+        evolve(random_state(op.D.shape, 167), bare, 1.0)
+    assert bare._cache == {}
+
+
+def test_eigen_propagator_build_peak_memory():
+    # the U build at L=8, 4+4 holds U beside the Slater minors and matmul
+    # operands of a quarter of the blocks, and the cached tables
+    import tracemalloc
+    lattice, params, bt, bu = _chain_setup(8, 4, 4, seed=173)
+    op = build_h1(lattice, params, bt, bu)
+    psi = random_state(op.D.shape, 179)
+    propagate._minor_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        out = evolve(psi, op, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    u = op._cache["stage"][1]
+    assert u.shape == (70, 70, 70) and out.shape == psi.shape
+    assert peak <= 2.5 * u.nbytes
 
 
 @pytest.mark.parametrize("layout", ["h1", "h2", "full", "generator"])

@@ -11,7 +11,8 @@ from tsim.fock import enumerate_basis
 from tsim.model import LatticeSpec, ModelParams, build_full
 from tsim.observables import fidelity
 from tsim.propagate import evolve
-from tsim.protocol import (CYCLE_STAGES, STAGE_ERASE, STAGE_INIT,
+from tsim.protocol import (CYCLE_STAGES, STAGE_ERASE, STAGE_FWD1, STAGE_FWD2,
+                           STAGE_INIT, STAGE_REV1, STAGE_REV2, StageRecord,
                            ProtocolConfig, prepare, run_cycle,
                            run_full_hamiltonian, run_protocol, run_trotter)
 
@@ -169,6 +170,39 @@ def test_erase_record_matches_a_measure_of_the_erased_state(overrides):
         assert getattr(erase, name) == getattr(fwd2, name)
     assert erase.fidelity_to_initial == fidelity(ctx.initial, erased)
     assert records[2].model_time == records[1].model_time
+
+
+@pytest.mark.parametrize("overrides, method", [
+    (dict(cycles=3, master_seed=8), "stage"),
+    (dict(lattice=LatticeSpec.chain(10), n_tau=5, n_upsilon=5,
+          params=ModelParams.defaults(10)), "chebyshev"),
+    (dict(lattice=_RING_WITH_CHORD, n_tau=3, n_upsilon=3, cycles=3,
+          master_seed=8, erasure=ErasureSpec(species="tau")), "stage"),
+], ids=["desk-eigen", "chain10-chebyshev", "ring-with-chord"])
+def test_one_hop_stages_keep_the_frozen_marginals(overrides, method):
+    # H1 is block-diagonal over upsilon configs, so it keeps every column
+    # norm of gamma, the upsilon marginal, and H2 every row norm, the tau
+    # marginal; the erase and closing phases are diagonal and keep both.  A
+    # propagator that mixes blocks breaks this
+    cfg = desk_config(**overrides)
+    ctx = prepare(cfg)
+    state = ctx.initial
+    records = [StageRecord(0, STAGE_INIT, 0.0, ctx.measure(state))]
+    for cycle in range(1, cfg.cycles + 1):
+        state, recs, _ = run_cycle(state, ctx, cycle)
+        records += recs
+    assert method in ctx.h1._cache and method in ctx.h2._cache
+    frozen = {STAGE_FWD1: "upsilon", STAGE_REV1: "upsilon",
+              STAGE_FWD2: "tau", STAGE_REV2: "tau"}
+    checked = 0
+    for prev, rec in zip(records, records[1:]):
+        if rec.stage in frozen:
+            for name in (f"s_{frozen[rec.stage]}", f"densities_{frozen[rec.stage]}"):
+                np.testing.assert_allclose(getattr(rec.report, name),
+                                           getattr(prev.report, name),
+                                           rtol=0, atol=1e-12, err_msg=name)
+            checked += 1
+    assert checked == 4 * cfg.cycles
 
 
 @pytest.mark.parametrize("no_erasure_run", [False, True])
