@@ -6,13 +6,19 @@ zeros (the 0*ln 0 = 0 convention) so the logarithm never sees a zero; a NaN
 or infinite probability raises ``ValueError``.
 
 The Schmidt weights are the eigenvalues, by ``np.linalg.eigvalsh``, of the
-Hermitian Gram matrix g g^dagger on gamma's smaller side (g = gamma, or
-gamma^T when d_y < d_x), not an SVD of gamma.  Their absolute error is
-about 1e-17 per weight, so weights below about 1e-16 are noise, some of them
-negative; the 1e-300 floor drops the negative ones.  On dense low-rank states
-the noise weights add up: against an SVD, S_ent moves by up to about 5e-13
-at L <= 12 (a rank-1 gamma: 1.3e-13 at 70 x 70, 3.0e-13 at 252 x 252 and
-5.5e-13 at 924 x 924).
+Hermitian Gram matrix g g^dagger on the smaller side of gamma's support
+(g = gamma, or gamma^T when d_y < d_x), not an SVD of gamma.  The support is
+the rows and columns that hold a nonzero amplitude; NaN, inf and subnormal
+amplitudes count as nonzero, so a non-finite gamma still raises.  A gamma
+with no exact zero pays one ``all()`` and takes the Gram matrix of the whole
+of it; any other is trimmed to its support first and its weights padded with
+exact zeros, so a state with one nonzero row or column (the domain wall, or
+cycle 1's fwd1 state) costs a 1 x 1 eigensolve whose one weight is its
+squared norm.  The weights' absolute error is about 1e-17 each, so weights
+below about 1e-16 are noise, some of them negative; the 1e-300 floor drops
+the negative ones.  On dense low-rank states the noise weights add up:
+against an SVD, S_ent moves by up to about 5e-13 at L <= 12 (a rank-1
+gamma: 1.3e-13 at 70 x 70, 3.0e-13 at 252 x 252 and 5.5e-13 at 924 x 924).
 """
 
 from __future__ import annotations
@@ -37,20 +43,37 @@ def _entropy(p: np.ndarray) -> float:
     return s if s > 0.0 else 0.0
 
 
+def _gram_eigenvalues(gamma: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of g g^dagger on gamma's smaller side."""
+    g = gamma if gamma.shape[0] <= gamma.shape[1] else gamma.T
+    return np.linalg.eigvalsh(g @ g.conj().T)
+
+
 def schmidt_spectrum(gamma: np.ndarray) -> np.ndarray:
     """Descending Schmidt weights of gamma, min(d_x, d_y) of them: the
-    eigenvalues of the Gram matrix g g^dagger on gamma's smaller side, its
-    squared singular values.  Weights below about 1e-16 are roundoff noise
-    and may be slightly negative."""
-    g = gamma if gamma.shape[0] <= gamma.shape[1] else gamma.T
-    return np.linalg.eigvalsh(g @ g.conj().T)[::-1]
+    eigenvalues of the Gram matrix g g^dagger on the smaller side of gamma's
+    support, its squared singular values.
+
+    A gamma with no exact zero takes the Gram matrix of the whole of it.
+    Otherwise the rows and columns without a nonzero amplitude are dropped
+    first (NaN, inf and subnormal amplitudes count as nonzero), and the
+    eigenvalues of what is left are padded with exact zeros, sorted above
+    any negative noise weight; one nonzero row or column solves a 1 x 1
+    matrix.
+    Weights below about 1e-16 are roundoff noise and may be slightly
+    negative."""
+    if gamma.all():
+        return _gram_eigenvalues(gamma)[::-1]
+    w = _gram_eigenvalues(gamma[np.ix_(gamma.any(axis=1), gamma.any(axis=0))])
+    return np.sort(np.concatenate((w, np.zeros(min(gamma.shape) - w.size))))[::-1]
 
 
 def entanglement_entropy(gamma: np.ndarray) -> float:
     """Von Neumann entropy of the species bipartition, from the Schmidt
-    spectrum: -sum sigma_k^2 ln sigma_k^2 over singular values of gamma;
-    the 1e-300 floor drops the spectrum's negative noise weights.  A gamma
-    with NaN or infinite entries raises ``ValueError``: numpy's
+    spectrum on gamma's support: -sum sigma_k^2 ln sigma_k^2 over singular
+    values of gamma; the 1e-300 floor drops the padded zeros and the
+    spectrum's negative noise weights.  A gamma with NaN or infinite entries
+    raises ``ValueError``, with or without zero rows and columns: numpy's
     ``LinAlgError`` if the eigensolve does not converge, else the entropy's
     own."""
     return _entropy(schmidt_spectrum(gamma))

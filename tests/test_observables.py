@@ -225,3 +225,78 @@ def test_measure_fields_equal_the_single_diagnostics():
     assert np.max(np.abs(np.subtract(report.densities_upsilon, upsilon))) < 1e-14
     assert report.fidelity_to_initial == fidelity(init, psi)
     assert all(type(x) is float for x in report.densities_tau + report.densities_upsilon)
+
+
+@pytest.mark.parametrize("transpose", [False, True], ids=["6x9", "9x6"])
+@pytest.mark.parametrize("rows, cols, rank", [
+    ([0, 2, 3], range(9), None),
+    (range(6), [1, 4, 5, 8], None),
+    ([1, 2, 5], [0, 3, 4, 5], None),
+    (range(6), [0, 7], None),
+    ([0, 1, 3, 4, 5], [0, 1, 2, 3, 5], 2),
+], ids=["zero-rows", "zero-columns", "both", "larger-side", "low-rank"])
+def test_schmidt_spectrum_on_the_support(transpose, rows, cols, rank):
+    # zero rows, zero columns or both, with the support's smaller side on
+    # either axis of gamma: the squared singular values, descending, padded
+    # with exact zeros that sort above any negative noise weight
+    rows, cols = list(rows), list(cols)
+    seed = len(rows) * 10 + len(cols)
+    g = np.zeros((6, 9), dtype=complex)
+    g[np.ix_(rows, cols)] = (
+        random_state((len(rows), len(cols)), seed) if rank is None
+        else _low_rank(len(rows), len(cols), rank, np.random.default_rng(seed)))
+    g = g.T if transpose else g
+    w = schmidt_spectrum(g)
+    assert w.shape == (6,)
+    assert np.all(np.diff(w) <= 0)
+    assert np.max(np.abs(w - np.linalg.svd(g, compute_uv=False) ** 2)) < 1e-14
+    assert np.count_nonzero(w == 0.0) >= 6 - min(len(rows), len(cols))
+
+
+def test_all_zero_gamma_has_zero_weights_and_entropy():
+    g = np.zeros((4, 7), dtype=complex)
+    assert np.array_equal(schmidt_spectrum(g), np.zeros(4))
+    assert entanglement_entropy(g) == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, complex(0, np.nan), np.inf])
+def test_non_finite_gamma_with_zero_rows_is_a_value_error(bad):
+    # the non-finite amplitude sits on an otherwise zero row and column, so
+    # a support that dropped it would read a finite product state; inf
+    # times the zeros beside it makes NaNs in the Gram product
+    g = np.zeros((5, 6), dtype=complex)
+    g[0, 0] = 1.0
+    g[3, 4] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+        entanglement_entropy(g)
+
+
+@pytest.mark.parametrize("shape", [(15, 15), (10, 5), (5, 10)])
+def test_dense_gamma_takes_the_whole_gram_matrix(shape):
+    for seed in range(3):
+        g = random_state(shape, seed)
+        s = g if shape[0] <= shape[1] else g.T
+        assert np.array_equal(schmidt_spectrum(g),
+                              np.linalg.eigvalsh(s @ s.conj().T)[::-1])
+
+
+def test_eigensolve_runs_on_the_support(monkeypatch):
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        solved.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    wall = np.zeros((15, 15), dtype=complex)
+    wall[0, 0] = 1.0
+    column = np.zeros((15, 15), dtype=complex)
+    column[:, 3] = random_state((15, 1), 4)[:, 0]
+    # a subnormal amplitude is nonzero, so it keeps its row and column
+    subnormal = wall.copy()
+    subnormal[7, 9] = 5e-324
+    for g in (wall, column, subnormal, random_state((15, 15), 5),
+              random_state((15, 10), 6)):
+        schmidt_spectrum(g)
+    assert solved == [(1, 1), (1, 1), (2, 2), (15, 15), (10, 10)]

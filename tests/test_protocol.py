@@ -1,10 +1,12 @@
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tsim import observables, protocol
+from tsim.config import parse_config
 from tsim.erasure import (ErasureSpec, apply_random_phases,
                            erasure_phases)
 from tsim.fock import enumerate_basis
@@ -44,6 +46,22 @@ def test_domain_wall_report_all_zero():
     assert report.s_total == 0.0
     assert report.s_ent < 1e-12
     assert report.fidelity_to_initial == 1.0
+
+
+@pytest.mark.parametrize("name", ["desk", "comparison"])
+def test_product_start_has_no_entanglement(name):
+    # H1 moves only tau, so from the domain wall gamma keeps its single
+    # nonzero column through fwd1 and stays a product state.  Its one
+    # Schmidt weight is its squared norm n, which the propagator moves by
+    # about 1e-15, so S_ent is S_upsilon's -n ln n, not an exact 0
+    path = Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"
+    ctx = prepare(parse_config(path.read_text())[0])
+    _, records, _ = run_cycle(ctx.initial, ctx, 1)
+    fwd1 = records[0].report
+    assert records[0].stage == STAGE_FWD1
+    assert ctx.measure(ctx.initial).s_ent == 0.0
+    assert fwd1.s_ent <= 2e-15
+    assert abs(fwd1.s_ent - fwd1.s_upsilon) <= 1e-15
 
 
 def test_explicit_amplitudes_passthrough():
