@@ -17,14 +17,14 @@ Every other operator runs the Chebyshev expansion of Tal-Ezer & Kosloff,
 J. Chem. Phys. 81, 3967 (1984), with a term count fixed a priori, on the
 interval of ``Hamiltonian.spectral_bounds``: exact for H1 and H2, a Weyl
 bound for the full H.  The operator is real, so each product runs in real
-arithmetic on gamma's float64 view inside ``Hamiltonian.apply`` (Kosloff,
-J. Phys. Chem. 92, 2087 (1988)).  A one-hop operator's columns evolve on
-their own, so they run as up to ``_THREADS`` = min(2, usable CPUs)
-contiguous slabs on one pool, built at import, whose threads start on the
-first split.  The sparse product accumulates each entry in the same order
-at any slab width, so the result is bit-identical at any slab count.  The
-full H couples both axes and runs as one slab.  No step renormalizes its
-output.
+arithmetic on gamma's float64 view inside ``_product``, the one place that
+computes H gamma (Kosloff, J. Phys. Chem. 92, 2087 (1988)).  A one-hop
+operator's columns evolve on their own, so they run as up to ``_THREADS`` =
+min(2, usable CPUs) contiguous slabs on one pool, built at import, whose
+threads start on the first split.  The sparse product accumulates each
+entry in the same order at any slab width, so the result is bit-identical
+at any slab count.  The full H couples both axes and runs as one slab.  No
+step renormalizes its output.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 
 import numpy as np
+from scipy.sparse._sparsetools import csr_matvecs
 from scipy.special import jv
 
 from .fock import enumerate_basis
@@ -109,20 +110,36 @@ def _eigen(op: Hamiltonian, _, __, ___, src: np.ndarray, t: float) -> np.ndarray
     return sub.T
 
 
-def _recurrence(h: Hamiltonian, src: np.ndarray, c: np.ndarray,
+def _product(hop_x, hop_y, D: np.ndarray, g: np.ndarray, out: np.ndarray):
+    """H g into ``out``, for g and out C-contiguous complex128 of D's shape.
+    The hops are real, so they act on g's float64 view (rows, 2*cols): hop_x
+    adds its product into ``out`` in place through scipy's private
+    ``csr_matvecs`` (the kernel behind ``csr_array @ dense``), and hop_y acts
+    on the real and the imaginary columns, a new array per product."""
+    np.multiply(D, g, out=out)
+    gf, of = g.view(np.float64), out.view(np.float64)
+    csr_matvecs(*hop_x.shape, gf.shape[1], hop_x.indptr, hop_x.indices,
+                hop_x.data, gf.ravel(), of.ravel())
+    if hop_y is not None:
+        for c in range(2):
+            of[:, c::2] += (hop_y @ gf[:, c::2].T).T
+    return out
+
+
+def _recurrence(h: tuple, src: np.ndarray, c: np.ndarray,
                 phase: complex) -> np.ndarray:
     """phase * sum_k c_k T_k(h) src with T_k = h T_(k-1) - T_(k-2), T_1 =
-    h src / 2, in three rotating buffers and an accumulator, each shaped
-    like src and allocated by the thread that runs it: a slab thread's heap
-    reuses the buffers it freed, while at L=10 the calling thread's go back
-    to the system and fault in again on every call."""
+    h src / 2, for h the folded (hop_x, hop_y, D), in three rotating buffers
+    and an accumulator, each shaped like src and allocated by the thread
+    that runs it: a slab thread's heap reuses the buffers it freed, while at
+    L=10 the calling thread's go back to the system and fault in again."""
     prev = np.array(src, dtype=np.complex128, order="C")
-    cur = h.apply(prev)
+    cur = _product(*h, prev, np.empty_like(prev))
     cur *= 0.5
     acc, tmp = c[0] * prev, np.empty_like(prev)
     for k in range(1, len(c)):
         if k > 1:  # T_k over T_(k-2)
-            np.subtract(h.apply(cur, out=tmp), prev, out=prev)
+            np.subtract(_product(*h, cur, tmp), prev, out=prev)
             prev, cur = cur, prev
         acc += np.multiply(cur, c[k], out=tmp)
     acc *= phase
@@ -146,20 +163,24 @@ def _chebyshev(op: Hamiltonian, hop_x, hop_y, D: np.ndarray, src: np.ndarray,
     operator's spectral interval [b - a, b + a], with c_k = (2 - delta_k0)
     (-i)^k J_k(a*t), in one expansion however long t is.  The interval is
     computed here, on the operator's first call, never for an eigen-path
-    operator, and folded into a copy of the operator.  A one-hop operator's
-    columns evolve independently, so they run as up to ``_THREADS``
-    contiguous slabs on the pool's threads, each writing its columns of the
-    result."""
+    operator, and folded into copies of the hops and D.  A one-hop
+    operator's columns evolve independently, so they run as up to
+    ``_THREADS`` contiguous slabs on the pool's threads, each writing its
+    columns of the result."""
     if "chebyshev" not in op._cache:
         lo, hi = op.spectral_bounds()
         # a point interval means H = b, and then any half-width bounds it
         a, b = (hi - lo) / 2 or 1.0, (hi + lo) / 2
         D = np.subtract(D, b, order="C")
         D *= 2 / a
-        # the folded copy only applies, so it needs no one-body parts
-        h = Hamiltonian(*[None if x is None else 2 / a * x for x in (hop_x, hop_y)], D, ())
+        h = (*[None if x is None else 2 / a * x for x in (hop_x, hop_y)], D)
         op._cache["chebyshev"] = h, a, b
     h, a, b = op._cache["chebyshev"]
+    hop_x, hop_y, D = h
+    # csr_matvecs checks no shape: it would read past a smaller state's
+    # buffer, or multiply one that D broadcasts to wrongly
+    if src.shape != D.shape:
+        raise ValueError(f"state shape {src.shape} is not the operator's {D.shape}")
     # J_k(x) falls off faster than exponentially once k exceeds |x|
     bessel = jv(np.arange(2 * int(a * abs(t)) + 40), a * t)
     n = max(2, np.flatnonzero(np.abs(bessel) > _CHEB_CUTOFF)[-1] + 1)
@@ -168,7 +189,7 @@ def _chebyshev(op: Hamiltonian, hop_x, hop_y, D: np.ndarray, src: np.ndarray,
     phase = np.exp(-1j * b * t)
     cols = src.shape[1]
     # the full H's second hop couples the columns, so it runs as one slab
-    slabs = min(_THREADS, cols) if h.hop_y is None else 1
+    slabs = min(_THREADS, cols) if hop_y is None else 1
     if slabs == 1:
         return _recurrence(h, src, c, phase)
     # in src's memory order, so H2's slabs write rows of gamma
@@ -176,7 +197,7 @@ def _chebyshev(op: Hamiltonian, hop_x, hop_y, D: np.ndarray, src: np.ndarray,
 
     def run(j: int) -> None:
         s = np.s_[:, cols * j // slabs:cols * (j + 1) // slabs]
-        out[s] = _recurrence(Hamiltonian(h.hop_x, None, h.D[s], ()), src[s], c, phase)
+        out[s] = _recurrence((hop_x, None, D[s]), src[s], c, phase)
 
     # reading each result raises the first error a slab met
     list(_pool.map(run, range(slabs)))

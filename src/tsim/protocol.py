@@ -41,6 +41,7 @@ and the Trotter run take the same method on the same operators.
 
 from __future__ import annotations
 
+import os
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -66,6 +67,8 @@ STAGE_TROTTER = "trotter"
 CYCLE_STAGES = (STAGE_FWD1, STAGE_FWD2, STAGE_ERASE, STAGE_REV2, STAGE_REV1)
 
 DOMAIN_WALL = "domain-wall"
+# the machine's physical memory in bytes, the most any gamma can take
+_PHYSICAL_BYTES = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 @dataclass(frozen=True)
@@ -92,6 +95,11 @@ class ProtocolConfig:
         for name in ("n_tau", "n_upsilon"):
             if not 0 <= getattr(self, name) <= sites:
                 raise ValueError(f"{name}: must be in [0, {sites}]")
+        # once the particle numbers are in range: comb refuses a negative one
+        dim = comb(sites, self.n_tau) * comb(sites, self.n_upsilon)
+        if 16 * dim > _PHYSICAL_BYTES:
+            raise ValueError(f"sites: the state takes {16 * dim} bytes, more than "
+                             f"the {_PHYSICAL_BYTES} bytes of physical memory")
         for name in ("u_tau", "u_upsilon"):
             if (n := len(getattr(self.params, name))) != sites:
                 raise ValueError(f"{name}: expected {sites} entries, got {n}")
@@ -109,10 +117,8 @@ class ProtocolConfig:
             if self.initial != DOMAIN_WALL:
                 raise ValueError(f"initial: unknown preset {self.initial!r}")
             return
-        # once the particle numbers are in range: comb refuses a negative one
-        expected = comb(sites, self.n_tau) * comb(sites, self.n_upsilon)
-        if len(self.initial) != expected:
-            raise ValueError(f"initial: expected {expected} amplitude pairs, "
+        if len(self.initial) != dim:
+            raise ValueError(f"initial: expected {dim} amplitude pairs, "
                              f"got {len(self.initial)}")
         parts = [x for z in self.initial for x in (z.real, z.imag)]
         if not all(map(isfinite, parts)):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from tsim.fock import enumerate_basis
 from tsim.model import Hamiltonian, LatticeSpec, ModelParams
 from tsim.observables import measure
+from tsim.propagate import _product
 
 
 @pytest.fixture
@@ -49,3 +51,13 @@ def stepwise_generator(ctx) -> Hamiltonian:
                        tuple((w * hop, w * pot, n)
                              for w, op in ((w1, ctx.h1), (w2, ctx.h2))
                              for hop, pot, n in op.parts))
+
+
+def apply(op: Hamiltonian, g) -> np.ndarray:
+    """H gamma by the Chebyshev recurrence's product, into a fresh buffer.
+    A frozen tau species takes an empty hop, which adds nothing, so H2's
+    hop_y acts on the real and the imaginary columns, as the full H's does."""
+    d_x = op.D.shape[0]
+    hop_x = sp.csr_array((d_x, d_x)) if op.hop_x is None else op.hop_x
+    g = np.ascontiguousarray(g, np.complex128)
+    return _product(hop_x, op.hop_y, op.D, g, np.empty(op.D.shape, np.complex128))

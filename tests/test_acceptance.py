@@ -12,7 +12,7 @@ from scipy import stats
 from scipy.linalg import expm
 
 import oracles
-from conftest import random_state, shannon_entropies, stepwise_generator
+from conftest import apply, random_state, shannon_entropies, stepwise_generator
 from tsim.erasure import apply_random_phases, erasure_phases
 from tsim.fock import enumerate_basis
 from tsim.model import LatticeSpec, ModelParams, build_full, build_h1, build_h2
@@ -231,9 +231,9 @@ def test_criterion_7_conservation_suite():
         for cycle in range(1, cfg.cycles + 1):
             for op, t in ((ctx.h1, cfg.t1), (ctx.h2, cfg.t2),
                           (ctx.h2, -cfg.t2), (ctx.h1, -cfg.t1)):
-                e_before = np.vdot(state, op.apply(state)).real
+                e_before = np.vdot(state, apply(op, state)).real
                 state = evolve(state, op, t)
-                e_after = np.vdot(state, op.apply(state)).real
+                e_after = np.vdot(state, apply(op, state)).real
                 worst_energy = max(worst_energy, abs(e_after - e_before))
                 worst_norm = max(worst_norm, abs(np.linalg.norm(state) - 1.0))
                 report = ctx.measure(state)

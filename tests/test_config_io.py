@@ -1,5 +1,7 @@
 import json
 import re
+import time
+from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +12,7 @@ from tsim.config import (_KEYS, ConfigError, OutputOptions, parse_config,
 from tsim.io import (TRAJECTORY_HEADER, read_state, write_phases, write_state,
                      write_trajectory)
 from tsim.model import LatticeSpec, ModelParams
-from tsim.protocol import ProtocolConfig, prepare, run_protocol
+from tsim.protocol import _PHYSICAL_BYTES, ProtocolConfig, prepare, run_protocol
 
 MINIMAL = """
 {"lattice": {"sites": 6, "chain": true},
@@ -193,6 +195,23 @@ def test_key_names_are_unique_across_sections():
     # share a key name
     keys = [key for section in _KEYS.values() for key in section]
     assert len(keys) == len(set(keys))
+
+
+def test_state_beyond_physical_memory_is_refused():
+    # 16 * C(40, 20)**2 bytes, about 3e23: refused by the constructor, before
+    # any basis of C(40, 20) configs is enumerated
+    doc = json.dumps({"lattice": {"sites": 40},
+                      "particles": {"tau": 20, "upsilon": 20}})
+    start = time.perf_counter()
+    with pytest.raises(ConfigError, match=re.escape(
+            f"lattice.sites: the state takes {16 * comb(40, 20) ** 2} bytes, "
+            f"more than the {_PHYSICAL_BYTES} bytes of physical memory")):
+        parse_config(doc)
+    assert time.perf_counter() - start < 1.0
+    # L=14, 7+7 takes 188 MB, and is a run
+    config, _ = parse_config(json.dumps({"lattice": {"sites": 14},
+                                         "particles": {"tau": 7, "upsilon": 7}}))
+    assert 16 * comb(14, 7) ** 2 < _PHYSICAL_BYTES and config.n_tau == 7
 
 
 def test_huge_initial_amplitudes_normalize():

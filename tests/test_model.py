@@ -1,5 +1,3 @@
-import re
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +8,7 @@ from oracles import hop_sign
 from tsim.fock import enumerate_basis
 from tsim.model import (_SPECTRAL_PAD, LatticeSpec, ModelParams, _hop_matrix,
                         build_full, build_h1, build_h2)
-from conftest import stepwise_generator
+from conftest import apply, stepwise_generator
 from tsim.protocol import ProtocolConfig, prepare
 
 
@@ -327,21 +325,8 @@ def test_operators_match_oracle_on_random_lattices():
             op = build(lattice, params, bt, bu)
             dense = oracles.to_dense(op)
             assert np.array_equal(dense, oracles.sector_hamiltonian(*common, terms=terms))
-            out = op.apply(v.reshape(bt.dim, bu.dim)).ravel()
+            out = apply(op, v.reshape(bt.dim, bu.dim)).ravel()
             assert np.max(np.abs(out - dense @ v), initial=0.0) < 1e-13
-            # written into a given buffer, from a C-ordered complex, an
-            # F-ordered and a real gamma: apply brings each to the C-ordered
-            # complex128 array its float64 view needs
-            g = v.reshape(bt.dim, bu.dim)
-            for x, want in ((g, dense @ v), (np.asfortranarray(g), dense @ v),
-                            (g.real, dense @ v.real)):
-                into = np.empty(g.shape, np.complex128)
-                assert op.apply(x, out=into) is into
-                assert np.max(np.abs(into.ravel() - want), initial=0.0) < 1e-13
-            # D * gamma lands in out before the hops read gamma, so an out
-            # that shares gamma's memory is refused, not silently wrong
-            with pytest.raises(ValueError, match="share memory"):
-                op.apply(g, out=g)
             # the Chebyshev expansion diverges if the interval misses an eigenvalue
             lo, hi = op.spectral_bounds()
             eigs = np.linalg.eigvalsh(dense)
@@ -403,8 +388,9 @@ def test_spectral_interval_matches_block_oracle_on_random_lattices():
 
 
 def test_apply_accumulates_through_the_private_product():
-    # apply adds hop_x's product into out through scipy's private
-    # csr_matvecs; a scipy that drops it or changes what it does fails here
+    # the Chebyshev recurrence adds hop_x's product into its buffer through
+    # scipy's private csr_matvecs; a scipy that drops it or changes what it
+    # does fails here
     from scipy.sparse._sparsetools import csr_matvecs
     rng = np.random.default_rng(23)
     lattice, bt, bu, params = _operators(
@@ -417,34 +403,6 @@ def test_apply_accumulates_through_the_private_product():
     csr_matvecs(*hop.shape, x.shape[1], hop.indptr, hop.indices, hop.data,
                 x.ravel(), y.ravel())
     assert np.max(np.abs(y - want)) < 1e-15
-    # the product lands in out through its flat view, which any other
-    # layout or dtype would copy and lose
-    g = (x[:, ::2] + 1j * x[:, 1::2]).copy()
-    for out in (np.empty(g.shape, np.complex128, order="F"),
-                np.empty((bt.dim, 2 * bu.dim), np.complex128)[:, ::2],
-                np.empty(g.shape, np.complex64)):
-        with pytest.raises(ValueError, match="C-contiguous complex128"):
-            op.apply(g, out=out)
-
-
-@pytest.mark.parametrize("sites,particles,shape", [
-    # the private product would read past this state's buffer (NaNs)
-    (10, 5, (1, 252)),
-    # and multiply this one, broadcast over the columns, wrongly
-    (6, 2, (15, 1)),
-], ids=["L10-row", "desk-column"])
-@pytest.mark.parametrize("given_out", [False, True], ids=["new", "out"])
-def test_apply_rejects_a_state_of_another_shape(sites, particles, shape, given_out):
-    lattice, bt, bu, params = _operators(sites, particles, particles, _params(sites))
-    op = build_h1(lattice, params, bt, bu)
-    out = np.empty(op.D.shape, np.complex128) if given_out else None
-    want = re.escape(f"state shape {shape} is not the operator's {op.D.shape}")
-    with pytest.raises(ValueError, match=want):
-        op.apply(np.ones(shape), out=out)
-    # an out of another shape is refused too, even one gamma would fill
-    for bad in (np.empty(shape, np.complex128), np.empty(op.dim, np.complex128)):
-        with pytest.raises(ValueError, match=re.escape(f"of shape {op.D.shape}")):
-            op.apply(np.ones(op.D.shape), out=bad)
 
 
 @pytest.mark.parametrize("sites,edges,particles", [

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -13,7 +14,7 @@ from scipy.linalg import expm
 
 import oracles
 from oracles import hop_sign
-from conftest import random_state, stepwise_generator
+from conftest import apply, random_state, stepwise_generator
 from tsim import propagate
 from tsim.fock import enumerate_basis
 from tsim.model import (_SPECTRAL_PAD, Hamiltonian, LatticeSpec, ModelParams,
@@ -28,7 +29,7 @@ def chebyshev(state, op, t):
 
 
 def energy(op, g):
-    return float(np.vdot(g, op.apply(g)).real)
+    return float(np.vdot(g, apply(op, g)).real)
 
 
 def _chain_setup(sites, n_tau, n_upsilon, seed=0):
@@ -168,17 +169,17 @@ def test_per_species_number_conservation():
         assert abs(sum(report.densities_upsilon) - 2.0) < 1e-12
 
 
-def test_blockwise_single_block_matches_evolve():
+def test_chebyshev_single_block_matches_eigen_path():
     lattice, params, bt, bu = _chain_setup(4, 0, 2, seed=41)
     h2 = build_h2(lattice, params, bt, bu)
     assert bt.dim == 1  # one tau configuration, so H2 is one block
     psi = random_state((bt.dim, bu.dim), 43)
-    flat = chebyshev(psi, h2, 1.3)
-    block = evolve(psi, h2, 1.3)
-    assert np.max(np.abs(flat - block)) < 1e-12
+    cheb = chebyshev(psi, h2, 1.3)
+    eigen = evolve(psi, h2, 1.3)
+    assert np.max(np.abs(cheb - eigen)) < 1e-12
 
 
-def test_blockwise_matches_flat_h1_h2():
+def test_chebyshev_matches_eigen_path_h1_h2():
     lattice, params, bt, bu = _chain_setup(6, 2, 2, seed=47)
     h1 = build_h1(lattice, params, bt, bu)
     h2 = build_h2(lattice, params, bt, bu)
@@ -186,12 +187,12 @@ def test_blockwise_matches_flat_h1_h2():
         psi = random_state((bt.dim, bu.dim), 100 + seed)
         for op in (h1, h2):
             for t in (0.9, -1.4):
-                flat = chebyshev(psi, op, t)
-                block = evolve(psi, op, t)
-                assert np.max(np.abs(flat - block)) < 1e-10
+                cheb = chebyshev(psi, op, t)
+                eigen = evolve(psi, op, t)
+                assert np.max(np.abs(cheb - eigen)) < 1e-10
 
 
-def test_blockwise_zero_block_stays_zero():
+def test_eigen_path_zero_block_stays_zero():
     lattice, params, bt, bu = _chain_setup(4, 1, 1, seed=53)
     h1 = build_h1(lattice, params, bt, bu)
     # only the block of the first upsilon configuration, column 0 of gamma, lives
@@ -208,6 +209,27 @@ def test_dimension_mismatch_rejected():
     bad = random_state((2, 3), 67)
     with pytest.raises(ValueError):
         evolve(bad, h, 1.0)
+
+
+@pytest.mark.parametrize("sites,n_tau,n_upsilon,shape", [
+    # numpy refuses these two, since D does not broadcast into buffers shaped
+    # like the state, but with a message that names neither operator nor state
+    (10, 5, 5, (1, 252)),
+    (6, 2, 2, (15, 1)),
+    # and takes this one: the one-row D broadcasts over all three rows, and
+    # the 1 x 1 hop reads and writes only the first
+    (4, 0, 2, (3, 6)),
+], ids=["L10-row", "desk-column", "one-row"])
+def test_state_of_another_shape_rejected(sites, n_tau, n_upsilon, shape):
+    lattice, params, bt, bu = _chain_setup(sites, n_tau, n_upsilon)
+    op = build_h1(lattice, params, bt, bu)
+    bad = np.ones(shape, np.complex128)
+    with pytest.raises(ValueError, match=re.escape(
+            f"state shape {shape} is not the operator's {op.D.shape}")):
+        _chebyshev_apply(op, bad, 1.0)
+    with pytest.raises(ValueError, match=re.escape(
+            f"operator dims {op.D.shape} do not match state dims {shape}")):
+        evolve(bad, op, 1.0)
 
 
 @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
@@ -271,8 +293,8 @@ def _ladder(rungs):
     pytest.param(_ring(6), 3, 2, chebyshev, 1e-9, id="lattice0-3-2-chebyshev"),
     pytest.param(_ladder(3), 2, 3, chebyshev, 1e-9, id="lattice1-2-3-chebyshev"),
 ])
-def test_blockwise_matches_per_block_expm_off_chain(lattice, n_tau, n_upsilon,
-                                                    step, tol):
+def test_both_methods_match_per_block_expm_off_chain(lattice, n_tau, n_upsilon,
+                                                     step, tol):
     sites = lattice.sites
     rng = np.random.default_rng(sites + n_tau)
     params = ModelParams(j_tau=0.9, j_upsilon=1.2,
@@ -285,7 +307,7 @@ def test_blockwise_matches_per_block_expm_off_chain(lattice, n_tau, n_upsilon,
                for basis in (bt, bu) for mask in basis.configs
                for i, j in lattice.edges if (mask >> i) & 1 != (mask >> j) & 1)
 
-    def block(frozen, n_mobile, j, u):
+    def dense_block(frozen, n_mobile, j, u):
         eff = [u[i] + params.u_cross * ((frozen >> i) & 1) for i in range(sites)]
         return oracles.species_sector_hamiltonian(sites, lattice.edges, n_mobile,
                                                   j, eff)
@@ -293,9 +315,9 @@ def test_blockwise_matches_per_block_expm_off_chain(lattice, n_tau, n_upsilon,
     # (slice of gamma, dense block) of every frozen-configuration block: the
     # columns of gamma for H1, its rows for H2
     blocks = {
-        "h1": [(np.s_[:, n], block(y, n_tau, params.j_tau, params.u_tau))
+        "h1": [(np.s_[:, n], dense_block(y, n_tau, params.j_tau, params.u_tau))
                for n, y in enumerate(bu.configs)],
-        "h2": [(np.s_[m, :], block(x, n_upsilon, params.j_upsilon, params.u_upsilon))
+        "h2": [(np.s_[m, :], dense_block(x, n_upsilon, params.j_upsilon, params.u_upsilon))
                for m, x in enumerate(bt.configs)],
     }
     ops = {"h1": build_h1(lattice, params, bt, bu),
@@ -593,7 +615,7 @@ def test_spectral_bounds_once_per_operator(monkeypatch):
     times = (0.8, -0.8, 2.5, -0.1)
     for t in times:
         evolve(psi, h2, t)
-    assert calls == [] and "bounds" not in h2._cache
+    assert calls == [] and "chebyshev" not in h2._cache
     for op in (full, h2):
         for t in times:
             evolve(psi, op, t)

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import apply
 from tsim import observables, protocol
 from tsim.config import parse_config
 from tsim.erasure import (ErasureSpec, apply_random_phases,
@@ -259,11 +260,11 @@ def test_full_hamiltonian_run_conserves_energy():
     cfg = desk_config(cycles=2)
     ctx = prepare(cfg)
     h = build_full(cfg.lattice, cfg.params, ctx.basis_tau, ctx.basis_upsilon)
-    e0 = np.vdot(ctx.initial, h.apply(ctx.initial)).real
+    e0 = np.vdot(ctx.initial, apply(h, ctx.initial)).real
     result = run_full_hamiltonian(cfg)
     assert len(result.records) == 1 + 2 * cfg.cycles
     final = result.final_state
-    assert abs(np.vdot(final, h.apply(final)).real - e0) < 1e-9
+    assert abs(np.vdot(final, apply(h, final)).real - e0) < 1e-9
 
 
 def test_stepwise_operators_are_built_on_first_use(monkeypatch):
