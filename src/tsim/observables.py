@@ -46,7 +46,11 @@ def _entropy(p: np.ndarray) -> float:
 def _gram_eigenvalues(gamma: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of g g^dagger on gamma's smaller side."""
     g = gamma if gamma.shape[0] <= gamma.shape[1] else gamma.T
-    return np.linalg.eigvalsh(g @ g.conj().T)
+    # a complex product with an inf meets inf * 0, a NaN that the eigensolve
+    # or the entropy refuses, so it warns of nothing
+    with np.errstate(invalid="ignore"):
+        gram = g @ g.conj().T
+    return np.linalg.eigvalsh(gram)
 
 
 def schmidt_spectrum(gamma: np.ndarray) -> np.ndarray:
@@ -61,7 +65,7 @@ def schmidt_spectrum(gamma: np.ndarray) -> np.ndarray:
     any negative noise weight; one nonzero row or column solves a 1 x 1
     matrix.
     Weights below about 1e-16 are roundoff noise and may be slightly
-    negative."""
+    negative.  A non-finite gamma gives non-finite weights or a LinAlgError."""
     if gamma.all():
         return _gram_eigenvalues(gamma)[::-1]
     w = _gram_eigenvalues(gamma[np.ix_(gamma.any(axis=1), gamma.any(axis=0))])

@@ -1,10 +1,10 @@
 """Time evolution exp(-i*H*t) of a state, the coefficient matrix gamma.
 
 :func:`evolve` returns a new C-contiguous complex128 gamma, never its input,
-and picks the method from the operator alone.  Both methods see one layout,
-H1's.  A stepwise operator moves one species, so it is block-diagonal over
-the frozen one, and ``_in_h1_layout`` hands H2 over as its hop on gamma^T:
-a one-hop operator's blocks are always the columns of the method's source.
+and, as the one caller of both methods, picks one from the operator alone.
+Both see one layout, H1's.  A stepwise operator moves one species, so it is
+block-diagonal over the frozen one, and H2's method runs on gamma^T: a
+one-hop operator's blocks are always the columns of the method's source.
 
 A stepwise operator whose build work dim * b**2 (b its hop's dimension) is
 at most ``_EIGEN_WORK_MAX`` is solved exactly by one cached U(|t|), rebuilt
@@ -85,7 +85,7 @@ def _slater(phi: np.ndarray, levels, sign) -> np.ndarray:
     return np.ascontiguousarray(minors.transpose(2, 0, 1))
 
 
-def _eigen(op: Hamiltonian, _, __, ___, src: np.ndarray, t: float) -> np.ndarray:
+def _eigen(op: Hamiltonian, src: np.ndarray, t: float) -> np.ndarray:
     key, u = op._cache.get("stage", (None, None))
     if key != abs(t):
         hop, pot, n = op.parts[0]
@@ -157,30 +157,28 @@ _new_pool()
 os.register_at_fork(after_in_child=_new_pool)
 
 
-def _chebyshev(op: Hamiltonian, hop_x, hop_y, D: np.ndarray, src: np.ndarray,
-               t: float) -> np.ndarray:
+def _chebyshev(op: Hamiltonian, src: np.ndarray, t: float) -> np.ndarray:
     """exp(-i*t*H) src as exp(-i*b*t) sum_k c_k T_k((H - b)/a) src on the
     operator's spectral interval [b - a, b + a], with c_k = (2 - delta_k0)
     (-i)^k J_k(a*t), in one expansion however long t is.  The interval is
     computed here, on the operator's first call, never for an eigen-path
-    operator, and folded into copies of the hops and D.  A one-hop
-    operator's columns evolve independently, so they run as up to
-    ``_THREADS`` contiguous slabs on the pool's threads, each writing its
-    columns of the result."""
+    operator, and folded into copies of the hops and D in H1's layout, H2's
+    as (hop_y, None, D^T); src has D's shape, which ``evolve`` checks and
+    ``csr_matvecs`` does not.  A one-hop operator's columns evolve on their
+    own, so they run as up to ``_THREADS`` contiguous slabs on the pool's
+    threads, each writing its columns of the result."""
     if "chebyshev" not in op._cache:
         lo, hi = op.spectral_bounds()
         # a point interval means H = b, and then any half-width bounds it
         a, b = (hi - lo) / 2 or 1.0, (hi + lo) / 2
+        hops, D = ((op.hop_y, None), op.D.T) if op.hop_x is None else (
+            (op.hop_x, op.hop_y), op.D)
         D = np.subtract(D, b, order="C")
         D *= 2 / a
-        h = (*[None if x is None else 2 / a * x for x in (hop_x, hop_y)], D)
+        h = (*[None if x is None else 2 / a * x for x in hops], D)
         op._cache["chebyshev"] = h, a, b
     h, a, b = op._cache["chebyshev"]
     hop_x, hop_y, D = h
-    # csr_matvecs checks no shape: it would read past a smaller state's
-    # buffer, or multiply one that D broadcasts to wrongly
-    if src.shape != D.shape:
-        raise ValueError(f"state shape {src.shape} is not the operator's {D.shape}")
     # J_k(x) falls off faster than exponentially once k exceeds |x|
     bessel = jv(np.arange(2 * int(a * abs(t)) + 40), a * t)
     n = max(2, np.flatnonzero(np.abs(bessel) > _CHEB_CUTOFF)[-1] + 1)
@@ -204,26 +202,11 @@ def _chebyshev(op: Hamiltonian, hop_x, hop_y, D: np.ndarray, src: np.ndarray,
     return out
 
 
-def _in_h1_layout(method, op: Hamiltonian, gamma: np.ndarray, t: float) -> np.ndarray:
-    """``method`` run with a one-hop operator's blocks on the columns of its
-    source: H2 hands it (hop_y, None, D^T, gamma^T) and gets its result
-    transposed back, in a C-order copy only where the method did not already
-    write gamma's order."""
-    flip = op.hop_x is None
-    args = (op.hop_y, None, op.D.T, gamma.T) if flip else (op.hop_x, op.hop_y, op.D, gamma)
-    out = method(op, *args, t)
-    return np.ascontiguousarray(out.T if flip else out)
-
-
-def _chebyshev_apply(op: Hamiltonian, g: np.ndarray, t: float) -> np.ndarray:
-    """The Chebyshev method on any operator, whatever evolve would pick."""
-    return _in_h1_layout(_chebyshev, op, g, t)
-
-
 def evolve(gamma: np.ndarray, op: Hamiltonian, t: float) -> np.ndarray:
     """exp(-i*op*t) applied to the coefficient matrix ``gamma``, as a new
     C-contiguous complex array; negative t reverses the evolution.  Cached
-    block eigen for a small stepwise operator, Chebyshev otherwise."""
+    block eigen for a small stepwise operator, Chebyshev otherwise, H2's on
+    gamma^T; either runs only on a state of the operator's shape."""
     if gamma.shape != op.D.shape:
         raise ValueError(f"operator dims {op.D.shape} do not match state "
                          f"dims {gamma.shape}")
@@ -236,4 +219,6 @@ def evolve(gamma: np.ndarray, op: Hamiltonian, t: float) -> np.ndarray:
         return np.array(gamma, dtype=np.complex128, order="C")
     # the block path needs exactly one mobile species, with a b x b hop matrix
     exact = len(b) == 1 and op.dim * b[0] ** 2 <= _EIGEN_WORK_MAX
-    return _in_h1_layout(_eigen if exact else _chebyshev, op, gamma, t)
+    flip = op.hop_x is None
+    out = (_eigen if exact else _chebyshev)(op, gamma.T if flip else gamma, t)
+    return np.ascontiguousarray(out.T if flip else out)

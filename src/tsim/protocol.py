@@ -9,13 +9,19 @@ One cycle applies, in order:
     rev1   reverse evolution, tau-mobile, duration t1
 
 After rev1 the cycle closes by applying the conjugate of its own phase
-pattern.  This closure matters: without it, consecutive cycles telescope
-(each cycle's forward evolution cancels the previous cycle's reverse), the
+pattern E_c.  Without that closure consecutive cycles telescope (each
+cycle's forward evolution cancels the previous cycle's reverse), the
 diagonal phase patterns merely compose, and N cycles collapse to a single
-scramble with no cumulative entropy growth.  The closing conjugate sits
-between evolutions at different circuit depths, so repetition keeps deepening
-the scramble until the entanglement entropy saturates.  It is itself diagonal
-and therefore changes none of the recorded diagnostics of the rev1 stage.
+scramble with no cumulative entropy growth.  The closure stops this only for
+the Hamiltonian that moves the erased species: E_c is diagonal over that
+species' configs, so it commutes with the Hamiltonian that freezes them.
+With upsilon erased, U1 E_c^+ U1^+ = E_c^+, so H1 telescopes across the
+cycle boundary and N cycles are U1^+ (prod_c E_c^+ U2^+ E_c U2) U1; with tau
+erased, U2^+ E_c U2 = E_c, and H2 cancels around each erase stage.  The
+remaining evolutions sit between phase patterns at different circuit depths,
+so repetition keeps deepening the scramble until the entanglement entropy
+saturates.  The closing conjugate is diagonal and changes none of the rev1
+stage's diagnostics.
 
 The state is the coefficient matrix gamma[m, n] over (tau config, upsilon
 config), a C-contiguous complex128 array; each stage returns a new one.
@@ -143,7 +149,7 @@ class StageRecord:
 class ProtocolResult:
     records: tuple[StageRecord, ...]
     final_state: np.ndarray
-    phases: tuple[tuple[int, tuple[float, ...]], ...]
+    phases: tuple[tuple[int, np.ndarray], ...]
 
 
 @dataclass
@@ -246,7 +252,7 @@ def run_protocol(config: ProtocolConfig,
         state, recs, phases = run_cycle(state, ctx, cycle)
         records.extend(recs)
         if phases is not None:
-            phase_log.append((cycle, tuple(float(p) for p in phases)))
+            phase_log.append((cycle, phases))
         if on_cycle is not None:
             on_cycle(cycle, state)
     return ProtocolResult(tuple(records), state, tuple(phase_log))

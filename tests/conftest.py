@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from tsim import propagate
 from tsim.fock import enumerate_basis
 from tsim.model import Hamiltonian, LatticeSpec, ModelParams
 from tsim.observables import measure
@@ -61,3 +62,21 @@ def apply(op: Hamiltonian, g) -> np.ndarray:
     hop_x = sp.csr_array((d_x, d_x)) if op.hop_x is None else op.hop_x
     g = np.ascontiguousarray(g, np.complex128)
     return _product(hop_x, op.hop_y, op.D, g, np.empty(op.D.shape, np.complex128))
+
+
+def chebyshev(gamma, op: Hamiltonian, t: float) -> np.ndarray:
+    """``evolve`` by the Chebyshev expansion, whichever method it would pick
+    for ``op``: the eigen path's work bound is patched below every
+    operator's for the call, which fails unless ``_chebyshev`` ran."""
+    runs, method = [], propagate._chebyshev
+
+    def counting(*args):
+        runs.append(1)
+        return method(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(propagate, "_EIGEN_WORK_MAX", 0)
+        mp.setattr(propagate, "_chebyshev", counting)
+        out = propagate.evolve(gamma, op, t)
+    assert runs, "evolve did not run the Chebyshev method"
+    return out

@@ -12,12 +12,13 @@ from scipy import stats
 from scipy.linalg import expm
 
 import oracles
-from conftest import apply, random_state, shannon_entropies, stepwise_generator
+from conftest import (apply, chebyshev, random_state, shannon_entropies,
+                      stepwise_generator)
 from tsim.erasure import apply_random_phases, erasure_phases
 from tsim.fock import enumerate_basis
 from tsim.model import LatticeSpec, ModelParams, build_full, build_h1, build_h2
 from tsim.observables import schmidt_spectrum
-from tsim.propagate import _chebyshev_apply, evolve
+from tsim.propagate import evolve
 from tsim.protocol import ProtocolConfig, prepare, run_protocol, run_trotter
 
 # 80% of the plateau measured by the standalone brute-force reference
@@ -194,7 +195,7 @@ def test_criterion_5_block_propagation_equivalence():
             for t in (cfg.t1, -cfg.t2):
                 # evolve solves the desk blocks exactly; the whole-gamma
                 # Chebyshev expansion is the independent method
-                whole = _chebyshev_apply(op, psi, t)
+                whole = chebyshev(psi, op, t)
                 block = evolve(psi, op, t)
                 worst = max(worst, float(np.max(np.abs(whole - block))))
     passed = worst <= 1e-10

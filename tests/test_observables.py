@@ -267,7 +267,19 @@ def test_non_finite_gamma_with_zero_rows_is_a_value_error(bad):
     g = np.zeros((5, 6), dtype=complex)
     g[0, 0] = 1.0
     g[3, 4] = bad
-    with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+    with pytest.raises(ValueError):
+        entanglement_entropy(g)
+
+
+@pytest.mark.parametrize("bad", [np.inf, complex(0, np.inf), -np.inf, np.nan])
+@pytest.mark.parametrize("shape", [(15, 15), (10, 5)])
+def test_non_finite_dense_gamma_is_a_value_error(shape, bad):
+    # an inf amplitude's complex products in the Gram matrix meet inf * 0,
+    # so it holds NaNs; that is a ValueError (numpy's LinAlgError, or the
+    # entropy's own), not a warning
+    g = random_state(shape, 7)
+    g[2, 3] = bad
+    with pytest.raises(ValueError):
         entanglement_entropy(g)
 
 

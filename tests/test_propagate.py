@@ -14,18 +14,12 @@ from scipy.linalg import expm
 
 import oracles
 from oracles import hop_sign
-from conftest import apply, random_state, stepwise_generator
+from conftest import apply, chebyshev, random_state, stepwise_generator
 from tsim import propagate
 from tsim.fock import enumerate_basis
 from tsim.model import (_SPECTRAL_PAD, Hamiltonian, LatticeSpec, ModelParams,
                         build_full, build_h1, build_h2)
-from tsim.propagate import _chebyshev_apply, evolve
-
-
-def chebyshev(state, op, t):
-    """The Chebyshev expansion on the whole of gamma, whichever method
-    ``evolve`` picks for ``op``."""
-    return _chebyshev_apply(op, state, t)
+from tsim.propagate import evolve
 
 
 def energy(op, g):
@@ -212,11 +206,12 @@ def test_dimension_mismatch_rejected():
 
 
 @pytest.mark.parametrize("sites,n_tau,n_upsilon,shape", [
-    # numpy refuses these two, since D does not broadcast into buffers shaped
-    # like the state, but with a message that names neither operator nor state
+    # past evolve's check, numpy would refuse these two, since D does not
+    # broadcast into buffers shaped like the state, but with a message that
+    # names neither operator nor state
     (10, 5, 5, (1, 252)),
     (6, 2, 2, (15, 1)),
-    # and takes this one: the one-row D broadcasts over all three rows, and
+    # and take this one: the one-row D broadcasts over all three rows, and
     # the 1 x 1 hop reads and writes only the first
     (4, 0, 2, (3, 6)),
 ], ids=["L10-row", "desk-column", "one-row"])
@@ -224,12 +219,11 @@ def test_state_of_another_shape_rejected(sites, n_tau, n_upsilon, shape):
     lattice, params, bt, bu = _chain_setup(sites, n_tau, n_upsilon)
     op = build_h1(lattice, params, bt, bu)
     bad = np.ones(shape, np.complex128)
-    with pytest.raises(ValueError, match=re.escape(
-            f"state shape {shape} is not the operator's {op.D.shape}")):
-        _chebyshev_apply(op, bad, 1.0)
-    with pytest.raises(ValueError, match=re.escape(
-            f"operator dims {op.D.shape} do not match state dims {shape}")):
-        evolve(bad, op, 1.0)
+    # evolve checks the shape before either method runs
+    for run in (evolve, chebyshev):
+        with pytest.raises(ValueError, match=re.escape(
+                f"operator dims {op.D.shape} do not match state dims {shape}")):
+            run(bad, op, 1.0)
 
 
 @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
@@ -509,7 +503,7 @@ def test_chebyshev_matches_dense_eigendecomposition(layout):
     assert np.all(psi.imag != 0)
     for t in (1.9, -2.6):
         exact = v @ (np.exp(-1j * w * t) * (v.T @ psi.ravel()))
-        out = _chebyshev_apply(op, psi, t)
+        out = chebyshev(psi, op, t)
         assert np.max(np.abs(out.ravel() - exact)) < 1e-12
 
 
@@ -555,17 +549,17 @@ def test_chebyshev_matches_sparse_oracle_blocks_at_l12(mobile):
 
 
 def _chebyshev_peak(build, sites, t):
-    """Peak traced bytes of a warm ``_chebyshev_apply`` call at half filling
+    """Peak traced bytes of a warm ``chebyshev`` call at half filling
     of both species on a chain, and the bytes of gamma."""
     import tracemalloc
     lattice, params, bt, bu = _chain_setup(sites, sites // 2, sites // 2, seed=97)
     op = build(lattice, params, bt, bu)
     psi = random_state((bt.dim, bu.dim), 101)
-    _chebyshev_apply(op, psi, t)
+    chebyshev(psi, op, t)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        out = _chebyshev_apply(op, psi, t)
+        out = chebyshev(psi, op, t)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -619,7 +613,7 @@ def test_spectral_bounds_once_per_operator(monkeypatch):
     for op in (full, h2):
         for t in times:
             evolve(psi, op, t)
-            _chebyshev_apply(op, psi, t)
+            chebyshev(psi, op, t)
     assert calls == [full, h2]
 
 
@@ -645,9 +639,9 @@ def _slabs_and_one_thread(monkeypatch, op, psi, t):
 
     monkeypatch.setattr(propagate, "_recurrence", counting)
     monkeypatch.setattr(propagate, "_THREADS", 2)
-    two = _chebyshev_apply(op, psi, t)
+    two = chebyshev(psi, op, t)
     monkeypatch.setattr(propagate, "_THREADS", 1)
-    one = _chebyshev_apply(op, psi, t)
+    one = chebyshev(psi, op, t)
     assert two.flags.c_contiguous and one.flags.c_contiguous
     return two, sorted(slabs), one
 
@@ -783,7 +777,7 @@ def test_forked_child_splits_on_its_own_pool(monkeypatch):
     op = build_h1(lattice, params, bt, bu)
     psi = random_state((bt.dim, bu.dim), 167)
     monkeypatch.setattr(propagate, "_THREADS", 2)
-    expected = _chebyshev_apply(op, psi, 1.9)
+    expected = chebyshev(psi, op, 1.9)
     parent_pool = propagate._pool
     with warnings.catch_warnings():
         # newer Pythons warn that forking a threaded process may deadlock
@@ -794,7 +788,7 @@ def test_forked_child_splits_on_its_own_pool(monkeypatch):
         try:
             signal.alarm(30)  # a hung child dies by SIGALRM
             code = int(propagate._pool is parent_pool or not np.array_equal(
-                _chebyshev_apply(op, psi, 1.9), expected))
+                chebyshev(psi, op, 1.9), expected))
         finally:
             os._exit(code)
     _, status = os.waitpid(pid, 0)

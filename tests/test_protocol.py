@@ -115,7 +115,8 @@ def test_trajectory_is_deterministic():
     b = run_protocol(cfg)
     assert a.records == b.records
     assert np.array_equal(a.final_state, b.final_state)
-    assert a.phases == b.phases
+    assert [c for c, _ in a.phases] == [c for c, _ in b.phases] == [1, 2, 3]
+    assert all(np.array_equal(p, q) for (_, p), (_, q) in zip(a.phases, b.phases))
 
 
 def test_stage_order_and_single_erase_record():
@@ -243,8 +244,7 @@ def test_phase_log_matches_draws():
     result = run_protocol(cfg)
     assert len(result.phases) == 2
     for cycle, phases in result.phases:
-        expected = draw_phases(77, cycle, 15)
-        assert np.array_equal(np.array(phases), expected)
+        assert np.array_equal(phases, draw_phases(77, cycle, 15))
 
 
 def test_run_cycle_signature():
