@@ -24,14 +24,17 @@ saturates.  The closing conjugate is diagonal and changes none of the rev1
 stage's diagnostics.
 
 The state is the coefficient matrix gamma[m, n] over (tau config, upsilon
-config), a C-contiguous complex128 array; each stage returns a new one.
-Diagnostics are recorded after every stage.  The erase record takes fwd2's
-entropies and densities and computes only its fidelity: the erasure is a
-diagonal phase on one species, a local unitary, so it changes no
-configuration probability and no Schmidt weight.  Without the erase stage the
-cycle is a unitary round trip back to its starting state.  Phases are drawn
-fresh each cycle from (master_seed, cycle), so a trajectory is a pure function
-of its configuration.
+config), a C-contiguous complex128 array.  Diagnostics are recorded after
+every stage.  A stage whose state is a diagonal phase on one species times
+an earlier one is derived: that local unitary changes no configuration
+probability and no Schmidt weight, so its record is the earlier one with
+only the fidelity recomputed.  The erase record is fwd2's; by the identities
+above, tau erased, rev2 is E_c times fwd1, and upsilon erased, each fwd1
+after cycle 1 is E_{c-1}^+ times the previous rev2 (on control runs too,
+with E = 1).  A steady cycle so runs three propagations and three measures.
+Without the erase stage the cycle is a unitary round trip back to its
+starting state.  Phases are drawn fresh each cycle from (master_seed, cycle),
+so a trajectory is a pure function of its configuration.
 
 Two comparison trajectories exist alongside the cycled protocol: continuous
 evolution under the full Hamiltonian, and a Trotterized variant that splits
@@ -40,16 +43,16 @@ small-step limit of that variant is generated by the duration-weighted mean
 of the two stepwise Hamiltonians (the cross coupling appears in both, so the
 sum differs from the full Hamiltonian).
 
-Every stage and comparison step calls ``propagate.evolve``, which picks its
-method from the operator alone (see its docstring for the rule), so the cycles
-and the Trotter run take the same method on the same operators.
+Every propagated stage and comparison step calls ``propagate.evolve``, which
+picks its method from the operator alone (see its docstring for the rule), so
+the cycles and the Trotter run take the same method on the same operators.
 """
 
 from __future__ import annotations
 
 import os
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from math import comb, hypot, isfinite
 
@@ -161,6 +164,8 @@ class ProtocolContext:
     basis_tau: FockBasis
     basis_upsilon: FockBasis
     initial: np.ndarray
+    # (copy of the state run_cycle last returned, next fwd1 state, its report)
+    _next_fwd1: tuple | None = field(default=None, init=False, repr=False)
 
     @cached_property
     def h1(self) -> Hamiltonian:
@@ -196,20 +201,40 @@ def prepare(config: ProtocolConfig) -> ProtocolContext:
     return ProtocolContext(config, basis_tau, basis_upsilon, initial)
 
 
+def _phased(ctx: ProtocolContext, state: np.ndarray,
+            report: observables.EntropyReport, phases: np.ndarray | None):
+    """``state`` times the erased species' ``phases`` (None: 1), and
+    ``report`` with only the fidelity recomputed (see the module docstring)."""
+    if phases is not None:
+        state = er.apply_random_phases(state, ctx.config.erasure.species, phases)
+    return state, replace(report, fidelity_to_initial=observables.fidelity(
+        ctx.initial, state))
+
+
 def run_cycle(state: np.ndarray, ctx: ProtocolContext,
               cycle: int) -> tuple[np.ndarray, list[StageRecord],
                                    np.ndarray | None]:
     """One full cycle; returns the new state, its stage records, and the
-    phases applied at the erase stage (None when erasure is disabled)."""
+    phases applied at the erase stage (None when erasure is disabled).
+
+    With upsilon erased it leaves the next fwd1 state and report in ``ctx``
+    (about 2·gamma), keyed on a copy of the returned state: the next call
+    takes them only if its state equals that copy in value, so any state may
+    be passed, or the returned one changed in place."""
     cfg = ctx.config
     t0 = (cycle - 1) * 2.0 * (cfg.t1 + cfg.t2)
     records = []
-    phases = None
+    phases = closing = None
 
-    state = evolve(state, ctx.h1, cfg.t1)
-    records.append(StageRecord(cycle, STAGE_FWD1, t0 + cfg.t1, ctx.measure(state)))
+    memo, ctx._next_fwd1 = ctx._next_fwd1, None
+    if memo is not None and np.array_equal(state, memo[0]):
+        fwd1_state, fwd1 = memo[1:]
+    else:
+        fwd1_state = evolve(state, ctx.h1, cfg.t1)
+        fwd1 = ctx.measure(fwd1_state)
+    records.append(StageRecord(cycle, STAGE_FWD1, t0 + cfg.t1, fwd1))
 
-    state = evolve(state, ctx.h2, cfg.t2)
+    state = evolve(fwd1_state, ctx.h2, cfg.t2)
     t_mid = t0 + cfg.t1 + cfg.t2
     fwd2 = ctx.measure(state)
     records.append(StageRecord(cycle, STAGE_FWD2, t_mid, fwd2))
@@ -219,22 +244,25 @@ def run_cycle(state: np.ndarray, ctx: ProtocolContext,
         basis = (ctx.basis_tau, ctx.basis_upsilon)[
             model.SPECIES.index(cfg.erasure.species)]
         phases = er.erasure_phases(cfg.erasure, basis, cfg.master_seed, cycle)
-        state = er.apply_random_phases(state, cfg.erasure.species, phases)
-        # a diagonal unitary on one species leaves |gamma|^2 and the
-        # Schmidt weights unchanged, so only the fidelity can move
-        erased = replace(fwd2, fidelity_to_initial=observables.fidelity(
-            ctx.initial, state))
+        closing = -phases
+        state, erased = _phased(ctx, state, fwd2, phases)
         records.append(StageRecord(cycle, STAGE_ERASE, t_mid, erased))
 
-    state = evolve(state, ctx.h2, -cfg.t2)
-    records.append(StageRecord(cycle, STAGE_REV2, t_mid + cfg.t2, ctx.measure(state)))
+    if cfg.erasure.species == model.TAU:  # U2^+ E_c U2 = E_c
+        rev2_state, rev2 = _phased(ctx, fwd1_state, fwd1, phases)
+    else:
+        rev2_state = evolve(state, ctx.h2, -cfg.t2)
+        rev2 = ctx.measure(rev2_state)
+    records.append(StageRecord(cycle, STAGE_REV2, t_mid + cfg.t2, rev2))
 
-    state = evolve(state, ctx.h1, -cfg.t1)
+    state = evolve(rev2_state, ctx.h1, -cfg.t1)
     if phases is not None:
         # close the cycle with the conjugate phases (see module docstring)
-        state = er.apply_random_phases(state, cfg.erasure.species, -phases)
+        state = er.apply_random_phases(state, cfg.erasure.species, closing)
     records.append(StageRecord(cycle, STAGE_REV1, t_mid + cfg.t2 + cfg.t1,
                                ctx.measure(state)))
+    if cfg.erasure.species == model.UPSILON:  # U1 E_c^+ U1^+ = E_c^+
+        ctx._next_fwd1 = (state.copy(), *_phased(ctx, rev2_state, rev2, closing))
     return state, records, phases
 
 

@@ -5,8 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import apply
-from tsim import observables, protocol
+from conftest import apply, random_state
+from tsim import observables, propagate, protocol
 from tsim.config import parse_config
 from tsim.erasure import (ErasureSpec, apply_random_phases,
                            erasure_phases)
@@ -225,17 +225,126 @@ def test_one_hop_stages_keep_the_frozen_marginals(overrides, method):
     assert checked == 4 * cfg.cycles
 
 
-@pytest.mark.parametrize("no_erasure_run", [False, True])
-def test_each_cycle_measures_four_states(no_erasure_run, monkeypatch):
-    # the erase record reuses fwd2's diagnostics, so the erase stage adds
-    # no measure of its own
-    calls = []
-    def counting(*args, _real=observables.measure):
+def _counting(calls, real):
+    def count(*args):
         calls.append(args)
-        return _real(*args)
-    monkeypatch.setattr(observables, "measure", counting)
-    run_protocol(desk_config(cycles=3, no_erasure_run=no_erasure_run))
-    assert len(calls) == 1 + 4 * 3
+        return real(*args)
+    return count
+
+
+@pytest.mark.parametrize("species, no_erasure_run", [
+    ("upsilon", False), ("upsilon", True), ("tau", False), ("tau", True),
+], ids=["upsilon-erased", "upsilon-control", "tau-erased", "tau-control"])
+def test_cycle_measure_and_evolve_counts(species, no_erasure_run, monkeypatch):
+    # the erase record reuses fwd2's diagnostics; upsilon erased, each fwd1
+    # after cycle 1 is derived from the previous rev2, and tau erased, each
+    # rev2 from its fwd1, so a steady cycle runs 3 evolves and 3 measures
+    measures, evolves = [], []
+    monkeypatch.setattr(observables, "measure",
+                        _counting(measures, observables.measure))
+    monkeypatch.setattr(protocol, "evolve", _counting(evolves, protocol.evolve))
+    c = 3
+    run_protocol(desk_config(cycles=c, no_erasure_run=no_erasure_run,
+                             erasure=ErasureSpec(species=species)))
+    if species == "upsilon":
+        assert len(measures) == 1 + 4 + 3 * (c - 1)
+        assert len(evolves) == 4 + 3 * (c - 1)
+    else:
+        assert len(measures) == 1 + 3 * c
+        assert len(evolves) == 3 * c
+
+
+def _direct_route(ctx, state, cycles) -> list:
+    """The state after every recorded stage of ``cycles``, from ``state`` by
+    direct ``evolve`` calls: the full route, with no stage derived."""
+    cfg = ctx.config
+    species = cfg.erasure.species
+    basis = ctx.basis_tau if species == "tau" else ctx.basis_upsilon
+    stages = []
+    for cycle in cycles:
+        phases = (np.zeros(basis.dim) if cfg.no_erasure_run else
+                  erasure_phases(cfg.erasure, basis, cfg.master_seed, cycle))
+        fwd1 = evolve(state, ctx.h1, cfg.t1)
+        fwd2 = evolve(fwd1, ctx.h2, cfg.t2)
+        erased = apply_random_phases(fwd2, species, phases)
+        rev2 = evolve(erased, ctx.h2, -cfg.t2)
+        state = apply_random_phases(evolve(rev2, ctx.h1, -cfg.t1), species,
+                                    -phases)
+        stages += [fwd1, fwd2] + ([] if cfg.no_erasure_run else [erased])
+        stages += [rev2, state]
+    return stages
+
+
+def _assert_records_measure(ctx, records, stages):
+    assert len(records) == len(stages)
+    for rec, state in zip(records, stages):
+        want = ctx.measure(state)
+        for name in ("s_tau", "s_upsilon", "s_total", "s_ent",
+                     "fidelity_to_initial", "densities_tau", "densities_upsilon"):
+            np.testing.assert_allclose(
+                getattr(rec.report, name), getattr(want, name), rtol=0,
+                atol=1e-12, err_msg=f"cycle {rec.cycle} {rec.stage} {name}")
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(master_seed=8),
+    dict(master_seed=8, erasure=ErasureSpec(species="tau")),
+    dict(no_erasure_run=True),
+    dict(no_erasure_run=True, erasure=ErasureSpec(species="tau")),
+    dict(erasure=ErasureSpec(kind="site-phase", site=2, theta=0.7)),
+    dict(lattice=_RING_WITH_CHORD, n_tau=3, n_upsilon=2, master_seed=8),
+    dict(lattice=_RING_WITH_CHORD, n_tau=3, n_upsilon=2, master_seed=8,
+         erasure=ErasureSpec(species="tau")),
+], ids=["upsilon", "tau", "control-upsilon", "control-tau", "site-phase-upsilon",
+        "ring-with-chord-upsilon", "ring-with-chord-tau"])
+@pytest.mark.parametrize("method", ["stage", "chebyshev"])
+def test_derived_stages_match_direct_propagation(overrides, method, monkeypatch):
+    # upsilon erased, U1 E_c^+ U1^+ = E_c^+, so each fwd1 after cycle 1 is
+    # E_c^+ times the previous rev2; tau erased, U2^+ E_c U2 = E_c, so each
+    # rev2 is E_c times its fwd1.  The records and returned states must
+    # match the full route
+    if method == "chebyshev":
+        monkeypatch.setattr(propagate, "_EIGEN_WORK_MAX", 0)
+    cfg = desk_config(cycles=3, **overrides)
+    ctx = prepare(cfg)
+    state, records, returned = ctx.initial, [], []
+    for cycle in range(1, cfg.cycles + 1):
+        state, recs, _ = run_cycle(state, ctx, cycle)
+        records += recs
+        returned.append(state)
+    assert set(ctx.h1._cache) == set(ctx.h2._cache) == {method}
+    stages = _direct_route(ctx, ctx.initial, range(1, cfg.cycles + 1))
+    _assert_records_measure(ctx, records, stages)
+    per_cycle = len(stages) // cfg.cycles
+    for got, want in zip(returned, stages[per_cycle - 1::per_cycle], strict=True):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_a_returned_state_changed_in_place_takes_the_full_route(monkeypatch):
+    cfg = desk_config(cycles=2, master_seed=8)
+    ctx = prepare(cfg)
+    state, _, _ = run_cycle(ctx.initial, ctx, 1)
+    state[:] = random_state(state.shape, 5)
+    start = state.copy()
+    evolves = []
+    monkeypatch.setattr(protocol, "evolve", _counting(evolves, protocol.evolve))
+    state, records, _ = run_cycle(state, ctx, 2)
+    assert len(evolves) == 4
+    stages = _direct_route(ctx, start, [2])
+    _assert_records_measure(ctx, records, stages)
+    np.testing.assert_allclose(state, stages[-1], rtol=0, atol=1e-12)
+
+
+def test_upsilon_erased_fwd1_keeps_cycle_one_tau_marginal():
+    # E_c^+ and U2 keep every row norm of gamma, and with upsilon erased each
+    # fwd1 after cycle 1 is E_c^+ U2^+ E_c U2 of the previous one
+    result = run_protocol(desk_config(cycles=20, master_seed=8))
+    fwd1 = [r.report for r in result.records if r.stage == STAGE_FWD1]
+    assert len(fwd1) == 20
+    for rep in fwd1:
+        assert abs(rep.s_tau - fwd1[0].s_tau) < 1e-12
+        np.testing.assert_allclose(rep.densities_tau, fwd1[0].densities_tau,
+                                   rtol=0, atol=1e-12)
 
 
 def test_phase_log_matches_draws():
