@@ -10,12 +10,16 @@ occupation table once, on first use, and shares it read-only.
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import comb
 
 import numpy as np
 
 MAX_SITES = 63  # one machine word per mask
+# the machine's physical memory in bytes, the most any basis or gamma can take
+_PHYSICAL_BYTES = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 @dataclass(frozen=True)
@@ -45,6 +49,10 @@ def enumerate_basis(sites: int, particles: int) -> FockBasis:
         raise ValueError(f"sites must be in [0, {MAX_SITES}], got {sites}")
     if not 0 <= particles <= sites:
         raise ValueError(f"particles must be in [0, {sites}], got {particles}")
+    # refused before enumerating: 8 bytes a mask is the least any form takes
+    if (size := 8 * comb(sites, particles)) > _PHYSICAL_BYTES:
+        raise ValueError(f"sites: the basis takes {size} bytes, more than "
+                         f"the {_PHYSICAL_BYTES} bytes of physical memory")
     configs = sorted(
         sum(1 << i for i in occ)
         for occ in itertools.combinations(range(sites), particles)

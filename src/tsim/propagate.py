@@ -9,9 +9,12 @@ one-hop operator's blocks are always the columns of the method's source.
 A stepwise operator whose build work dim * b**2 (b its hop's dimension) is
 at most ``_EIGEN_WORK_MAX`` is solved exactly by one cached U(|t|), rebuilt
 when |t| changes, from the Slater determinants of the orbitals of its part's
-L x L one-body blocks (Thouless, Nucl. Phys. 21, 225 (1960)).  U serves t
-and -t, all a cycle asks of H1 and H2, on the calling thread, where a
-handoff would cost more than the matmul.
+L x L one-body blocks (Thouless, Nucl. Phys. 21, 225 (1960)).  U is a
+function of the part (hop, pot, n) and |t| alone, so operators that share
+both share one array while any of them holds it: H2 takes H1's U when the
+species are interchangeable and t1 = t2.  U serves t and -t, all a cycle
+asks of H1 and H2, on the calling thread, where a handoff would cost more
+than the matmul.
 
 Every other operator runs the Chebyshev expansion of Tal-Ezer & Kosloff,
 J. Chem. Phys. 81, 3967 (1984), with a term count fixed a priori, on the
@@ -30,6 +33,7 @@ step renormalizes its output.
 from __future__ import annotations
 
 import os
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 
@@ -43,6 +47,9 @@ from .model import Hamiltonian
 # the eigen path's U(|t|) costs n_blocks * b**3 = dim * b**2 in its matmuls
 # and is cached in 16 * dim * b bytes; a larger operator takes Chebyshev
 _EIGEN_WORK_MAX = 2**28
+# each live U(|t|) by its one-body part (hop, pot, n) and |t|, for operators
+# that share both to share one array; it lives while an operator holds it
+_STAGE_U = weakref.WeakValueDictionary()
 # Chebyshev terms end at the last Bessel coefficient above _CHEB_CUTOFF
 _CHEB_CUTOFF = 1e-15
 # the most slabs a one-hop Chebyshev stage splits into, one thread each of a
@@ -89,18 +96,23 @@ def _eigen(op: Hamiltonian, src: np.ndarray, t: float) -> np.ndarray:
     key, u = op._cache.get("stage", (None, None))
     if key != abs(t):
         hop, pot, n = op.parts[0]
-        w, phi = np.linalg.eigh(hop + pot[:, :, None] * np.eye(len(hop)))
-        levels, occ, sign = _minor_tables(len(hop), n)
-        e = abs(t) * (w @ occ.T)
-        cos, sin = np.cos(e), -np.sin(e)
-        # V diag(exp(-i*E*t)) V^T by real matmuls, a quarter of the blocks
-        # at a time, so that the build's transients stay below U
-        u = np.empty(e.shape + e.shape[1:], dtype=np.complex128)
-        step = -(-len(e) // 4)
-        for c in (np.s_[i:i + step] for i in range(0, len(e), step)):
-            v = _slater(phi[c], levels, sign)
-            u[c].real = (v * cos[c, None, :]) @ v.swapaxes(1, 2)
-            u[c].imag = (v * sin[c, None, :]) @ v.swapaxes(1, 2)
+        part = (abs(t), n, pot.shape, hop.tobytes(), pot.tobytes())
+        u = _STAGE_U.get(part)
+        if u is None:
+            w, phi = np.linalg.eigh(hop + pot[:, :, None] * np.eye(len(hop)))
+            levels, occ, sign = _minor_tables(len(hop), n)
+            e = abs(t) * (w @ occ.T)
+            cos, sin = np.cos(e), -np.sin(e)
+            # V diag(exp(-i*E*t)) V^T by real matmuls, a quarter of the
+            # blocks at a time, so that the build's transients stay below U
+            u = np.empty(e.shape + e.shape[1:], dtype=np.complex128)
+            step = -(-len(e) // 4)
+            for c in (np.s_[i:i + step] for i in range(0, len(e), step)):
+                v = _slater(phi[c], levels, sign)
+                u[c].real = (v * cos[c, None, :]) @ v.swapaxes(1, 2)
+                u[c].imag = (v * sin[c, None, :]) @ v.swapaxes(1, 2)
+            u.flags.writeable = False  # shared by every operator of the part
+            _STAGE_U[part] = u
         op._cache["stage"] = abs(t), u
     # V is real, so U(-t) x = conj(U(t) conj(x)) and one propagator serves both
     sub = np.ascontiguousarray(src.T if t > 0 else src.T.conj())

@@ -50,7 +50,6 @@ the cycles and the Trotter run take the same method on the same operators.
 
 from __future__ import annotations
 
-import os
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -60,7 +59,7 @@ import numpy as np
 
 from . import erasure as er
 from . import model, observables
-from .fock import FockBasis, enumerate_basis
+from .fock import _PHYSICAL_BYTES, FockBasis, enumerate_basis
 from .model import (Hamiltonian, LatticeSpec, ModelParams, build_full,
                     build_h1, build_h2)
 from .propagate import evolve
@@ -76,8 +75,6 @@ STAGE_TROTTER = "trotter"
 CYCLE_STAGES = (STAGE_FWD1, STAGE_FWD2, STAGE_ERASE, STAGE_REV2, STAGE_REV1)
 
 DOMAIN_WALL = "domain-wall"
-# the machine's physical memory in bytes, the most any gamma can take
-_PHYSICAL_BYTES = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 @dataclass(frozen=True)

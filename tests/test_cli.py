@@ -1,8 +1,11 @@
 import json
 import warnings
+from math import comb
+from types import SimpleNamespace
 
 import pytest
 
+from tsim import fock
 from tsim.cli import main
 
 MINIMAL = {"lattice": {"sites": 6, "chain": True},
@@ -27,6 +30,27 @@ def test_basis_subcommand(capsys):
 def test_basis_invalid_arguments(capsys):
     assert main(["basis", "--sites", "4", "--particles", "5"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_basis_beyond_physical_memory_is_refused(monkeypatch, capsys):
+    # at 8 bytes a mask, the least any form takes, C(63, 31) masks are about
+    # 7.3e18 bytes and C(40, 20) about 1.1e12: refused before any mask is
+    # enumerated, so a stub that raises stands in for the enumeration
+    def refuse(*args):
+        raise AssertionError(f"combinations{args} ran before the refusal")
+
+    monkeypatch.setattr(fock, "itertools", SimpleNamespace(combinations=refuse))
+    for sites, particles in ((63, 31), (40, 20)):
+        assert main(["basis", "--sites", str(sites),
+                     "--particles", str(particles)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: sites: the basis takes {8 * comb(sites, particles)} bytes, "
+            f"more than the {fock._PHYSICAL_BYTES} bytes of physical memory\n")
+    monkeypatch.undo()
+    # C(20, 10) masks take 1.5 MB, and print
+    assert main(["basis", "--sites", "20", "--particles", "10"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "dim 184756" and len(out) == 1 + comb(20, 10)
 
 
 def test_validate_echoes_resolved_config(tmp_path, capsys):

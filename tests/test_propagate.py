@@ -1,8 +1,10 @@
+import gc
 import os
 import re
 import subprocess
 import sys
 import threading
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -378,31 +380,88 @@ def test_method_follows_operator_size(monkeypatch):
         calls.append(a.shape)
         return eigh(a)
 
-    def config(sites, n):
+    def config(sites, n, u_upsilon=0.0):
+        params = replace(ModelParams.defaults(sites),
+                         u_upsilon=(u_upsilon,) + (0.0,) * (sites - 1))
         return ProtocolConfig(lattice=LatticeSpec.chain(sites), n_tau=n,
-                              n_upsilon=n, params=ModelParams.defaults(sites))
+                              n_upsilon=n, params=params)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    # desk and L=8, 4+4: dim * b**2 is 5.1e4 and 2.4e7, so H1 and H2 factor
-    # their b one-body blocks once each; the full H and the stepwise
-    # generator have two mobile species
-    for sites, n, b in ((6, 2, 15), (8, 4, 70)):
-        ctx = prepare(config(sites, n))
+    # desk and L=8, 4+4: dim * b**2 is 5.1e4 and 2.4e7, so H1 and H2 take
+    # the eigen path; their species are interchangeable, so H2 takes H1's U
+    # and the b one-body blocks are factored once; an upsilon potential
+    # unlike tau's gives H2 a part of its own, factored once more; the full H
+    # and the stepwise generator have two mobile species
+    for sites, n, b, u, builds in ((6, 2, 15, 0.0, 1), (8, 4, 70, 0.0, 1),
+                                   (6, 2, 15, 0.3, 2)):
+        ctx = prepare(config(sites, n, u))
         h_full = build_full(ctx.config.lattice, ctx.config.params,
                             ctx.basis_tau, ctx.basis_upsilon)
         for op in (ctx.h1, ctx.h2, ctx.h1, ctx.h2, h_full,
                    stepwise_generator(ctx)):
             evolve(ctx.initial, op, 0.5)
-        assert calls == [(b, sites, sites)] * 2
+        assert calls == [(b, sites, sites)] * builds
         calls.clear()
     # L=10, 5+5: dim * b**2 is 4.0e9, so H1 and H2 take Chebyshev
     ctx = prepare(config(10, 5))
     for op in (ctx.h1, ctx.h2):
         evolve(ctx.initial, op, 0.01)
     assert calls == []
-    # the Trotter run takes the same method as the cycles
+    # the Trotter run takes the same method as the cycles, and its H2 steps
+    # take its H1 steps' U when dt1 = dt2
     run_trotter(replace(config(6, 2), trotter_steps=4))
-    assert calls == [(15, 6, 6)] * 2
+    assert calls == [(15, 6, 6)]
+
+
+def _own_u(build, ctx, t):
+    # the U of an operator built apart, from a store of its own
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(propagate, "_STAGE_U", weakref.WeakValueDictionary())
+        op = build(ctx.config.lattice, ctx.config.params, ctx.basis_tau,
+                   ctx.basis_upsilon)
+        evolve(ctx.initial, op, t)
+        return op._cache["stage"][1]
+
+
+@pytest.mark.parametrize("sites, n", [(6, 2), (8, 4)], ids=["desk", "l8"])
+def test_interchangeable_species_share_one_stage_propagator(sites, n):
+    # with equal particle numbers, hopping and potentials, H2 is H1 with the
+    # species' roles swapped, so at t1 = t2 it takes H1's U; the store's
+    # entry goes with the last operator that holds it
+    from tsim.protocol import ProtocolConfig, prepare, run_cycle
+    gc.collect()
+    assert len(propagate._STAGE_U) == 0
+    ctx = prepare(ProtocolConfig(lattice=LatticeSpec.chain(sites), n_tau=n,
+                                 n_upsilon=n, params=ModelParams.defaults(sites)))
+    run_cycle(ctx.initial, ctx, 1)
+    assert ctx.h1._cache["stage"][1] is ctx.h2._cache["stage"][1]
+    assert np.array_equal(ctx.h2._cache["stage"][1],
+                          _own_u(build_h2, ctx, ctx.config.t2))
+    assert len(propagate._STAGE_U) == 1
+    del ctx
+    gc.collect()
+    assert len(propagate._STAGE_U) == 0
+
+
+@pytest.mark.parametrize("change", [
+    {"params": replace(ModelParams.defaults(6),
+                       u_upsilon=(0.3,) + (0.0,) * 5)},
+    {"t1": 2.0, "t2": 1.5},
+    # C(5, 2) = C(5, 3), and without the cross coupling both parts' rows are
+    # the zero potential, so the particle number alone tells them apart
+    {"lattice": LatticeSpec.chain(5), "n_upsilon": 3,
+     "params": replace(ModelParams.defaults(5), u_cross=0.0)},
+], ids=["potentials", "durations", "particles"])
+def test_distinct_parts_keep_distinct_stage_propagators(change):
+    from tsim.protocol import ProtocolConfig, prepare, run_cycle
+    config = {"lattice": LatticeSpec.chain(6), "n_tau": 2, "n_upsilon": 2,
+              "params": ModelParams.defaults(6), **change}
+    ctx = prepare(ProtocolConfig(**config))
+    run_cycle(ctx.initial, ctx, 1)
+    u1, u2 = (op._cache["stage"][1] for op in (ctx.h1, ctx.h2))
+    assert u1 is not u2 and u1.shape == u2.shape
+    assert np.array_equal(u1, _own_u(build_h1, ctx, ctx.config.t1))
+    assert np.array_equal(u2, _own_u(build_h2, ctx, ctx.config.t2))
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 4, 6])
@@ -465,6 +524,9 @@ def test_eigen_propagator_build_peak_memory():
     op = build_h1(lattice, params, bt, bu)
     psi = random_state(op.D.shape, 179)
     propagate._minor_tables.cache_clear()
+    # so that the peak is a build's, not a lookup of a live operator's U
+    gc.collect()
+    assert len(propagate._STAGE_U) == 0
     tracemalloc.start()
     try:
         out = evolve(psi, op, 1.0)
