@@ -9,6 +9,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -58,21 +59,19 @@ def _load(path: str, seed: int | None, out: str | None) -> tuple[ProtocolConfig,
     return config, output
 
 
-def _cmd_basis(args) -> int:
+def _cmd_basis(args) -> None:
     basis = enumerate_basis(args.sites, args.particles)
     print(f"dim {basis.dim}")
     for mask in basis.configs:
         print(format(mask, f"0{max(basis.sites, 1)}b"))
-    return 0
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args) -> None:
     config, output = _load(args.config, None, None)
     sys.stdout.write(serialize_config(config, output))
-    return 0
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> None:
     config, output = _load(args.config, args.seed, args.out)
     out_dir = Path(output.out_dir)
 
@@ -101,16 +100,20 @@ def _cmd_simulate(args) -> int:
           f"S_total {last.s_total:.6f} S_ent {last.s_ent:.6f} "
           f"fidelity {last.fidelity_to_initial:.6f}")
     print(f"wrote {out_dir / 'trajectory.csv'}")
-    return 0
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.run(args)
+        args.run(args)
+        sys.stdout.flush()  # so that a pipe closed at the last write lands here
+    except BrokenPipeError:  # a reader that stops early, as head does, is no
+        # failure; the interpreter's final flush then goes to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -6,10 +6,10 @@ Both see one layout, H1's.  A stepwise operator moves one species, so it is
 block-diagonal over the frozen one, and H2's method runs on gamma^T: a
 one-hop operator's blocks are always the columns of the method's source.
 
-A stepwise operator whose build work dim * b**2 (b its hop's dimension) is
-at most ``_EIGEN_WORK_MAX`` is solved exactly by one cached U(|t|), rebuilt
-when |t| changes, from the Slater determinants of the orbitals of its part's
-L x L one-body blocks (Thouless, Nucl. Phys. 21, 225 (1960)).  U is a
+A stepwise operator with dim * b**2 (b its hop's dimension) at most
+``_EIGEN_WORK_MAX`` is solved exactly by one cached U(|t|), rebuilt when |t|
+changes: block k of U is the n-th compound of exp(-i*h_k*|t|), for h_k its
+part's L x L one-body block (Thouless, Nucl. Phys. 21, 225 (1960)).  U is a
 function of the part (hop, pot, n) and |t| alone, so operators that share
 both share one array while any of them holds it: H2 takes H1's U when the
 species are interchangeable and t1 = t2.  U serves t and -t, all a cycle
@@ -44,9 +44,11 @@ from scipy.special import jv
 from .fock import enumerate_basis
 from .model import Hamiltonian
 
-# the eigen path's U(|t|) costs n_blocks * b**3 = dim * b**2 in its matmuls
-# and is cached in 16 * dim * b bytes; a larger operator takes Chebyshev
+# a stepwise operator with a larger dim * b**2 takes Chebyshev, a boundary
+# kept so that every operator keeps its method; U(|t|) takes 16 * dim * b bytes
 _EIGEN_WORK_MAX = 2**28
+# U is built this many bytes of blocks at a time, to bound the transients
+_CHUNK_BYTES = 2**19
 # each live U(|t|) by its one-body part (hop, pot, n) and |t|, for operators
 # that share both to share one array; it lives while an operator holds it
 _STAGE_U = weakref.WeakValueDictionary()
@@ -59,11 +61,11 @@ _THREADS = min(2, len(os.sched_getaffinity(0)))
 
 @lru_cache(maxsize=None)
 def _minor_tables(sites: int, n: int) -> tuple:
-    """Tables of the n x n minors det phi[S, A] of an L x L phi over
+    """Tables of the n x n minors det u[S, A] of an L x L u over
     ``enumerate_basis(sites, n)``'s masks: per size r = 1..m, each r-set's
-    sites and its rests' indices among the (r - 1)-sets; the occupations;
-    past half filling, (-1)^(sum S), for Jacobi's det phi[S, A] = (-1)^(sum S
-    + sum A) det phi det phi[S^c, A^c], with m = L - n, complements reversed."""
+    sites and its rests' indices among the (r - 1)-sets; past half filling,
+    (-1)^(sum S), for Jacobi's det u[S, A] = (-1)^(sum S + sum A) det u
+    conj(det u[S^c, A^c]) of a unitary u, m = L - n, complements reversed."""
     m = min(n, sites - n)
     levels, prev = [], np.zeros(1, np.int64)
     for r in range(1, m + 1):
@@ -73,23 +75,23 @@ def _minor_tables(sites: int, n: int) -> tuple:
         levels.append((pick, np.searchsorted(prev, masks[:, None] ^ (1 << pick))))
         prev = masks
     occ = enumerate_basis(sites, n).occupations
-    return levels, occ, 1 - 2 * (occ @ np.arange(sites) % 2) if m < n else None
+    return levels, 1 - 2 * (occ @ np.arange(sites) % 2) if m < n else None
 
 
-def _slater(phi: np.ndarray, levels, sign) -> np.ndarray:
-    """The minors det phi[S, A] of a stack of orthogonal phi by Laplace
-    expansion along the lowest site, each size's minors stack-last."""
-    lead, minors = phi.transpose(1, 2, 0), np.ones((1, 1, len(phi)))
+def _minors(u: np.ndarray, levels, sign) -> np.ndarray:
+    """The minors det u[S, A] of a stack of unitary u, as a stack, by Laplace
+    expansion along A's lowest site: each gather takes whole rows."""
+    lead, minors = u.transpose(1, 2, 0), np.ones((1, 1, len(u)), u.dtype)
     for pick, rest in levels:
-        prev, first = minors[rest[:, 0]], lead[pick[:, 0]]
-        minors = np.zeros((len(pick), len(pick), len(phi)))
-        for p in range(pick.shape[1]):
-            term = prev[:, rest[:, p]]
-            term *= first[:, pick[:, p]]
-            (np.subtract if p % 2 else np.add)(minors, term, out=minors)
+        prev, first = minors[:, rest[:, 0]], lead[:, pick[:, 0]]
+        minors = prev[rest[:, 0]] * first[pick[:, 0]]
+        for q in range(1, pick.shape[1]):
+            term = prev[rest[:, q]]
+            term *= first[pick[:, q]]
+            (np.subtract if q % 2 else np.add)(minors, term, out=minors)
     if sign is not None:
-        minors = minors[::-1, ::-1] * (np.outer(sign, sign)[..., None] * np.linalg.det(phi))
-    return np.ascontiguousarray(minors.transpose(2, 0, 1))
+        minors = minors[::-1, ::-1].conj() * (np.outer(sign, sign)[..., None] * np.linalg.det(u))
+    return minors.transpose(2, 0, 1)
 
 
 def _eigen(op: Hamiltonian, src: np.ndarray, t: float) -> np.ndarray:
@@ -100,21 +102,15 @@ def _eigen(op: Hamiltonian, src: np.ndarray, t: float) -> np.ndarray:
         u = _STAGE_U.get(part)
         if u is None:
             w, phi = np.linalg.eigh(hop + pot[:, :, None] * np.eye(len(hop)))
-            levels, occ, sign = _minor_tables(len(hop), n)
-            e = abs(t) * (w @ occ.T)
-            cos, sin = np.cos(e), -np.sin(e)
-            # V diag(exp(-i*E*t)) V^T by real matmuls, a quarter of the
-            # blocks at a time, so that the build's transients stay below U
-            u = np.empty(e.shape + e.shape[1:], dtype=np.complex128)
-            step = -(-len(e) // 4)
-            for c in (np.s_[i:i + step] for i in range(0, len(e), step)):
-                v = _slater(phi[c], levels, sign)
-                u[c].real = (v * cos[c, None, :]) @ v.swapaxes(1, 2)
-                u[c].imag = (v * sin[c, None, :]) @ v.swapaxes(1, 2)
+            one = (phi * np.exp(-1j * abs(t) * w)[:, None, :]) @ phi.swapaxes(1, 2)
+            u = np.empty((len(one), len(src), len(src)), dtype=np.complex128)
+            step = max(1, _CHUNK_BYTES // u[0].nbytes)
+            for i in range(0, len(u), step):
+                u[i:i + step] = _minors(one[i:i + step], *_minor_tables(len(hop), n))
             u.flags.writeable = False  # shared by every operator of the part
             _STAGE_U[part] = u
         op._cache["stage"] = abs(t), u
-    # V is real, so U(-t) x = conj(U(t) conj(x)) and one propagator serves both
+    # h is real, so U(-t) = conj(U(t)) and one propagator serves both
     sub = np.ascontiguousarray(src.T if t > 0 else src.T.conj())
     sub = (u @ sub[..., None])[..., 0]
     if t < 0:

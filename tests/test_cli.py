@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 from math import comb
 from types import SimpleNamespace
@@ -51,6 +54,23 @@ def test_basis_beyond_physical_memory_is_refused(monkeypatch, capsys):
     assert main(["basis", "--sites", "20", "--particles", "10"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "dim 184756" and len(out) == 1 + comb(20, 10)
+
+
+def test_closed_stdout_is_not_a_failure():
+    # a reader that takes 3 of the 184757 lines and closes the pipe, as
+    # `tsim basis ... | head -n 3` does, ends the run with exit 0 and no error
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tsim.cli", "basis", "--sites", "20", "--particles", "10"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src})
+    lines = [proc.stdout.readline() for _ in range(3)]
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 0
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+    assert lines == [b"dim 184756\n", b"00000000001111111111\n",
+                     b"00000000010111111111\n"]
 
 
 def test_validate_echoes_resolved_config(tmp_path, capsys):

@@ -331,19 +331,21 @@ def test_both_methods_match_per_block_expm_off_chain(lattice, n_tau, n_upsilon,
 def test_factorization_is_lazy_and_shared(monkeypatch):
     from tsim.protocol import ProtocolConfig, prepare, run_cycle
     calls, builds = [], []
-    eigh, cos = np.linalg.eigh, np.cos
+    eigh, minors = np.linalg.eigh, propagate._minors
 
     def counting_eigh(a):
         calls.append(a.shape)
         return eigh(a)
 
-    def counting_cos(x):
-        # in a cycle only the build of a stage propagator U(|t|) calls np.cos
-        builds.append(np.shape(x))
-        return cos(x)
+    def counting_minors(*args):
+        # the build of a stage propagator U(|t|) takes the minors a chunk of
+        # blocks at a time, and a desk build is one chunk: (blocks, b)
+        out = minors(*args)
+        builds.append(out.shape[:2])
+        return out
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    monkeypatch.setattr(np, "cos", counting_cos)
+    monkeypatch.setattr(propagate, "_minors", counting_minors)
     cfg = ProtocolConfig(lattice=LatticeSpec.chain(6), n_tau=2, n_upsilon=2,
                          params=ModelParams.defaults(6), t1=1.5, t2=2.5)
     ctx = prepare(cfg)
@@ -464,14 +466,14 @@ def test_distinct_parts_keep_distinct_stage_propagators(change):
     assert np.array_equal(u2, _own_u(build_h2, ctx, ctx.config.t2))
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 4, 6])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6])
 @pytest.mark.parametrize("build", [build_h1, build_h2], ids=["h1", "h2"])
 def test_eigen_propagator_matches_oracle_blocks(build, n):
-    # U is built from the Slater minors of each block's one-body orbitals,
-    # past half filling (n = 4, 6) from the complementary minors; each block
-    # of the evolved gamma is checked against the mobile species' sector
-    # Hamiltonian built from creation operators, on a ring with a chord, with
-    # negative hopping amplitudes
+    # U is built from the n x n minors of each block's one-body propagator,
+    # past half filling (n = 4, 5, 6) from the conjugated complementary
+    # minors; each block of the evolved gamma is checked against the mobile
+    # species' sector Hamiltonian built from creation operators, on a ring
+    # with a chord, with negative hopping amplitudes
     lattice = LatticeSpec(6, _ring(6).edges + ((0, 3),))
     rng = np.random.default_rng(151 + n)
     params = ModelParams(j_tau=-0.9, j_upsilon=-1.1,
@@ -485,8 +487,10 @@ def test_eigen_propagator_matches_oracle_blocks(build, n):
         op = build_h2(lattice, params, frozen, mobile)
         j, u = params.j_upsilon, params.u_upsilon
     # the closing bond and the chord skip sites, so hops with sign -1 occur
-    # wherever the mobile species can hop past another particle
-    assert (1 < n < 6) == any(hop_sign(mask, i, k) == -1
+    # wherever the mobile species can hop past another particle; with one
+    # hole (n = 5) every skipped site is occupied, and both bonds skip an
+    # even number of sites
+    assert (1 < n < 5) == any(hop_sign(mask, i, k) == -1
                               for mask in mobile.configs
                               for i, k in lattice.edges
                               if (mask >> i) & 1 != (mask >> k) & 1)
@@ -517,8 +521,8 @@ def test_operator_without_one_body_parts_is_refused():
 
 
 def test_eigen_propagator_build_peak_memory():
-    # the U build at L=8, 4+4 holds U beside the Slater minors and matmul
-    # operands of a quarter of the blocks, and the cached tables
+    # the U build at L=8, 4+4 holds U beside the minors of one chunk of
+    # blocks and the cached tables
     import tracemalloc
     lattice, params, bt, bu = _chain_setup(8, 4, 4, seed=173)
     op = build_h1(lattice, params, bt, bu)
@@ -535,7 +539,7 @@ def test_eigen_propagator_build_peak_memory():
         tracemalloc.stop()
     u = op._cache["stage"][1]
     assert u.shape == (70, 70, 70) and out.shape == psi.shape
-    assert peak <= 2.5 * u.nbytes
+    assert peak <= 1.5 * u.nbytes
 
 
 @pytest.mark.parametrize("layout", ["h1", "h2", "full", "generator"])
