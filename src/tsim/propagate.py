@@ -9,7 +9,10 @@ one-hop operator's blocks are always the columns of the method's source.
 A stepwise operator with dim * b**2 (b its hop's dimension) at most
 ``_EIGEN_WORK_MAX`` is solved exactly by one cached U(|t|), rebuilt when |t|
 changes: block k of U is the n-th compound of exp(-i*h_k*|t|), for h_k its
-part's L x L one-body block (Thouless, Nucl. Phys. 21, 225 (1960)).  U is a
+part's L x L one-body block (Thouless, Nucl. Phys. 21, 225 (1960)).  h_k is
+real, so each block is complex symmetric, U^T = U: each size's minors are
+formed on the triangle S <= A alone and mirrored into U, a chunk of blocks at
+a time whose last triangles take at most ``_CHUNK_BYTES``.  U is a
 function of the part (hop, pot, n) and |t| alone, so operators that share
 both share one array while any of them holds it: H2 takes H1's U when the
 species are interchangeable and t1 = t2.  U serves t and -t, all a cycle
@@ -47,8 +50,9 @@ from .model import Hamiltonian
 # a stepwise operator with a larger dim * b**2 takes Chebyshev, a boundary
 # kept so that every operator keeps its method; U(|t|) takes 16 * dim * b bytes
 _EIGEN_WORK_MAX = 2**28
-# U is built this many bytes of blocks at a time, to bound the transients
-_CHUNK_BYTES = 2**19
+# U is built a chunk of blocks at a time, whose triangles of n x n minors
+# take at most this many bytes: at L=8, 4+4 the build peaks at 1.37 U
+_CHUNK_BYTES = 7 * 2**16
 # each live U(|t|) by its one-body part (hop, pot, n) and |t|, for operators
 # that share both to share one array; it lives while an operator holds it
 _STAGE_U = weakref.WeakValueDictionary()
@@ -59,39 +63,62 @@ _CHEB_CUTOFF = 1e-15
 _THREADS = min(2, len(os.sched_getaffinity(0)))
 
 
+def _pair(s: np.ndarray, a: np.ndarray, count: int) -> np.ndarray:
+    """The index of the pair of r-set indices (s, a) on the triangle of
+    pairs (S, A) with S <= A of ``count`` r-sets, row by row, looked up as
+    (min, max), since det u[S, A] = det u[A, S] for a symmetric u."""
+    lo, hi = np.minimum(s, a), np.maximum(s, a)
+    return lo * count - lo * (lo - 1) // 2 + hi - lo
+
+
 @lru_cache(maxsize=None)
 def _minor_tables(sites: int, n: int) -> tuple:
-    """Tables of the n x n minors det u[S, A] of an L x L u over
-    ``enumerate_basis(sites, n)``'s masks: per size r = 1..m, each r-set's
-    sites and its rests' indices among the (r - 1)-sets; past half filling,
-    (-1)^(sum S), for Jacobi's det u[S, A] = (-1)^(sum S + sum A) det u
-    conj(det u[S^c, A^c]) of a unitary u, m = L - n, complements reversed."""
+    """Tables of the n x n minors det u[S, A] of a symmetric L x L u over
+    ``enumerate_basis(sites, n)``'s masks, on the triangle S <= A of each
+    size r = 1..m: per pair and term of the expansion along A's lowest site,
+    its (r - 1)-pair and its entry of the flattened u; then each entry's pair
+    on the last triangle; past half filling, (-1)^(sum S), for Jacobi's
+    det u[S, A] = (-1)^(sum S + sum A) det u conj(det u[S^c, A^c]) of a
+    unitary u, m = L - n, complements reversed."""
     m = min(n, sites - n)
     levels, prev = [], np.zeros(1, np.int64)
     for r in range(1, m + 1):
         basis = enumerate_basis(sites, r)
         masks = np.array(basis.configs, dtype=np.int64)
         pick = np.nonzero(basis.occupations)[1].reshape(-1, r)
-        levels.append((pick, np.searchsorted(prev, masks[:, None] ^ (1 << pick))))
+        rest = np.searchsorted(prev, masks[:, None] ^ (1 << pick))
+        s, a = np.triu_indices(len(masks))
+        levels.append((_pair(rest[s], rest[a, :1], len(prev)).T.copy(),
+                       (pick[s] * sites + pick[a, :1]).T.copy()))
         prev = masks
+    full = _pair(*np.indices((len(prev),) * 2), len(prev))
+    if m == n:
+        return levels, full, None
     occ = enumerate_basis(sites, n).occupations
-    return levels, 1 - 2 * (occ @ np.arange(sites) % 2) if m < n else None
+    return levels, full[::-1, ::-1].copy(), 1 - 2 * (occ @ np.arange(sites) % 2)
 
 
-def _minors(u: np.ndarray, levels, sign) -> np.ndarray:
-    """The minors det u[S, A] of a stack of unitary u, as a stack, by Laplace
-    expansion along A's lowest site: each gather takes whole rows."""
-    lead, minors = u.transpose(1, 2, 0), np.ones((1, 1, len(u)), u.dtype)
-    for pick, rest in levels:
-        prev, first = minors[:, rest[:, 0]], lead[:, pick[:, 0]]
-        minors = prev[rest[:, 0]] * first[pick[:, 0]]
-        for q in range(1, pick.shape[1]):
-            term = prev[rest[:, q]]
-            term *= first[pick[:, q]]
+def _minors(u: np.ndarray, levels, full, sign, out: np.ndarray) -> np.ndarray:
+    """The minors det u[S, A] of a stack of symmetric unitary u, written
+    into ``out``: formed on the triangle S <= A by Laplace expansion along
+    A's lowest site, stack last so that each gather takes whole rows, then
+    mirrored into the square."""
+    flat, minors = u.reshape(len(u), -1).T.copy(), np.ones((1, len(u)), u.dtype)
+    for pairs, entries in levels:
+        prev = minors
+        minors = prev.take(pairs[0], axis=0)
+        minors *= flat.take(entries[0], axis=0)
+        for q in range(1, len(pairs)):
+            term = prev.take(pairs[q], axis=0)
+            term *= flat.take(entries[q], axis=0)
             (np.subtract if q % 2 else np.add)(minors, term, out=minors)
+    # "clip" writes straight into out, which "raise" would buffer
+    np.take(minors.T, full, axis=1, out=out, mode="clip")
     if sign is not None:
-        minors = minors[::-1, ::-1].conj() * (np.outer(sign, sign)[..., None] * np.linalg.det(u))
-    return minors.transpose(2, 0, 1)
+        np.conjugate(out, out=out)
+        out *= np.linalg.det(u)[:, None, None]
+        out *= np.outer(sign, sign)
+    return out
 
 
 def _eigen(op: Hamiltonian, src: np.ndarray, t: float) -> np.ndarray:
@@ -104,9 +131,10 @@ def _eigen(op: Hamiltonian, src: np.ndarray, t: float) -> np.ndarray:
             w, phi = np.linalg.eigh(hop + pot[:, :, None] * np.eye(len(hop)))
             one = (phi * np.exp(-1j * abs(t) * w)[:, None, :]) @ phi.swapaxes(1, 2)
             u = np.empty((len(one), len(src), len(src)), dtype=np.complex128)
-            step = max(1, _CHUNK_BYTES // u[0].nbytes)
+            # a block's triangle holds C (C + 1) / 2 complex minors
+            step = max(1, _CHUNK_BYTES // (8 * len(src) * (len(src) + 1)))
             for i in range(0, len(u), step):
-                u[i:i + step] = _minors(one[i:i + step], *_minor_tables(len(hop), n))
+                _minors(one[i:i + step], *_minor_tables(len(hop), n), u[i:i + step])
             u.flags.writeable = False  # shared by every operator of the part
             _STAGE_U[part] = u
         op._cache["stage"] = abs(t), u

@@ -509,6 +509,47 @@ def test_eigen_propagator_matches_oracle_blocks(build, n):
     assert "stage" in op._cache and "chebyshev" not in op._cache
 
 
+@pytest.mark.parametrize("lattice, n, n_frozen", [
+    pytest.param(LatticeSpec.chain(6), 2, 2, id="desk"),
+    pytest.param(LatticeSpec.chain(8), 4, 4, id="l8"),
+    pytest.param(LatticeSpec(6, _ring(6).edges + ((0, 3),)), 4, 2, id="chord-4"),
+    pytest.param(LatticeSpec(6, _ring(6).edges + ((0, 3),)), 5, 2, id="chord-5"),
+])
+@pytest.mark.parametrize("build", [build_h1, build_h2], ids=["h1", "h2"])
+def test_eigen_propagator_is_symmetric_and_matches_minors(build, lattice, n,
+                                                         n_frozen):
+    # h_k is real, so block k of U, the n-th compound of exp(-i h_k t), is
+    # complex symmetric: U is exactly its transpose, and an entry on either
+    # side of the diagonal is det exp(-i h_k t)[S, A], past half filling too
+    sites, t = lattice.sites, 1.7
+    rng = np.random.default_rng(191 + 10 * sites + n)
+    params = ModelParams(j_tau=-0.9, j_upsilon=1.1,
+                         u_tau=tuple(rng.uniform(-1, 1, sites)),
+                         u_upsilon=tuple(rng.uniform(-1, 1, sites)), u_cross=1.3)
+    mobile, frozen = enumerate_basis(sites, n), enumerate_basis(sites, n_frozen)
+    if build is build_h1:
+        op = build_h1(lattice, params, mobile, frozen)
+        j, u = params.j_tau, params.u_tau
+    else:
+        op = build_h2(lattice, params, frozen, mobile)
+        j, u = params.j_upsilon, params.u_upsilon
+    evolve(random_state(op.D.shape, 197), op, t)
+    big_u = op._cache["stage"][1]
+    assert np.array_equal(big_u, big_u.transpose(0, 2, 1))
+    hop = np.zeros((sites, sites))
+    for i, k in lattice.edges:
+        hop[i, k] = hop[k, i] = j
+    sets = [np.flatnonzero(row) for row in mobile.occupations]
+    for k in rng.choice(frozen.dim, 3, replace=False):
+        mask = frozen.configs[k]
+        eff = [u[i] + params.u_cross * ((mask >> i) & 1) for i in range(sites)]
+        one = expm(-1j * t * (hop + np.diag(eff)))
+        for s, a in rng.integers(mobile.dim, size=(6, 2)):
+            for row, col in ((s, a), (a, s)):
+                minor = np.linalg.det(one[np.ix_(sets[row], sets[col])])
+                assert abs(big_u[k, row, col] - minor) < 1e-13
+
+
 def test_operator_without_one_body_parts_is_refused():
     # both methods read the spectrum from the parts, so an operator that
     # lacks them is refused before any propagator is built
