@@ -31,10 +31,11 @@ probability and no Schmidt weight, so its record is the earlier one with
 only the fidelity recomputed.  The erase record is fwd2's; by the identities
 above, tau erased, rev2 is E_c times fwd1, and upsilon erased, each fwd1
 after cycle 1 is E_{c-1}^+ times the previous rev2 (on control runs too,
-with E = 1).  A steady cycle so runs three propagations and three measures.
-Without the erase stage the cycle is a unitary round trip back to its
-starting state.  Phases are drawn fresh each cycle from (master_seed, cycle),
-so a trajectory is a pure function of its configuration.
+with E = 1), a 1·gamma handoff keyed on the read-only array the previous
+cycle returned.  A steady cycle so runs three propagations and three
+measures.  Without the erase stage the cycle is a unitary round trip back to
+its starting state.  Phases are drawn fresh each cycle from (master_seed,
+cycle), so a trajectory is a pure function of its configuration.
 
 Two comparison trajectories exist alongside the cycled protocol: continuous
 evolution under the full Hamiltonian, and a Trotterized variant that splits
@@ -161,7 +162,7 @@ class ProtocolContext:
     basis_tau: FockBasis
     basis_upsilon: FockBasis
     initial: np.ndarray
-    # (copy of the state run_cycle last returned, next fwd1 state, its report)
+    # (the read-only state run_cycle last returned, next fwd1 state, its report)
     _next_fwd1: tuple | None = field(default=None, init=False, repr=False)
 
     @cached_property
@@ -211,55 +212,55 @@ def _phased(ctx: ProtocolContext, state: np.ndarray,
 def run_cycle(state: np.ndarray, ctx: ProtocolContext,
               cycle: int) -> tuple[np.ndarray, list[StageRecord],
                                    np.ndarray | None]:
-    """One full cycle; returns the new state, its stage records, and the
-    phases applied at the erase stage (None when erasure is disabled).
+    """One full cycle; returns the new state (read-only), its stage records,
+    and the phases applied at the erase stage (None when erasure is disabled).
 
-    With upsilon erased it leaves the next fwd1 state and report in ``ctx``
-    (about 2·gamma), keyed on a copy of the returned state: the next call
-    takes them only if its state equals that copy in value, so any state may
-    be passed, or the returned one changed in place."""
+    With upsilon erased it leaves the next fwd1 state and report in ``ctx``,
+    keyed on the returned array: only a call passed that same array takes
+    them, and any other state, an equal copy too, takes the full route."""
     cfg = ctx.config
     t0 = (cycle - 1) * 2.0 * (cfg.t1 + cfg.t2)
     records = []
     phases = closing = None
+    tau = cfg.erasure.species == model.TAU
 
-    memo, ctx._next_fwd1 = ctx._next_fwd1, None
-    if memo is not None and np.array_equal(state, memo[0]):
-        fwd1_state, fwd1 = memo[1:]
+    handoff, ctx._next_fwd1 = ctx._next_fwd1, None
+    if handoff is not None and handoff[0] is state:
+        state, report = handoff[1:]
     else:
-        fwd1_state = evolve(state, ctx.h1, cfg.t1)
-        fwd1 = ctx.measure(fwd1_state)
-    records.append(StageRecord(cycle, STAGE_FWD1, t0 + cfg.t1, fwd1))
+        state = evolve(state, ctx.h1, cfg.t1)
+        report = ctx.measure(state)
+    records.append(StageRecord(cycle, STAGE_FWD1, t0 + cfg.t1, report))
+    handoff = (state, report) if tau else None  # fwd1, for a derived rev2
 
-    state = evolve(fwd1_state, ctx.h2, cfg.t2)
+    state = evolve(state, ctx.h2, cfg.t2)
     t_mid = t0 + cfg.t1 + cfg.t2
-    fwd2 = ctx.measure(state)
-    records.append(StageRecord(cycle, STAGE_FWD2, t_mid, fwd2))
+    report = ctx.measure(state)
+    records.append(StageRecord(cycle, STAGE_FWD2, t_mid, report))
 
     if not cfg.no_erasure_run:
-        # the erased species' basis, in the SPECIES order of gamma's axes
-        basis = (ctx.basis_tau, ctx.basis_upsilon)[
-            model.SPECIES.index(cfg.erasure.species)]
+        basis = ctx.basis_tau if tau else ctx.basis_upsilon
         phases = er.erasure_phases(cfg.erasure, basis, cfg.master_seed, cycle)
         closing = -phases
-        state, erased = _phased(ctx, state, fwd2, phases)
-        records.append(StageRecord(cycle, STAGE_ERASE, t_mid, erased))
+        state, report = _phased(ctx, state, report, phases)
+        records.append(StageRecord(cycle, STAGE_ERASE, t_mid, report))
 
-    if cfg.erasure.species == model.TAU:  # U2^+ E_c U2 = E_c
-        rev2_state, rev2 = _phased(ctx, fwd1_state, fwd1, phases)
+    if tau:  # U2^+ E_c U2 = E_c
+        state, report = _phased(ctx, *handoff, phases)
     else:
-        rev2_state = evolve(state, ctx.h2, -cfg.t2)
-        rev2 = ctx.measure(rev2_state)
-    records.append(StageRecord(cycle, STAGE_REV2, t_mid + cfg.t2, rev2))
+        state = evolve(state, ctx.h2, -cfg.t2)
+        report = ctx.measure(state)
+    records.append(StageRecord(cycle, STAGE_REV2, t_mid + cfg.t2, report))
+    handoff = None if tau else (state, report)  # rev2, for the next fwd1
 
-    state = evolve(rev2_state, ctx.h1, -cfg.t1)
-    if phases is not None:
-        # close the cycle with the conjugate phases (see module docstring)
+    state = evolve(state, ctx.h1, -cfg.t1)
+    if phases is not None:  # the closing conjugate (see module docstring)
         state = er.apply_random_phases(state, cfg.erasure.species, closing)
     records.append(StageRecord(cycle, STAGE_REV1, t_mid + cfg.t2 + cfg.t1,
                                ctx.measure(state)))
-    if cfg.erasure.species == model.UPSILON:  # U1 E_c^+ U1^+ = E_c^+
-        ctx._next_fwd1 = (state.copy(), *_phased(ctx, rev2_state, rev2, closing))
+    state.flags.writeable = False
+    if not tau:  # U1 E_c^+ U1^+ = E_c^+
+        ctx._next_fwd1 = (state, *_phased(ctx, *handoff, closing))
     return state, records, phases
 
 

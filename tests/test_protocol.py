@@ -1,5 +1,6 @@
+import gc
 import re
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -320,19 +321,70 @@ def test_derived_stages_match_direct_propagation(overrides, method, monkeypatch)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
-def test_a_returned_state_changed_in_place_takes_the_full_route(monkeypatch):
+def test_only_the_returned_array_takes_the_handoff(monkeypatch):
+    # the next fwd1 is keyed on the array run_cycle returned, which is
+    # read-only; a caller changes a copy, and any array but the returned
+    # one, an equal copy too, takes the full route
     cfg = desk_config(cycles=2, master_seed=8)
     ctx = prepare(cfg)
     state, _, _ = run_cycle(ctx.initial, ctx, 1)
-    state[:] = random_state(state.shape, 5)
-    start = state.copy()
+    for returned in (state, run_protocol(cfg).final_state):
+        with pytest.raises(ValueError, match="read-only"):
+            returned[0, 0] = 0.0
     evolves = []
     monkeypatch.setattr(protocol, "evolve", _counting(evolves, protocol.evolve))
-    state, records, _ = run_cycle(state, ctx, 2)
+    _, handed, _ = run_cycle(state, ctx, 2)
+    assert len(evolves) == 3
+    changed = state.copy()
+    changed[:] = random_state(state.shape, 5)
+    evolves.clear()
+    out, records, _ = run_cycle(changed, ctx, 2)
     assert len(evolves) == 4
-    stages = _direct_route(ctx, start, [2])
+    stages = _direct_route(ctx, changed, [2])
     _assert_records_measure(ctx, records, stages)
-    np.testing.assert_allclose(state, stages[-1], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(out, stages[-1], rtol=0, atol=1e-12)
+    # the full route propagates the fwd1 that the handoff derives, so the
+    # two agree to roundoff, not bit for bit
+    evolves.clear()
+    _, records, _ = run_cycle(state.copy(), ctx, 2)
+    assert len(evolves) == 4
+    assert [(r.cycle, r.stage, r.model_time) for r in records] == [
+        (r.cycle, r.stage, r.model_time) for r in handed]
+    for rec, want in zip(records, handed):
+        for name, value in asdict(rec.report).items():
+            np.testing.assert_allclose(value, getattr(want.report, name),
+                                       rtol=0, atol=1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize("species, held_max, peak_max", [
+    ("upsilon", 5.5, 11.5), ("tau", 4.5, 11.0)])
+def test_cycle_memory(species, held_max, peak_max):
+    # traced bytes in units of gamma at L=10, 5+5 (Chebyshev, gamma about
+    # 1 MiB).  Between cycles a run holds the state, the initial gamma, H1's
+    # and H2's D and Chebyshev folds, and, upsilon erased, the next fwd1; a
+    # cycle binds only the stage states a later stage reads
+    import tracemalloc
+    cfg = desk_config(lattice=LatticeSpec.chain(10), n_tau=5, n_upsilon=5,
+                      params=ModelParams.defaults(10),
+                      erasure=ErasureSpec(species=species))
+    held, peaks = [], []
+    gc.collect()
+    tracemalloc.start()
+    try:
+        ctx = prepare(cfg)
+        state = ctx.initial
+        for cycle in range(1, 5):
+            tracemalloc.reset_peak()
+            state, _, _ = run_cycle(state, ctx, cycle)
+            peaks.append(tracemalloc.get_traced_memory()[1] / state.nbytes)
+            gc.collect()
+            held.append(tracemalloc.get_traced_memory()[0] / state.nbytes)
+    finally:
+        tracemalloc.stop()
+    assert "chebyshev" in ctx.h1._cache and "chebyshev" in ctx.h2._cache
+    # cycle 1 is not steady: it propagates fwd1 and builds the folds
+    assert max(held[1:]) <= held_max, held
+    assert max(peaks[1:]) <= peak_max, peaks
 
 
 def test_upsilon_erased_fwd1_keeps_cycle_one_tau_marginal():
