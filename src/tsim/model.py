@@ -9,6 +9,8 @@ k = m*d_y + n.  Every operator of the model has one form,
 
 with hop_x (d_x x d_x) and hop_y (d_y x d_y) the single-species hopping
 matrices and D the real (d_x, d_y) diagonal of potentials and cross coupling.
+Construction checks those shapes; what propagation derives from an operator,
+such as its spectral interval, belongs to ``propagate``.
 
 All three operators come from one builder told which species are mobile:
 each mobile species contributes its hopping matrix and its on-site
@@ -37,7 +39,7 @@ Schultz & Mattis, Ann. Phys. 16, 407 (1961)): see ``Hamiltonian.parts``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -47,10 +49,6 @@ from .fock import MAX_SITES, FockBasis
 TAU = "tau"
 UPSILON = "upsilon"
 SPECIES = (TAU, UPSILON)  # the axis order of gamma
-# outward pad of the spectral interval, relative to H's norm bound: the
-# eigenvalues of a dense H fall up to about 4e-16 of its norm outside the
-# unpadded exact interval
-_SPECTRAL_PAD = 1e-12
 
 
 @dataclass(frozen=True)
@@ -125,33 +123,35 @@ class Hamiltonian:
     of on-site potentials, and the particle number n of the species the part
     moves.  Block k of a part is the second quantization of the
     single-particle matrix h_k = hop + diag(pot[k]) on n fermions, so its
-    spectrum is the sums of n distinct eigenvalues of h_k.  Immutable;
-    ``_cache`` holds what propagation derives from it.
+    spectrum is the sums of n distinct eigenvalues of h_k.  Immutable, and
+    refused unless each hop is square with D's side on its axis, at least one
+    is present and ``parts`` holds one part per hop: the propagation kernels
+    index gamma by the hops' shapes and check none of them.
     """
 
     hop_x: sp.csr_array | None
     hop_y: sp.csr_array | None
     D: np.ndarray
     parts: tuple[tuple[np.ndarray, np.ndarray, int], ...]
-    _cache: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        if np.ndim(self.D) != 2:
+            raise ValueError(f"D: must be 2-D, got shape {np.shape(self.D)}")
+        hops = [h for h in (self.hop_x, self.hop_y) if h is not None]
+        for name, hop, side in zip(("hop_x", "hop_y"), (self.hop_x, self.hop_y),
+                                   self.D.shape):
+            if hop is not None and hop.shape != (side, side):
+                raise ValueError(f"{name}: shape {hop.shape} does not match "
+                                 f"D of shape {self.D.shape}")
+        if not hops:
+            raise ValueError("operator has no hop")
+        if len(self.parts) != len(hops):
+            raise ValueError(f"operator has {len(self.parts)} one-body parts "
+                             f"for {len(hops)} hops")
 
     @property
     def dim(self) -> int:
         return self.D.size
-
-    def spectral_bounds(self) -> tuple[float, float]:
-        """Interval [lo, hi] that holds every eigenvalue: each part adds the
-        extreme sums of n eigenvalues of its h_k (exact for one part, a Weyl
-        bound for several), padded outward by ``_SPECTRAL_PAD`` times the
-        norm bound sum(n * max_k ||h_k||)."""
-        lo = hi = norm = 0.0
-        for hop, pot, n in self.parts:
-            w = np.linalg.eigvalsh(hop + pot[:, :, None] * np.eye(len(hop)))
-            lo += w[:, :n].sum(axis=1).min()
-            hi += w[:, w.shape[1] - n:].sum(axis=1).max()
-            norm += n * np.abs(w).max()
-        pad = _SPECTRAL_PAD * norm
-        return float(lo - pad), float(hi + pad)
 
 
 def _hop_matrix(basis: FockBasis, edges, j: float) -> sp.csr_array:

@@ -21,16 +21,17 @@ than the matmul.
 
 Every other operator runs the Chebyshev expansion of Tal-Ezer & Kosloff,
 J. Chem. Phys. 81, 3967 (1984), with a term count fixed a priori, on the
-interval of ``Hamiltonian.spectral_bounds``: exact for H1 and H2, a Weyl
-bound for the full H.  The operator is real, so each product runs in real
-arithmetic on gamma's float64 view inside ``_product``, the one place that
-computes H gamma (Kosloff, J. Phys. Chem. 92, 2087 (1988)).  A one-hop
-operator's columns evolve on their own, so they run as up to ``_THREADS`` =
-min(2, usable CPUs) contiguous slabs on one pool, built at import, whose
-threads start on the first split.  The sparse product accumulates each
-entry in the same order at any slab width, so the result is bit-identical
-at any slab count.  The full H couples both axes and runs as one slab.  No
-step renormalizes its output.
+interval of ``_spectral_interval``: exact for H1 and H2, a Weyl bound for
+the full H.  The operator is real, so each product runs in real arithmetic
+on gamma's float64 view inside ``_product``, the one place that computes
+H gamma (Kosloff, J. Phys. Chem. 92, 2087 (1988)).  A one-hop operator's
+columns evolve on their own, so they run as up to ``_THREADS`` = min(2,
+usable CPUs) contiguous slabs on one pool, built at import, whose threads
+start on the first split.  The sparse product accumulates each entry in the
+same order at any slab width, so the result is bit-identical at any slab
+count.  The full H couples both axes and runs as one slab.  No step
+renormalizes its output.  What either method derives from an operator, U(|t|)
+or the folded interval, lives in ``_DERIVED`` for as long as the operator.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import numpy as np
 from scipy.sparse._sparsetools import csr_matvecs
 from scipy.special import jv
 
-from .fock import enumerate_basis
+from .fock import _PHYSICAL_BYTES, enumerate_basis
 from .model import Hamiltonian
 
 # a stepwise operator with a larger dim * b**2 takes Chebyshev, a boundary
@@ -56,11 +57,20 @@ _CHUNK_BYTES = 7 * 2**16
 # each live U(|t|) by its one-body part (hop, pot, n) and |t|, for operators
 # that share both to share one array; it lives while an operator holds it
 _STAGE_U = weakref.WeakValueDictionary()
+# what propagation derives from each live operator, by identity: the eigen
+# path's (|t|, U) as "stage", the Chebyshev fold as "chebyshev"
+_DERIVED = weakref.WeakKeyDictionary()
 # Chebyshev terms end at the last Bessel coefficient above _CHEB_CUTOFF
 _CHEB_CUTOFF = 1e-15
+# outward pad of the spectral interval, relative to H's norm bound: the
+# eigenvalues of a dense H fall up to about 4e-16 of its norm outside the
+# unpadded exact interval
+_SPECTRAL_PAD = 1e-12
 # the most slabs a one-hop Chebyshev stage splits into, one thread each of a
-# pool built at import, whose threads start on the first split
-_THREADS = min(2, len(os.sched_getaffinity(0)))
+# pool built at import, whose threads start on the first split: the usable
+# CPUs where the platform reports them (macOS does not), else all CPUs
+_THREADS = min(2, len(os.sched_getaffinity(0))
+               if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
 
 def _pair(s: np.ndarray, a: np.ndarray, count: int) -> np.ndarray:
@@ -122,7 +132,8 @@ def _minors(u: np.ndarray, levels, full, sign, out: np.ndarray) -> np.ndarray:
 
 
 def _eigen(op: Hamiltonian, src: np.ndarray, t: float) -> np.ndarray:
-    key, u = op._cache.get("stage", (None, None))
+    derived = _DERIVED.setdefault(op, {})
+    key, u = derived.get("stage", (None, None))
     if key != abs(t):
         hop, pot, n = op.parts[0]
         part = (abs(t), n, pot.shape, hop.tobytes(), pot.tobytes())
@@ -137,7 +148,7 @@ def _eigen(op: Hamiltonian, src: np.ndarray, t: float) -> np.ndarray:
                 _minors(one[i:i + step], *_minor_tables(len(hop), n), u[i:i + step])
             u.flags.writeable = False  # shared by every operator of the part
             _STAGE_U[part] = u
-        op._cache["stage"] = abs(t), u
+        derived["stage"] = abs(t), u
     # h is real, so U(-t) = conj(U(t)) and one propagator serves both
     sub = np.ascontiguousarray(src.T if t > 0 else src.T.conj())
     sub = (u @ sub[..., None])[..., 0]
@@ -193,18 +204,37 @@ _new_pool()
 os.register_at_fork(after_in_child=_new_pool)
 
 
+def _spectral_interval(op: Hamiltonian) -> tuple[float, float]:
+    """Interval [lo, hi] that holds every eigenvalue of ``op``: each part
+    adds the extreme sums of n eigenvalues of its h_k (exact for one part, a
+    Weyl bound for several), padded outward by ``_SPECTRAL_PAD`` times the
+    norm bound sum(n * max_k ||h_k||)."""
+    lo = hi = norm = 0.0
+    for hop, pot, n in op.parts:
+        w = np.linalg.eigvalsh(hop + pot[:, :, None] * np.eye(len(hop)))
+        lo += w[:, :n].sum(axis=1).min()
+        hi += w[:, w.shape[1] - n:].sum(axis=1).max()
+        norm += n * np.abs(w).max()
+    pad = _SPECTRAL_PAD * norm
+    return float(lo - pad), float(hi + pad)
+
+
 def _chebyshev(op: Hamiltonian, src: np.ndarray, t: float) -> np.ndarray:
     """exp(-i*t*H) src as exp(-i*b*t) sum_k c_k T_k((H - b)/a) src on the
     operator's spectral interval [b - a, b + a], with c_k = (2 - delta_k0)
     (-i)^k J_k(a*t), in one expansion however long t is.  The interval is
     computed here, on the operator's first call, never for an eigen-path
     operator, and folded into copies of the hops and D in H1's layout, H2's
-    as (hop_y, None, D^T); src has D's shape, which ``evolve`` checks and
-    ``csr_matvecs`` does not.  A one-hop operator's columns evolve on their
-    own, so they run as up to ``_THREADS`` contiguous slabs on the pool's
-    threads, each writing its columns of the result."""
-    if "chebyshev" not in op._cache:
-        lo, hi = op.spectral_bounds()
+    as (hop_y, None, D^T); src has D's shape, which ``evolve`` checks, and
+    each hop matches D's side, which ``Hamiltonian`` checks; ``csr_matvecs``
+    checks neither.  t is refused, naming a and t, before any term is built
+    when a*|t| reaches 2**52, where a phase keeps no significant bit, or when
+    the coefficients would outgrow physical memory.  A one-hop operator's
+    columns evolve on their own, so they run as up to ``_THREADS`` contiguous
+    slabs on the pool's threads, each writing its columns of the result."""
+    derived = _DERIVED.setdefault(op, {})
+    if "chebyshev" not in derived:
+        lo, hi = _spectral_interval(op)
         # a point interval means H = b, and then any half-width bounds it
         a, b = (hi - lo) / 2 or 1.0, (hi + lo) / 2
         hops, D = ((op.hop_y, None), op.D.T) if op.hop_x is None else (
@@ -212,9 +242,13 @@ def _chebyshev(op: Hamiltonian, src: np.ndarray, t: float) -> np.ndarray:
         D = np.subtract(D, b, order="C")
         D *= 2 / a
         h = (*[None if x is None else 2 / a * x for x in hops], D)
-        op._cache["chebyshev"] = h, a, b
-    h, a, b = op._cache["chebyshev"]
+        derived["chebyshev"] = h, a, b
+    h, a, b = derived["chebyshev"]
     hop_x, hop_y, D = h
+    # the Bessel and coefficient arrays take 24 bytes a term
+    if not a * abs(t) < 2**52 or 24 * (2 * int(a * abs(t)) + 40) > _PHYSICAL_BYTES:
+        raise ValueError(f"t = {t}: the Chebyshev expansion over the spectral "
+                         f"half-width a = {a} needs too many terms")
     # J_k(x) falls off faster than exponentially once k exceeds |x|
     bessel = jv(np.arange(2 * int(a * abs(t)) + 40), a * t)
     n = max(2, np.flatnonzero(np.abs(bessel) > _CHEB_CUTOFF)[-1] + 1)
@@ -248,12 +282,10 @@ def evolve(gamma: np.ndarray, op: Hamiltonian, t: float) -> np.ndarray:
                          f"dims {gamma.shape}")
     if not np.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
-    b = [h.shape[0] for h in (op.hop_x, op.hop_y) if h is not None]
-    if len(op.parts) != len(b):  # both methods read the spectrum from them
-        raise ValueError(f"operator has {len(op.parts)} one-body parts for {len(b)} hops")
     if t == 0.0:
         return np.array(gamma, dtype=np.complex128, order="C")
     # the block path needs exactly one mobile species, with a b x b hop matrix
+    b = [h.shape[0] for h in (op.hop_x, op.hop_y) if h is not None]
     exact = len(b) == 1 and op.dim * b[0] ** 2 <= _EIGEN_WORK_MAX
     flip = op.hop_x is None
     out = (_eigen if exact else _chebyshev)(op, gamma.T if flip else gamma, t)

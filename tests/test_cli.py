@@ -155,6 +155,20 @@ def test_simulate_rejects_nan_duration_without_traceback(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("t1", [1e308, 1e9])
+def test_simulate_refuses_a_term_count_past_its_limits(t1, tmp_path, capsys):
+    # at L=10, 5+5 H1 takes the Chebyshev expansion: t1 = 1e308 ended in an
+    # OverflowError traceback, and 1e9 asks for about 100 GiB of coefficients
+    doc = {"lattice": {"sites": 10, "chain": True},
+           "particles": {"tau": 5, "upsilon": 5}, "protocol": {"t1": t1}}
+    path = _write_config(tmp_path, doc)
+    assert main(["simulate", "--config", str(path),
+                 "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: t = {t1}: the Chebyshev expansion")
+    assert "Traceback" not in err
+
+
 def test_overflowing_initial_amplitudes_exit_1_without_warning(tmp_path, capsys):
     doc = {"lattice": {"sites": 3, "chain": True},
            "particles": {"tau": 1, "upsilon": 1},

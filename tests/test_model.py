@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,8 +10,9 @@ from hypothesis import strategies as st
 import oracles
 from oracles import hop_sign
 from tsim.fock import enumerate_basis
-from tsim.model import (_SPECTRAL_PAD, LatticeSpec, ModelParams, _hop_matrix,
+from tsim.model import (Hamiltonian, LatticeSpec, ModelParams, _hop_matrix,
                         build_full, build_h1, build_h2)
+from tsim.propagate import _SPECTRAL_PAD, _spectral_interval
 from conftest import apply, stepwise_generator
 from tsim.protocol import ProtocolConfig, prepare
 
@@ -250,6 +255,49 @@ def test_dimension_mismatch_rejected():
         build_full(lattice, ModelParams.defaults(5), enumerate_basis(4, 1), bu)
 
 
+@pytest.mark.parametrize("case, message", [
+    ("hop_x", r"^hop_x: shape \(5, 5\) does not match D of shape \(10, 5\)$"),
+    ("hop_y", r"^hop_y: shape \(10, 10\) does not match D of shape \(10, 5\)$"),
+    ("no hop", "^operator has no hop$"),
+    ("parts", "^operator has 1 one-body parts for 2 hops$"),
+])
+def test_inconsistent_operator_is_refused(case, message):
+    # the propagation kernels index gamma by the hops' shapes and check none
+    # of them, so the type refuses a hop that does not match D's side on its
+    # axis, an operator with no hop, and a part count unequal to the hops'
+    bt, bu = enumerate_basis(5, 2), enumerate_basis(5, 1)
+    op = build_full(LatticeSpec.chain(5), ModelParams.defaults(5), bt, bu)
+    args = {"hop_x": (op.hop_y, op.hop_y, op.D, op.parts),
+            "hop_y": (op.hop_x, op.hop_x, op.D, op.parts),
+            "no hop": (None, None, op.D, ()),
+            "parts": (op.hop_x, op.hop_y, op.D, op.parts[:1])}[case]
+    with pytest.raises(ValueError, match=message):
+        Hamiltonian(*args)
+
+
+def test_oversized_hop_is_refused_before_propagation():
+    # scipy's csr_matvecs, which computes H gamma, checks no shape: evolving
+    # this operator wrote past gamma and killed the process with SIGSEGV
+    code = """if True:
+        import numpy as np, scipy.sparse as sp
+        from tsim.model import Hamiltonian
+        from tsim.propagate import evolve
+        part = (np.zeros((5, 5)), np.zeros((1, 5)), 1)
+        try:
+            op = Hamiltonian(sp.csr_array(sp.eye(2000)), sp.csr_array(sp.eye(5)),
+                             np.zeros((10, 5)), (part, part))
+        except ValueError as exc:
+            print(exc)
+        else:
+            evolve(np.ones((10, 5), complex), op, 1.0)
+    """
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, (out.returncode, out.stderr)
+    assert out.stdout == "hop_x: shape (2000, 2000) does not match D of shape (10, 5)\n"
+
+
 def test_weighted_sum():
     # the Trotter generator is the duration-weighted mean of H1 and H2
     rng = np.random.default_rng(25)
@@ -328,7 +376,7 @@ def test_operators_match_oracle_on_random_lattices():
             out = apply(op, v.reshape(bt.dim, bu.dim)).ravel()
             assert np.max(np.abs(out - dense @ v), initial=0.0) < 1e-13
             # the Chebyshev expansion diverges if the interval misses an eigenvalue
-            lo, hi = op.spectral_bounds()
+            lo, hi = _spectral_interval(op)
             eigs = np.linalg.eigvalsh(dense)
             assert lo <= eigs.min() and eigs.max() <= hi
 
@@ -371,15 +419,15 @@ def test_spectral_interval_matches_block_oracle_on_random_lattices():
             params.u_cross)
         free_y = oracles.stepwise_spectral_extremes(
             sites, edges, n_upsilon, 0, j_upsilon, params.u_upsilon, 0.0)
-        within(build_h1(lattice, params, bt, bu).spectral_bounds(), x)
-        within(build_h2(lattice, params, bt, bu).spectral_bounds(), y)
-        within(build_full(lattice, params, bt, bu).spectral_bounds(),
+        within(_spectral_interval(build_h1(lattice, params, bt, bu)), x)
+        within(_spectral_interval(build_h2(lattice, params, bt, bu)), y)
+        within(_spectral_interval(build_full(lattice, params, bt, bu)),
                np.add(x, free_y))
         t1, t2 = rng.uniform(0.5, 2.0, 2)
         ctx = prepare(ProtocolConfig(lattice=lattice, n_tau=n_tau,
                                      n_upsilon=n_upsilon, params=params,
                                      t1=float(t1), t2=float(t2)))
-        within(stepwise_generator(ctx).spectral_bounds(),
+        within(_spectral_interval(stepwise_generator(ctx)),
                (t1 * np.array(x) + t2 * np.array(y)) / (t1 + t2))
 
     check()

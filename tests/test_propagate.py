@@ -5,7 +5,7 @@ import subprocess
 import sys
 import threading
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -19,9 +19,9 @@ from oracles import hop_sign
 from conftest import apply, chebyshev, random_state, stepwise_generator
 from tsim import propagate
 from tsim.fock import enumerate_basis
-from tsim.model import (_SPECTRAL_PAD, Hamiltonian, LatticeSpec, ModelParams,
-                        build_full, build_h1, build_h2)
-from tsim.propagate import evolve
+from tsim.model import (Hamiltonian, LatticeSpec, ModelParams, build_full,
+                        build_h1, build_h2)
+from tsim.propagate import _SPECTRAL_PAD, _spectral_interval, evolve
 
 
 def energy(op, g):
@@ -82,7 +82,7 @@ def test_one_configuration_evolves_by_a_phase():
     h = build_full(LatticeSpec.chain(3), params, bt, bu)
     energy = h.D[0, 0]
     assert abs(energy - 2.4) < 1e-15
-    lo, hi = h.spectral_bounds()
+    lo, hi = _spectral_interval(h)
     # H's one-body norm bound is under 100, and pads each side
     assert lo <= energy <= hi and hi - lo <= 2 * _SPECTRAL_PAD * 100
     psi = np.array([[1.0 + 0j]])
@@ -238,7 +238,8 @@ def test_non_finite_time_rejected(build, t):
 
     def cache(op):
         # the eigen path caches only U(|t|), keyed by |t|
-        return {k: v[0] if k == "stage" else v for k, v in op._cache.items()}
+        return {k: v[0] if k == "stage" else v
+                for k, v in propagate._DERIVED[op].items()}
 
     before = cache(op)
     with pytest.raises(ValueError, match="t must be finite"):
@@ -258,6 +259,22 @@ def test_long_time_matches_eigendecomposition():
         exact = v @ (np.exp(-1j * w * t) * (v.T @ psi.ravel()))
         out = evolve(psi, h, t)
         assert np.max(np.abs(out.ravel() - exact)) < 1e-10
+
+
+@pytest.mark.parametrize("t", [1e308, 1e300, -1e15])
+def test_chebyshev_term_count_past_its_limits_is_refused(t):
+    # at L=4, 1+1 the full H's half-width a is about 3.4: a*|t| passes 2**52
+    # at 1e308 and 1e300, which raised OverflowError and numpy's "Maximum
+    # allowed size exceeded"; at 1e15 it stays below 2**52, and the Bessel
+    # and coefficient arrays alone would outgrow physical memory
+    lattice, params, bt, bu = _chain_setup(4, 1, 1, seed=79)
+    h = build_full(lattice, params, bt, bu)
+    with pytest.raises(ValueError, match=re.escape(f"t = {t}: ") + r"the Chebyshev "
+                       r"expansion over the spectral half-width a = \S+ needs "
+                       "too many terms$"):
+        evolve(random_state(h.D.shape, 83), h, t)
+    a = propagate._DERIVED[h]["chebyshev"][1]
+    assert (a * abs(t) < 2**52) == (abs(t) == 1e15)
 
 
 @settings(max_examples=15, deadline=None)
@@ -422,7 +439,7 @@ def _own_u(build, ctx, t):
         op = build(ctx.config.lattice, ctx.config.params, ctx.basis_tau,
                    ctx.basis_upsilon)
         evolve(ctx.initial, op, t)
-        return op._cache["stage"][1]
+        return propagate._DERIVED[op]["stage"][1]
 
 
 @pytest.mark.parametrize("sites, n", [(6, 2), (8, 4)], ids=["desk", "l8"])
@@ -436,11 +453,11 @@ def test_interchangeable_species_share_one_stage_propagator(sites, n):
     ctx = prepare(ProtocolConfig(lattice=LatticeSpec.chain(sites), n_tau=n,
                                  n_upsilon=n, params=ModelParams.defaults(sites)))
     run_cycle(ctx.initial, ctx, 1)
-    assert ctx.h1._cache["stage"][1] is ctx.h2._cache["stage"][1]
-    assert np.array_equal(ctx.h2._cache["stage"][1],
-                          _own_u(build_h2, ctx, ctx.config.t2))
+    u1, u2 = (propagate._DERIVED[op]["stage"][1] for op in (ctx.h1, ctx.h2))
+    assert u1 is u2
+    assert np.array_equal(u2, _own_u(build_h2, ctx, ctx.config.t2))
     assert len(propagate._STAGE_U) == 1
-    del ctx
+    del ctx, u1, u2
     gc.collect()
     assert len(propagate._STAGE_U) == 0
 
@@ -460,7 +477,7 @@ def test_distinct_parts_keep_distinct_stage_propagators(change):
               "params": ModelParams.defaults(6), **change}
     ctx = prepare(ProtocolConfig(**config))
     run_cycle(ctx.initial, ctx, 1)
-    u1, u2 = (op._cache["stage"][1] for op in (ctx.h1, ctx.h2))
+    u1, u2 = (propagate._DERIVED[op]["stage"][1] for op in (ctx.h1, ctx.h2))
     assert u1 is not u2 and u1.shape == u2.shape
     assert np.array_equal(u1, _own_u(build_h1, ctx, ctx.config.t1))
     assert np.array_equal(u2, _own_u(build_h2, ctx, ctx.config.t2))
@@ -506,7 +523,7 @@ def test_eigen_propagator_matches_oracle_blocks(build, n):
             idx = np.s_[:, k] if build is build_h1 else np.s_[k, :]
             exact = v @ (np.exp(-1j * w * t) * (v.conj().T @ psi[idx]))
             assert np.max(np.abs(out[idx] - exact)) < 1e-12
-    assert "stage" in op._cache and "chebyshev" not in op._cache
+    assert propagate._DERIVED[op].keys() == {"stage"}
 
 
 @pytest.mark.parametrize("lattice, n, n_frozen", [
@@ -534,7 +551,7 @@ def test_eigen_propagator_is_symmetric_and_matches_minors(build, lattice, n,
         op = build_h2(lattice, params, frozen, mobile)
         j, u = params.j_upsilon, params.u_upsilon
     evolve(random_state(op.D.shape, 197), op, t)
-    big_u = op._cache["stage"][1]
+    big_u = propagate._DERIVED[op]["stage"][1]
     assert np.array_equal(big_u, big_u.transpose(0, 2, 1))
     hop = np.zeros((sites, sites))
     for i, k in lattice.edges:
@@ -552,13 +569,11 @@ def test_eigen_propagator_is_symmetric_and_matches_minors(build, lattice, n,
 
 def test_operator_without_one_body_parts_is_refused():
     # both methods read the spectrum from the parts, so an operator that
-    # lacks them is refused before any propagator is built
+    # lacks them is refused where it is built, before any propagation
     lattice, params, bt, bu = _chain_setup(6, 2, 2, seed=163)
     op = build_h1(lattice, params, bt, bu)
-    bare = Hamiltonian(op.hop_x, None, op.D, ())
     with pytest.raises(ValueError, match="^operator has 0 one-body parts for 1 hop"):
-        evolve(random_state(op.D.shape, 167), bare, 1.0)
-    assert bare._cache == {}
+        Hamiltonian(op.hop_x, None, op.D, ())
 
 
 def test_eigen_propagator_build_peak_memory():
@@ -578,7 +593,7 @@ def test_eigen_propagator_build_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    u = op._cache["stage"][1]
+    u = propagate._DERIVED[op]["stage"][1]
     assert u.shape == (70, 70, 70) and out.shape == psi.shape
     assert peak <= 1.5 * u.nbytes
 
@@ -652,7 +667,7 @@ def test_chebyshev_matches_sparse_oracle_blocks_at_l12(mobile):
             idx = np.s_[:, k] if mobile == "h1" else np.s_[k, :]
             exact = v @ (np.exp(-1j * w * t) * (v.T @ psi[idx]))
             assert np.max(np.abs(out[idx] - exact)) < 1e-12
-    assert "chebyshev" in part._cache and "stage" not in part._cache
+    assert propagate._DERIVED[part].keys() == {"chebyshev"}
 
 
 def _chebyshev_peak(build, sites, t):
@@ -703,25 +718,42 @@ def test_spectral_bounds_once_per_operator(monkeypatch):
     # the interval is computed on an operator's first Chebyshev call, once,
     # and never for an operator that the eigen path serves
     calls = []
-    bounds = Hamiltonian.spectral_bounds
 
-    def counting_bounds(self):
-        calls.append(self)
-        return bounds(self)
+    def counting_bounds(op):
+        calls.append(op)
+        return _spectral_interval(op)
 
-    monkeypatch.setattr(Hamiltonian, "spectral_bounds", counting_bounds)
+    monkeypatch.setattr(propagate, "_spectral_interval", counting_bounds)
     lattice, params, bt, bu = _chain_setup(5, 2, 2, seed=103)
     full, h2 = build_full(lattice, params, bt, bu), build_h2(lattice, params, bt, bu)
     psi = random_state((bt.dim, bu.dim), 107)
     times = (0.8, -0.8, 2.5, -0.1)
     for t in times:
         evolve(psi, h2, t)
-    assert calls == [] and "chebyshev" not in h2._cache
+    assert calls == [] and "chebyshev" not in propagate._DERIVED[h2]
     for op in (full, h2):
         for t in times:
             evolve(psi, op, t)
             chebyshev(psi, op, t)
     assert calls == [full, h2]
+
+
+@pytest.mark.parametrize("build", [build_h1, build_full], ids=["eigen", "chebyshev"])
+def test_evolve_leaves_the_operator_as_built(build):
+    # what propagation derives lives in its own map, keyed by the operator
+    # and gone with it; the operator holds only its four fields
+    assert [f.name for f in fields(Hamiltonian)] == ["hop_x", "hop_y", "D", "parts"]
+    lattice, params, bt, bu = _chain_setup(6, 2, 2, seed=109)
+    op = build(lattice, params, bt, bu)
+    before = dict(vars(op))
+    evolve(random_state(op.D.shape, 113), op, 1.0)
+    assert vars(op).keys() == before.keys()
+    assert all(vars(op)[k] is v for k, v in before.items())
+    assert op in propagate._DERIVED
+    gc.collect()
+    entries = len(propagate._DERIVED)
+    del op
+    assert len(propagate._DERIVED) == entries - 1
 
 
 @pytest.fixture(scope="module")
@@ -852,6 +884,27 @@ def test_import_starts_no_thread():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout == "1\n"
+
+
+def test_import_without_sched_getaffinity():
+    # macOS has no os.sched_getaffinity: the slab count falls back to the
+    # CPU count, still at most 2, and a desk run goes through
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = """if True:
+        import os
+        del os.sched_getaffinity
+        from tsim import propagate
+        from tsim.model import LatticeSpec, ModelParams
+        from tsim.protocol import ProtocolConfig, run_protocol
+        run = run_protocol(ProtocolConfig(lattice=LatticeSpec.chain(6), n_tau=2,
+                                          n_upsilon=2, params=ModelParams.defaults(6),
+                                          cycles=2))
+        print(propagate._THREADS, min(2, os.cpu_count() or 1), len(run.records))
+    """
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    threads, expected, records = map(int, out.stdout.split())
+    assert threads == expected and records == 11
 
 
 def test_desk_run_starts_no_thread(monkeypatch):

@@ -212,7 +212,7 @@ def test_one_hop_stages_keep_the_frozen_marginals(overrides, method):
     for cycle in range(1, cfg.cycles + 1):
         state, recs, _ = run_cycle(state, ctx, cycle)
         records += recs
-    assert method in ctx.h1._cache and method in ctx.h2._cache
+    assert all(method in propagate._DERIVED[op] for op in (ctx.h1, ctx.h2))
     frozen = {STAGE_FWD1: "upsilon", STAGE_REV1: "upsilon",
               STAGE_FWD2: "tau", STAGE_REV2: "tau"}
     checked = 0
@@ -313,7 +313,8 @@ def test_derived_stages_match_direct_propagation(overrides, method, monkeypatch)
         state, recs, _ = run_cycle(state, ctx, cycle)
         records += recs
         returned.append(state)
-    assert set(ctx.h1._cache) == set(ctx.h2._cache) == {method}
+    assert (propagate._DERIVED[ctx.h1].keys() == propagate._DERIVED[ctx.h2].keys()
+            == {method})
     stages = _direct_route(ctx, ctx.initial, range(1, cfg.cycles + 1))
     _assert_records_measure(ctx, records, stages)
     per_cycle = len(stages) // cfg.cycles
@@ -381,7 +382,7 @@ def test_cycle_memory(species, held_max, peak_max):
             held.append(tracemalloc.get_traced_memory()[0] / state.nbytes)
     finally:
         tracemalloc.stop()
-    assert "chebyshev" in ctx.h1._cache and "chebyshev" in ctx.h2._cache
+    assert all("chebyshev" in propagate._DERIVED[op] for op in (ctx.h1, ctx.h2))
     # cycle 1 is not steady: it propagates fwd1 and builds the folds
     assert max(held[1:]) <= held_max, held
     assert max(peaks[1:]) <= peak_max, peaks
