@@ -7,53 +7,20 @@ entanglement entropy end up above their initial values (all zero for the
 domain wall).  Writes one CSV row per seed.
 """
 
-import argparse
-import csv
-from dataclasses import replace
-from pathlib import Path
-
 import numpy as np
 
-from tsim.model import LatticeSpec, ModelParams
-from tsim.protocol import ProtocolConfig, run_protocol
-
-# the flag each ProtocolConfig field comes from, to name it in a usage error
-FLAGS = {"sites": "--sites", "n_tau": "--particles",
-         "n_upsilon": "--particles", "t1": "--t", "t2": "--t"}
+import _front
 
 
 def main():
-    parser = argparse.ArgumentParser()
-    parser.add_argument("--sites", type=int, default=6)
-    parser.add_argument("--particles", type=int, default=2)
-    parser.add_argument("--seeds", type=int, default=50)
-    parser.add_argument("--t", type=float, default=2.0)
-    parser.add_argument("--out", default="out/irreversibility.csv")
-    args = parser.parse_args()
-    if args.seeds < 1:
-        parser.error("--seeds must be at least 1")
-
-    try:
-        base = ProtocolConfig(lattice=LatticeSpec.chain(args.sites),
-                              n_tau=args.particles, n_upsilon=args.particles,
-                              params=ModelParams.defaults(args.sites),
-                              t1=args.t, t2=args.t, cycles=1)
-    except ValueError as exc:
-        field, rule = str(exc).split(": ", 1)
-        parser.error(f"{FLAGS[field]}: {rule}")
+    args, results = _front.runs(seeds=50, out="out/irreversibility.csv")
     rows = []
-    for seed in range(args.seeds):
-        final = run_protocol(replace(base, master_seed=seed)).records[-1].report
+    for seed, result in enumerate(results):
+        final = result.records[-1].report
         rows.append((seed, final.s_tau, final.s_upsilon, final.s_total,
                      final.s_ent, final.fidelity_to_initial))
-
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with out.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["seed", "S_tau", "S_upsilon", "S_total", "S_ent",
-                         "fidelity"])
-        writer.writerows(rows)
+    out = _front.write_csv(args.out, ["seed", "S_tau", "S_upsilon", "S_total",
+                                      "S_ent", "fidelity"], rows)
 
     data = np.array([r[1:] for r in rows])
     names = ["S_tau", "S_upsilon", "S_total", "S_ent", "fidelity"]

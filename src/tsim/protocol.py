@@ -73,7 +73,6 @@ STAGE_REV2 = "rev2"
 STAGE_REV1 = "rev1"
 STAGE_FULL = "full"
 STAGE_TROTTER = "trotter"
-CYCLE_STAGES = (STAGE_FWD1, STAGE_FWD2, STAGE_ERASE, STAGE_REV2, STAGE_REV1)
 
 DOMAIN_WALL = "domain-wall"
 
@@ -104,9 +103,12 @@ class ProtocolConfig:
                 raise ValueError(f"{name}: must be in [0, {sites}]")
         # once the particle numbers are in range: comb refuses a negative one
         dim = comb(sites, self.n_tau) * comb(sites, self.n_upsilon)
-        if 16 * dim > _PHYSICAL_BYTES:
-            raise ValueError(f"sites: the state takes {16 * dim} bytes, more than "
-                             f"the {_PHYSICAL_BYTES} bytes of physical memory")
+        # a run holds up to 11 states: a steady cycle peaks at 10.1 gamma at
+        # L=12 and 10.5 at L=10, and near physical memory every stage is
+        # Chebyshev or an eigen path whose U is at most 2 gamma
+        if 11 * 16 * dim > _PHYSICAL_BYTES:
+            raise ValueError(f"sites: a run takes 11 states of {16 * dim} bytes, "
+                             f"more than the {_PHYSICAL_BYTES} bytes of physical memory")
         for name in ("u_tau", "u_upsilon"):
             if (n := len(getattr(self.params, name))) != sites:
                 raise ValueError(f"{name}: expected {sites} entries, got {n}")

@@ -3,13 +3,17 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from math import comb
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 from tsim import fock
 from tsim.cli import main
+from tsim.model import LatticeSpec, ModelParams
+from tsim.protocol import ProtocolConfig
 
 MINIMAL = {"lattice": {"sites": 6, "chain": True},
            "particles": {"tau": 2, "upsilon": 2}}
@@ -185,13 +189,17 @@ def test_overflowing_initial_amplitudes_exit_1_without_warning(tmp_path, capsys)
     assert not (tmp_path / "run").exists()
 
 
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
 def _script_usage_error(script, argv, tmp_path, monkeypatch, capsys):
     """Run a script with argv, expecting a usage error before any run or
     output file; returns its stderr."""
     import runpy
-    from pathlib import Path
-    path = Path(__file__).resolve().parent.parent / "scripts" / script
+    path = SCRIPTS / script
     out = tmp_path / "out.csv"
+    # as `python scripts/<script>` does, so that the script finds _front
+    monkeypatch.syspath_prepend(str(SCRIPTS))
     monkeypatch.setattr("sys.argv", [script, *argv, "--out", str(out)])
     with pytest.raises(SystemExit) as exc:
         runpy.run_path(str(path), run_name="__main__")
@@ -222,3 +230,47 @@ def test_scripts_reject_bad_model_flags(script, argv, message, tmp_path,
     # a flag the run's configuration rejects names the flag
     err = _script_usage_error(script, argv, tmp_path, monkeypatch, capsys)
     assert f"error: {message}" in err
+
+
+@pytest.fixture
+def front(monkeypatch):
+    """The scripts' shared front end, its run_protocol returning the config
+    it is given."""
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    import _front
+    monkeypatch.setattr(_front, "run_protocol", lambda config: config)
+    return _front
+
+
+def test_front_end_defaults(front, monkeypatch):
+    monkeypatch.setattr("sys.argv", ["run_saturation.py"])
+    args, configs = front.runs(seeds=20, out="out/saturation.csv", cycles=50)
+    assert vars(args) == {"sites": 6, "particles": 2, "seeds": 20, "cycles": 50,
+                          "t": 2.0, "out": "out/saturation.csv"}
+    base = ProtocolConfig(LatticeSpec.chain(6), 2, 2, ModelParams.defaults(6),
+                          t1=2.0, t2=2.0, cycles=50)
+    assert list(configs) == [replace(base, master_seed=s) for s in range(20)]
+    # with no --cycles default the flag does not exist, and a run is one cycle
+    monkeypatch.setattr("sys.argv", ["run_irreversibility.py", "--seeds", "3"])
+    args, configs = front.runs(seeds=50, out="out/irreversibility.csv")
+    assert [(c.cycles, c.master_seed) for c in configs] == [(1, 0), (1, 1), (1, 2)]
+    monkeypatch.setattr("sys.argv", ["run_irreversibility.py", "--cycles", "2"])
+    with pytest.raises(SystemExit) as exc:
+        front.runs(seeds=50, out="out/irreversibility.csv")
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--cycles", "0"], "--cycles must be at least 1"),
+    (["--seeds", "0"], "--seeds must be at least 1"),
+    (["--sites", "64"], "--sites: must be at most 63"),
+    (["--t", "0"], "--t: must be positive and finite"),
+    (["--particles", "7"], "--particles: must be in [0, 6]"),
+])
+def test_front_end_usage_errors(front, argv, message, monkeypatch, capsys):
+    monkeypatch.setattr("sys.argv", ["run_saturation.py", *argv])
+    with pytest.raises(SystemExit) as exc:
+        front.runs(seeds=20, out="out/saturation.csv", cycles=50)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == f"run_saturation.py: error: {message}"

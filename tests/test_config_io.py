@@ -199,9 +199,10 @@ def test_key_names_are_unique_across_sections():
 
 
 def test_state_beyond_physical_memory_is_refused(monkeypatch):
-    # 16 * C(40, 20)**2 bytes, about 3e23: refused by the constructor, before
-    # any basis of C(40, 20) configs is enumerated, so a stub that raises
-    # stands in for enumerate_basis wherever a tsim module holds the name
+    # 11 states of 16 * C(40, 20)**2 bytes, about 3e23 each: refused by the
+    # constructor, before any basis of C(40, 20) configs is enumerated, so a
+    # stub that raises stands in for enumerate_basis wherever a tsim module
+    # holds the name
     def refuse(*args):
         raise AssertionError(f"enumerate_basis{args} ran before the refusal")
 
@@ -213,13 +214,19 @@ def test_state_beyond_physical_memory_is_refused(monkeypatch):
     doc = json.dumps({"lattice": {"sites": 40},
                       "particles": {"tau": 20, "upsilon": 20}})
     with pytest.raises(ConfigError, match=re.escape(
-            f"lattice.sites: the state takes {16 * comb(40, 20) ** 2} bytes, "
-            f"more than the {_PHYSICAL_BYTES} bytes of physical memory")):
+            f"lattice.sites: a run takes 11 states of {16 * comb(40, 20) ** 2} "
+            f"bytes, more than the {_PHYSICAL_BYTES} bytes of physical memory")):
         parse_config(doc)
-    # L=14, 7+7 takes 188 MB, and is a run
+    # L=14, 7+7 takes 11 states of 188 MB, 1.9 GiB, and is a run
     config, _ = parse_config(json.dumps({"lattice": {"sites": 14},
                                          "particles": {"tau": 7, "upsilon": 7}}))
-    assert 16 * comb(14, 7) ** 2 < _PHYSICAL_BYTES and config.n_tau == 7
+    assert 11 * 16 * comb(14, 7) ** 2 < _PHYSICAL_BYTES and config.n_tau == 7
+    # with 8 GiB, the 2.47 GiB state of L=16, 8+8 fits, but not its run
+    monkeypatch.setattr("tsim.protocol._PHYSICAL_BYTES", 8 * 2 ** 30)
+    with pytest.raises(ConfigError, match=re.escape(
+            f"lattice.sites: a run takes 11 states of {16 * comb(16, 8) ** 2} bytes")):
+        parse_config(json.dumps({"lattice": {"sites": 16},
+                                 "particles": {"tau": 8, "upsilon": 8}}))
 
 
 def test_huge_initial_amplitudes_normalize():

@@ -260,17 +260,20 @@ def test_dimension_mismatch_rejected():
     ("hop_y", r"^hop_y: shape \(10, 10\) does not match D of shape \(10, 5\)$"),
     ("no hop", "^operator has no hop$"),
     ("parts", "^operator has 1 one-body parts for 2 hops$"),
+    ("D", r"^D: must be 2-D, got shape \(50,\)$"),
 ])
 def test_inconsistent_operator_is_refused(case, message):
     # the propagation kernels index gamma by the hops' shapes and check none
-    # of them, so the type refuses a hop that does not match D's side on its
-    # axis, an operator with no hop, and a part count unequal to the hops'
+    # of them, so the type refuses a D that is not 2-D, a hop that does not
+    # match D's side on its axis, an operator with no hop, and a part count
+    # unequal to the hops'
     bt, bu = enumerate_basis(5, 2), enumerate_basis(5, 1)
     op = build_full(LatticeSpec.chain(5), ModelParams.defaults(5), bt, bu)
     args = {"hop_x": (op.hop_y, op.hop_y, op.D, op.parts),
             "hop_y": (op.hop_x, op.hop_x, op.D, op.parts),
             "no hop": (None, None, op.D, ()),
-            "parts": (op.hop_x, op.hop_y, op.D, op.parts[:1])}[case]
+            "parts": (op.hop_x, op.hop_y, op.D, op.parts[:1]),
+            "D": (op.hop_x, op.hop_y, op.D.ravel(), op.parts)}[case]
     with pytest.raises(ValueError, match=message):
         Hamiltonian(*args)
 
