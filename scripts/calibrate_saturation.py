@@ -1,72 +1,36 @@
 #!/usr/bin/env python3
 """Brute-force reference run for the entropy-saturation threshold.
 
-Independent of the package on purpose: bases come from itertools, the two
-stepwise Hamiltonians are assembled term by term as dense matrices through
-explicit creation/annihilation operators on the full two-species product
-space, stage propagators come straight from scipy.linalg.expm, and the cycle
-loop is written out inline.  The printed plateau (seed-averaged entanglement
-entropy over the second half of the cycles) calibrates the saturation
-threshold frozen into the acceptance suite as 80% of the plateau.  The script
-also prints the worst 5-point-smoothed difference of the seed-averaged curve
-in standard errors of the seed mean, against the bound of a 1% family-wise
-one-sided t-test (Bonferroni over all differences), so the reference checks
-both halves of the suite's entropy-saturation criterion.
+Independent of the package on purpose: it imports no tsim.  Its pieces come
+from the suite's independent reference, ``tests/oracles.py``: the two
+stepwise Hamiltonians, built sector-first from explicit creation and
+annihilation operators; the entanglement entropy, from an SVD; and criterion
+4's monotone rule.  Stage propagators come straight from scipy.linalg.expm,
+and the cycle loop is written out inline.  The printed plateau (seed-averaged
+entanglement entropy over the second half of the cycles) calibrates the
+saturation threshold frozen into the acceptance suite as 80% of the plateau.
+The script also prints the worst 5-point-smoothed difference of the
+seed-averaged curve in standard errors of the seed mean, against the bound
+of the suite's family-wise one-sided t-test, so the reference checks both
+halves of the suite's entropy-saturation criterion.
 
 Usage: python scripts/calibrate_saturation.py [--seeds 20] [--cycles 50]
 """
 
 import argparse
-import itertools
+import math
+import os
+import sys
+from pathlib import Path
 
 import numpy as np
-from scipy import stats
 from scipy.linalg import expm
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+import oracles  # noqa: E402
 
-def annihilation(sites, site):
-    dim = 1 << sites
-    out = np.zeros((dim, dim), dtype=complex)
-    for mask in range(dim):
-        if (mask >> site) & 1:
-            below = bin(mask & ((1 << site) - 1)).count("1")
-            out[mask ^ (1 << site), mask] = -1.0 if below % 2 else 1.0
-    return out
-
-
-def number_op(sites, site):
-    dim = 1 << sites
-    diag = np.array([(mask >> site) & 1 for mask in range(dim)], dtype=complex)
-    return np.diag(diag)
-
-
-def stepwise_hamiltonians(sites, j, u_cross):
-    dim = 1 << sites
-    eye = np.eye(dim, dtype=complex)
-    hop = np.zeros((dim, dim), dtype=complex)
-    for i in range(sites - 1):
-        ci, ck = annihilation(sites, i), annihilation(sites, i + 1)
-        hop += j * (ci.conj().T @ ck + ck.conj().T @ ci)
-    cross = sum(u_cross * np.kron(number_op(sites, i), number_op(sites, i))
-                for i in range(sites))
-    h1 = np.kron(hop, eye) + cross
-    h2 = np.kron(eye, hop) + cross
-    return h1, h2
-
-
-def sector_indices(sites, n_tau, n_upsilon):
-    masks = {n: sorted(sum(1 << i for i in occ)
-                       for occ in itertools.combinations(range(sites), n))
-             for n in {n_tau, n_upsilon}}
-    dim = 1 << sites
-    return [x * dim + y for x in masks[n_tau] for y in masks[n_upsilon]]
-
-
-def entanglement(vec, d):
-    s = np.linalg.svd(vec.reshape(d, d), compute_uv=False)
-    p = s**2
-    p = p[p > 1e-300]
-    return float(-(p * np.log(p)).sum())
+# the machine's physical memory in bytes, the most the dense matrices can take
+_PHYSICAL_BYTES = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 def main():
@@ -83,21 +47,35 @@ def main():
         parser.error("--cycles must be at least 6")
     if args.seeds < 2:
         parser.error("--seeds must be at least 2")
+    if args.sites < 1:
+        parser.error("--sites: must be a positive integer")
+    if not 0 <= args.particles <= args.sites:
+        parser.error(f"--particles: must be in [0, {args.sites}]")
+    if not (math.isfinite(args.t) and args.t > 0):
+        parser.error("--t: must be positive and finite")
+    # a run holds at most 6 one-species matrices (2^L square) and 11 sector
+    # matrices (d^2 square) at once, complex; past 63 sites one one-species
+    # matrix alone has 2^126 entries, so the count stops there
+    if args.sites > 63 or 16 * (6 * 4**args.sites + 11 * math.comb(
+            args.sites, args.particles)**4) > _PHYSICAL_BYTES:
+        parser.error(f"--sites: the dense matrices of {args.sites} sites and "
+                     f"{args.particles}+{args.particles} particles take more "
+                     f"than the {_PHYSICAL_BYTES} bytes of physical memory")
 
-    sel = sector_indices(args.sites, args.particles, args.particles)
-    h1_full, h2_full = stepwise_hamiltonians(args.sites, 1.0, 1.0)
-    h1 = h1_full[np.ix_(sel, sel)]
-    h2 = h2_full[np.ix_(sel, sel)]
-    d = round(len(sel) ** 0.5)
-
-    u1 = expm(-1j * args.t * h1)
-    u2 = expm(-1j * args.t * h2)
+    d = math.comb(args.sites, args.particles)
+    edges = [(i, i + 1) for i in range(args.sites - 1)]
+    common = (args.sites, edges, args.particles, args.particles,
+              1.0, 1.0, None, None, 1.0)
+    u1 = expm(-1j * args.t * oracles.sector_hamiltonian(
+        *common, terms=("hop_tau", "cross")))
+    u2 = expm(-1j * args.t * oracles.sector_hamiltonian(
+        *common, terms=("hop_upsilon", "cross")))
     u1r, u2r = u1.conj().T, u2.conj().T
 
     curves = np.zeros((args.seeds, args.cycles))
     for seed in range(args.seeds):
         rng = np.random.default_rng(100_003 + seed)
-        psi = np.zeros(len(sel), dtype=complex)
+        psi = np.zeros(d * d, dtype=complex)
         psi[0] = 1.0  # both species packed on the lowest sites
         for cycle in range(args.cycles):
             psi = u2 @ (u1 @ psi)
@@ -107,7 +85,7 @@ def main():
             psi = u1r @ (u2r @ psi)
             psi = (psi.reshape(d, d) * column_phase.conj()[None, :]).reshape(-1)
             psi /= np.linalg.norm(psi)
-            curves[seed, cycle] = entanglement(psi, d)
+            curves[seed, cycle] = oracles.entanglement_from_vector(psi, d, d)
 
     mean = curves.mean(axis=0)
     plateau = mean[args.cycles // 2:].mean()
@@ -117,15 +95,9 @@ def main():
     print(f"80% threshold: {0.8 * plateau:.6f}")
     print(f"Page estimate ln({d}) - 1/2 = {np.log(d) - 0.5:.6f}")
 
-    kernel = np.ones(5) / 5
-    smooth = np.array([np.convolve(c, kernel, mode="valid") for c in curves])
-    diffs = np.diff(smooth, axis=1)
-    standardized = diffs.mean(axis=0) / (
-        diffs.std(axis=0, ddof=1) / np.sqrt(args.seeds))
-    bound = -stats.t.ppf(1 - 0.01 / diffs.shape[1], df=args.seeds - 1)
-    print(f"min smoothed diff: {diffs.mean(axis=0).min():.2e}")
-    print(f"worst smoothed diff: {standardized.min():.2f} SE "
-          f"(bound {bound:.2f})")
+    _, min_diff, worst, bound = oracles.smoothed_monotone(curves)
+    print(f"min smoothed diff: {min_diff:.2e}")
+    print(f"worst smoothed diff: {worst:.2f} SE (bound {bound:.2f})")
 
 
 if __name__ == "__main__":

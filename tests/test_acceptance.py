@@ -5,10 +5,12 @@ Desk scale throughout: 6-site chain, 2 particles per species, so both species
 bases have dimension 15 and the composite space dimension 225.
 """
 
+import runpy
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
-from scipy import stats
 from scipy.linalg import expm
 
 import oracles
@@ -24,11 +26,6 @@ from tsim.protocol import ProtocolConfig, prepare, run_protocol, run_trotter
 # 80% of the plateau measured by the standalone brute-force reference
 # (scripts/calibrate_saturation.py, 20 seeds x 50 cycles: plateau 2.087911)
 SATURATION_THRESHOLD = 1.670329
-
-# Family-wise level of criterion 4's "never decreases" check.  Neither the
-# paper nor the README fixes one; this is the choice made here, the same 1%
-# that criterion 3 uses.
-MONOTONE_LEVEL = 0.01
 
 
 def desk_config(**overrides):
@@ -123,32 +120,6 @@ def test_criterion_3_irreversibility_ensemble():
         assert lows[name] > 0, name
 
 
-def smoothed_monotone(curves):
-    """Decide whether the seed-averaged curve, smoothed over 5 points, never
-    decreases by more than the seed ensemble can resolve.
-
-    ``curves`` holds one curve per row, one row per seed.  Each seed's curve
-    is smoothed and differenced; the mean of those per-seed differences is
-    the difference of the smoothed mean curve.  A mean difference is a
-    decrease when it lies more than z standard errors of the mean below zero,
-    where z is the one-sided Student-t quantile (n_seeds - 1 degrees of
-    freedom) at MONOTONE_LEVEL family-wise over all differences (Bonferroni).
-
-    Returns (monotone, min mean difference, worst standardized difference,
-    bound), the last two in standard errors.
-    """
-    n_seeds = curves.shape[0]
-    kernel = np.ones(5) / 5
-    smooth = np.array([np.convolve(c, kernel, mode="valid") for c in curves])
-    per_seed = np.diff(smooth, axis=1)
-    diffs = per_seed.mean(axis=0)
-    standardized = diffs / (per_seed.std(axis=0, ddof=1) / np.sqrt(n_seeds))
-    bound = -float(stats.t.ppf(1 - MONOTONE_LEVEL / diffs.size,
-                               df=n_seeds - 1))
-    worst = float(standardized.min())
-    return worst >= bound, float(diffs.min()), worst, bound
-
-
 def test_criterion_4_entropy_saturation():
     curves = []
     for seed in range(20):
@@ -156,12 +127,9 @@ def test_criterion_4_entropy_saturation():
         curves.append([r.report.s_ent for r in result.records
                        if r.stage == "rev1"])
     curves = np.asarray(curves)
-    # Once the curve saturates (around cycle 6 here), consecutive smoothed
-    # values differ by zero-mean sampling noise of order 5e-3, so a
-    # zero-tolerance "never decreases" fails for any implementation of these
-    # dynamics, the independent brute-force reference included.  A decrease
-    # therefore counts only when the ensemble resolves it at MONOTONE_LEVEL.
-    monotone, min_diff, worst, bound = smoothed_monotone(curves)
+    # the curve saturates around cycle 6; the rule and its calibration share
+    # oracles.smoothed_monotone
+    monotone, min_diff, worst, bound = oracles.smoothed_monotone(curves)
     terminal = float(curves.mean(axis=0)[-1])
     above = terminal > SATURATION_THRESHOLD
     _report(4, "entropy-saturation", monotone and above,
@@ -172,7 +140,8 @@ def test_criterion_4_entropy_saturation():
     assert monotone, (
         f"smoothed seed-averaged curve falls by {min_diff:.2e}; its worst "
         f"difference is {worst:.2f} standard errors, below the bound "
-        f"{bound:.2f} of a {MONOTONE_LEVEL:.0%} family-wise one-sided t-test"
+        f"{bound:.2f} of a {oracles.MONOTONE_LEVEL:.0%} family-wise one-sided "
+        f"t-test"
     )
 
     # Negative controls: curves that do fall, yet end above the threshold,
@@ -181,8 +150,29 @@ def test_criterion_4_entropy_saturation():
     for name, falling in (("reversed", curves[:, ::-1]),
                           ("drift", curves - 0.006 * np.arange(n_cycles))):
         assert falling.mean(axis=0)[-1] > SATURATION_THRESHOLD, name
-        still_monotone, _, control_worst, _ = smoothed_monotone(falling)
+        still_monotone, _, control_worst, _ = oracles.smoothed_monotone(falling)
         assert not still_monotone, f"{name} control passes at {control_worst:.2f} SE"
+
+
+def test_monotone_rule_on_curves_without_spread():
+    # a flat curve shared by every seed has no spread and does not decrease;
+    # an exact shared decrease is infinitely many standard errors
+    flat, _, worst, bound = oracles.smoothed_monotone(np.zeros((2, 10)))
+    assert flat and worst == 0.0 and bound < 0
+    monotone, _, worst, _ = oracles.smoothed_monotone(
+        np.tile(-np.arange(10.0), (2, 1)))
+    assert not monotone and worst == -np.inf
+
+
+def test_saturation_threshold_is_its_calibration(monkeypatch, capsys):
+    # the brute-force reference at its defaults, run in-process
+    scripts = Path(__file__).resolve().parent.parent / "scripts"
+    monkeypatch.setattr("sys.path", [*sys.path])  # the script adds tests/
+    monkeypatch.setattr("sys.argv", ["calibrate_saturation.py"])
+    runpy.run_path(str(scripts / "calibrate_saturation.py"), run_name="__main__")
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "plateau (cycles 26..50): 2.087911"
+    assert lines[2] == f"80% threshold: {SATURATION_THRESHOLD:.6f}"
 
 
 def test_criterion_5_block_propagation_equivalence():

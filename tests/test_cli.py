@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -274,3 +275,69 @@ def test_front_end_usage_errors(front, argv, message, monkeypatch, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.splitlines()[-1] == f"run_saturation.py: error: {message}"
+
+
+@pytest.fixture
+def calibration(monkeypatch):
+    """``scripts/calibrate_saturation.py`` loaded as a module, its ``main``
+    not yet run, with ``oracles.sector_hamiltonian`` raising: a run that
+    builds a matrix fails."""
+    # the script puts tests/ on sys.path, as it does under python
+    monkeypatch.setattr("sys.path", [*sys.path])
+    spec = importlib.util.spec_from_file_location(
+        "calibrate_saturation", SCRIPTS / "calibrate_saturation.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Hamiltonian was built")
+
+    monkeypatch.setattr(module.oracles, "sector_hamiltonian", refuse)
+    return module
+
+
+def _calibration_error(calibration, argv, monkeypatch, capsys):
+    """Run the calibration with argv, expecting a usage error; returns the
+    last line of its stderr."""
+    monkeypatch.setattr("sys.argv", ["calibrate_saturation.py", *argv])
+    with pytest.raises(SystemExit) as exc:
+        calibration.main()
+    assert exc.value.code == 2
+    return capsys.readouterr().err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--particles", "7"], "--particles: must be in [0, 6]"),
+    (["--particles", "-1"], "--particles: must be in [0, 6]"),
+    (["--sites", "0"], "--sites: must be a positive integer"),
+    (["--t", "nan"], "--t: must be positive and finite"),
+    (["--t", "0"], "--t: must be positive and finite"),
+    (["--t", "-2"], "--t: must be positive and finite"),
+])
+def test_calibration_rejects_bad_flags(calibration, argv, message, monkeypatch,
+                                       capsys):
+    # each is a usage error naming its flag, before any matrix is built
+    err = _calibration_error(calibration, argv, monkeypatch, capsys)
+    assert err == f"calibrate_saturation.py: error: {message}"
+
+
+def test_calibration_beyond_physical_memory_is_refused(calibration, monkeypatch,
+                                                       capsys):
+    # at 8 GiB: 9 sites with 4+4 particles take 11 sector matrices of 4 GB,
+    # 30 sites with 1+1 six one-species matrices of 2^60 entries, and past
+    # 63 sites nothing is counted; all are refused before any matrix is built
+    memory = 8 << 30
+    monkeypatch.setattr(calibration, "_PHYSICAL_BYTES", memory)
+    for sites, particles in ((9, 4), (30, 1), (64, 2), (10**12, 2)):
+        err = _calibration_error(
+            calibration, ["--sites", str(sites), "--particles", str(particles)],
+            monkeypatch, capsys)
+        assert err == (
+            f"calibrate_saturation.py: error: --sites: the dense matrices of "
+            f"{sites} sites and {particles}+{particles} particles take more "
+            f"than the {memory} bytes of physical memory")
+    # 8 sites with 4+4 take 11 sector matrices of 384 MB, and run
+    monkeypatch.setattr("sys.argv", ["calibrate_saturation.py", "--sites", "8",
+                                     "--particles", "4"])
+    with pytest.raises(AssertionError, match="a Hamiltonian was built"):
+        calibration.main()

@@ -126,6 +126,72 @@ def test_all_operators_match_dense_oracle(sites, n_tau, n_upsilon, seed):
         assert np.array_equal(dense, dense.conj().T)
 
 
+_TERMS = ("hop_tau", "hop_upsilon", "u_tau", "u_upsilon", "cross")
+
+
+def _product_space_hamiltonian(sites, edges, j_tau, j_upsilon, u_tau,
+                               u_upsilon, u_cross, terms):
+    """The two-species Hamiltonian on the full 4^sites product space, from
+    full-space annihilation and number matrices, its terms added in
+    ``oracles.sector_hamiltonian``'s order."""
+    dim = 1 << sites
+    eye = np.eye(dim)
+    c = [oracles.annihilation_matrix(sites, i) for i in range(sites)]
+    n = [oracles.number_matrix(sites, i) for i in range(sites)]
+
+    def hop(j):
+        out = np.zeros((dim, dim), dtype=np.complex128)
+        for i, k in edges:
+            out += j * (c[i].conj().T @ c[k])
+            out += j * (c[k].conj().T @ c[i])
+        return out
+
+    pieces = {
+        "hop_tau": [np.kron(hop(j_tau), eye)],
+        "hop_upsilon": [np.kron(eye, hop(j_upsilon))],
+        "u_tau": [u_tau[i] * np.kron(n[i], eye) for i in range(sites)],
+        "u_upsilon": [u_upsilon[i] * np.kron(eye, n[i]) for i in range(sites)],
+        "cross": [u_cross * np.kron(n[i], n[i]) for i in range(sites)],
+    }
+    full = np.zeros((dim * dim,) * 2, dtype=np.complex128)
+    for term in _TERMS:
+        if term in terms:
+            for piece in pieces[term]:
+                full += piece
+    return full
+
+
+@pytest.mark.parametrize("sites,edges,n_tau,n_upsilon,seed", [
+    (2, [(0, 1)], 1, 1, 0),
+    (3, [(0, 1), (1, 2)], 1, 2, 1),
+    (4, [(0, 1), (1, 2), (2, 3)], 2, 2, 2),
+    (3, [(0, 2), (0, 1)], 2, 1, 3),
+    (4, [(0, 2), (1, 3), (0, 3), (1, 2)], 2, 1, 4),
+    (4, [(3, 0), (0, 2), (2, 1)], 3, 0, 5),
+])
+def test_sector_hamiltonian_is_the_product_space_one_restricted(
+        sites, edges, n_tau, n_upsilon, seed):
+    # the sector-first oracle against the 4^sites product built whole and
+    # restricted to the sector afterwards, entry for entry, each term alone,
+    # the two stepwise sets and all five; off the chain, hops carry -1 signs
+    rng = np.random.default_rng(seed)
+    params = (float(rng.uniform(0.5, 1.5)), float(rng.uniform(0.5, 1.5)),
+              tuple(rng.uniform(-1, 1, sites)), tuple(rng.uniform(-1, 1, sites)),
+              float(rng.uniform(0.5, 2.0)))
+    sel_x = oracles.sector_masks(sites, n_tau)
+    sel_y = oracles.sector_masks(sites, n_upsilon)
+    sel = [x * (1 << sites) + y for x in sel_x for y in sel_y]
+    for terms in (*((t,) for t in _TERMS), ("hop_tau", "cross"),
+                  ("hop_upsilon", "cross"), _TERMS):
+        full = _product_space_hamiltonian(sites, edges, *params, terms)
+        sector = oracles.sector_hamiltonian(sites, edges, n_tau, n_upsilon,
+                                            *params, terms=terms)
+        assert np.array_equal(full[np.ix_(sel, sel)], sector), terms
+    chain = all(abs(i - k) == 1 for i, k in edges)
+    assert chain != any(hop_sign(m, i, k) < 0 for m in sel_x + sel_y
+                        for i, k in edges if (m >> i) & 1 != (m >> k) & 1)
+
+
 def _effective_potential(frozen, params, species):
     """Per-site potential one mobile particle of ``species`` sees with the
     other species frozen in ``frozen`` on a 4-site chain: the diagonal of
