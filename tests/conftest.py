@@ -7,21 +7,15 @@ from tsim.fock import enumerate_basis
 from tsim.model import Hamiltonian, LatticeSpec, ModelParams
 from tsim.observables import measure
 from tsim.propagate import _product
+from tsim.protocol import ProtocolConfig
 
 
-@pytest.fixture
-def desk_lattice():
-    return LatticeSpec.chain(6)
-
-
-@pytest.fixture
-def desk_params():
-    return ModelParams.defaults(6)
-
-
-@pytest.fixture
-def desk_bases():
-    return enumerate_basis(6, 2), enumerate_basis(6, 2)
+def desk_config(**overrides) -> ProtocolConfig:
+    """The desk run (6-site chain, 2+2, one cycle, seed 0) with ``overrides``."""
+    base = dict(lattice=LatticeSpec.chain(6), n_tau=2, n_upsilon=2,
+                params=ModelParams.defaults(6), cycles=1, master_seed=0)
+    base.update(overrides)
+    return ProtocolConfig(**base)
 
 
 def random_state(dims, seed) -> np.ndarray:

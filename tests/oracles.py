@@ -10,8 +10,11 @@ sparse single-species sector Hamiltonian is built mask by mask from the same
 Jordan-Wigner strings, for lattices where 2^L dense matrices are too slow.
 No code is shared with the package paths under test; ``to_dense`` only lays
 out a package operator's own matrices densely, for comparison with these.
-Criterion 4's monotone rule, ``smoothed_monotone``, is defined here too, so
-the suite and its calibration apply one rule.
+The trajectory reference, ``Trajectory``, runs the whole protocol from its
+specification, every stage by a dense ``expm``: its records, phases and
+states are what ``test_protocol.test_runs_match_the_reference`` expects,
+and its one-cycle step, ``cycle_states``, is also the calibration's cycle.
+Criterion 4's monotone rule, ``smoothed_monotone``, is shared the same way.
 
 Term order matters for the entry-identical comparisons: tau hops per edge,
 upsilon hops per edge, tau potential per site, upsilon potential per site,
@@ -21,9 +24,11 @@ cross coupling per site — the same accumulation order the builders use.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import expm
 from scipy.special import stdtrit
 
 # Family-wise level of criterion 4's "never decreases" check.  Neither the
@@ -42,10 +47,6 @@ def annihilation_matrix(sites: int, site: int) -> np.ndarray:
             sign = -1.0 if bin(below).count("1") % 2 else 1.0
             out[mask ^ (1 << site), mask] = sign
     return out
-
-
-def creation_matrix(sites: int, site: int) -> np.ndarray:
-    return annihilation_matrix(sites, site).conj().T
 
 
 def number_matrix(sites: int, site: int) -> np.ndarray:
@@ -150,17 +151,22 @@ def species_sector_hamiltonian(sites, edges, particles, j, u) -> np.ndarray:
     return h[np.ix_(sel, sel)]
 
 
+def frozen_potential(u, u_cross, frozen) -> list[float]:
+    """u plus u_cross on each site that the frozen config ``frozen`` fills:
+    with it, :func:`species_sector_hamiltonian` is that config's block."""
+    return [u_i + u_cross * ((frozen >> i) & 1) for i, u_i in enumerate(u)]
+
+
 def stepwise_spectral_extremes(sites, edges, n_mobile, n_frozen, j, u,
                                u_cross) -> tuple[float, float]:
     """Lowest and highest eigenvalue over all diagonal blocks of a stepwise
     Hamiltonian: one :func:`species_sector_hamiltonian` block per config of
-    the frozen species, its mobile species with hopping j and potential
-    u + u_cross * occupancy of that config, each by dense ``eigvalsh``."""
+    the frozen species, with hopping j and that config's
+    :func:`frozen_potential`, each by dense ``eigvalsh``."""
     lo, hi = np.inf, -np.inf
     for frozen in sector_masks(sites, n_frozen):
-        eff = [u[i] + u_cross * ((frozen >> i) & 1) for i in range(sites)]
-        w = np.linalg.eigvalsh(
-            species_sector_hamiltonian(sites, edges, n_mobile, j, eff))
+        w = np.linalg.eigvalsh(species_sector_hamiltonian(
+            sites, edges, n_mobile, j, frozen_potential(u, u_cross, frozen)))
         lo, hi = min(lo, w[0]), max(hi, w[-1])
     return lo, hi
 
@@ -220,6 +226,121 @@ def densities(gamma: np.ndarray, masks_tau, masks_upsilon,
                 tau[i] += p * ((x >> i) & 1)
                 upsilon[i] += p * ((y >> i) & 1)
     return tau, upsilon
+
+
+H1_TERMS = ("hop_tau", "u_tau", "cross")
+H2_TERMS = ("hop_upsilon", "u_upsilon", "cross")
+
+
+@lru_cache(maxsize=16)
+def propagator(model, terms, t) -> np.ndarray:
+    """expm(-i t H), read-only, for H = sector_hamiltonian(*model,
+    terms=terms); the last 16 are kept, for runs that share a model."""
+    u = expm(-1j * t * sector_hamiltonian(*model, terms=terms))
+    u.flags.writeable = False
+    return u
+
+
+def stage_propagators(model, t1, t2) -> tuple:
+    """(U1, U2, U2^+, U1^+): the propagators of fwd1, fwd2, rev2 and rev1."""
+    u1, u2 = propagator(model, H1_TERMS, t1), propagator(model, H2_TERMS, t2)
+    return u1, u2, u2.conj().T, u1.conj().T
+
+
+def cycle_states(psi, props, d_y, axis, phases) -> list:
+    """The flat states after fwd1, fwd2, erase (none if ``phases`` is None),
+    rev2 and rev1 of one cycle from psi: erase scales each config of the
+    species on gamma's ``axis`` by exp(i phase), rev1 ends by undoing that."""
+    def phased(v, f):
+        return (v.reshape(-1, d_y) * (f[:, None] if axis == 0 else f)).reshape(-1)
+
+    states = [props[0] @ psi]
+    states.append(props[1] @ states[-1])
+    if phases is not None:
+        states.append(phased(states[-1], np.exp(1j * phases)))
+    states.append(props[2] @ states[-1])
+    states.append(props[3] @ states[-1])
+    if phases is not None:
+        states[-1] = phased(states[-1], np.exp(1j * phases).conj())
+    return states
+
+
+class Trajectory:
+    """The runs of ``cfg``, a ``ProtocolConfig`` read by field name; a record
+    is (cycle, stage, model time, dict of ``EntropyReport``'s seven fields)."""
+
+    def __init__(self, cfg):
+        self.cfg, p, sites = cfg, cfg.params, cfg.lattice.sites
+        self.model = (sites, cfg.lattice.edges, cfg.n_tau, cfg.n_upsilon,
+                      p.j_tau, p.j_upsilon, p.u_tau, p.u_upsilon, p.u_cross)
+        self.masks = sector_masks(sites, cfg.n_tau), sector_masks(sites, cfg.n_upsilon)
+        self.dims = tuple(map(len, self.masks))
+        # the domain wall packs both species on the lowest sites: mask 0 of each
+        amps = (np.eye(1, self.dims[0] * self.dims[1])[0]
+                if isinstance(cfg.initial, str) else np.array(cfg.initial))
+        self.initial = amps / np.linalg.norm(amps)
+
+    def record(self, cycle, stage, t, psi) -> tuple:
+        g = psi.reshape(self.dims)
+        p = np.abs(g) ** 2
+        tau, upsilon = densities(g, *self.masks, self.cfg.lattice.sites)
+        return cycle, stage, t, dict(
+            s_tau=shannon(p.sum(axis=1)), s_upsilon=shannon(p.sum(axis=0)),
+            s_total=shannon(p.ravel()), s_ent=entanglement_from_vector(psi, *self.dims),
+            densities_tau=tau, densities_upsilon=upsilon,
+            fidelity_to_initial=abs(np.vdot(self.initial, psi)) ** 2)
+
+    def phases(self, cycle) -> np.ndarray:
+        """A cycle's erase phases: site-phase is theta times the site's
+        occupation, random-phase uniform on [0, 2 pi) from PCG64 seeded by
+        SeedSequence(master_seed, spawn_key=(cycle,))."""
+        spec, masks = self.cfg.erasure, self.masks[self.cfg.erasure.species != "tau"]
+        if spec.kind == "site-phase":
+            return spec.theta * np.array([(m >> spec.site) & 1 for m in masks])
+        seq = np.random.SeedSequence(self.cfg.master_seed, spawn_key=(cycle,))
+        return np.random.Generator(np.random.PCG64(seq)).random(len(masks)) * 2.0 * np.pi
+
+    def cycles(self, state=None, cycles=None) -> tuple:
+        """The records, each erase's (cycle, phases) and each cycle's gamma
+        from gamma ``state`` over ``cycles``; by default from the initial
+        state, with its init record, over all cycles."""
+        c = self.cfg
+        stages = [("fwd1", c.t1), ("fwd2", c.t2), ("erase", 0.0), ("rev2", c.t2),
+                  ("rev1", c.t1)]
+        if c.no_erasure_run:
+            del stages[2]
+        psi = self.initial if state is None else state.ravel()
+        records = [] if state is not None else [self.record(0, "init", 0.0, psi)]
+        phase_log, returned = [], []
+        for cycle in cycles or range(1, c.cycles + 1):
+            phases = None if c.no_erasure_run else self.phases(cycle)
+            if phases is not None:
+                phase_log.append((cycle, phases))
+            t = 2 * (cycle - 1) * (c.t1 + c.t2)
+            for (stage, dt), psi in zip(stages, cycle_states(
+                    psi, stage_propagators(self.model, c.t1, c.t2), self.dims[1],
+                    int(c.erasure.species != "tau"), phases), strict=True):
+                t += dt
+                records.append(self.record(cycle, stage, t, psi))
+            returned.append(psi.reshape(self.dims))
+        return records, phase_log, returned
+
+    def comparison(self, trotter=False) -> tuple:
+        """The records and final gamma of the full-H run, a record after each
+        t1 and t2 step, or of the Trotter run: trotter_steps H1 and H2 steps."""
+        c, psi = self.cfg, self.initial
+        n = c.trotter_steps if trotter else c.cycles
+        steps = (((H1_TERMS, c.t1 * c.cycles / n), (H2_TERMS, c.t2 * c.cycles / n))
+                 if trotter else ((None, c.t1), (None, c.t2)))
+        records, t = [self.record(0, "init", 0.0, psi)], 0.0
+        for k in range(1, n + 1):
+            for terms, dt in steps:
+                psi, t = propagator(self.model, terms, dt) @ psi, t + dt
+                if not trotter:
+                    records.append(self.record(k, "full", t, psi))
+        if trotter:
+            records.append(self.record(c.cycles, "trotter", c.cycles * (c.t1 + c.t2), psi))
+        return records, psi.reshape(self.dims)
 
 
 def smoothed_monotone(curves):

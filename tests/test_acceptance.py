@@ -14,25 +14,18 @@ import numpy as np
 from scipy.linalg import expm
 
 import oracles
-from conftest import (apply, chebyshev, random_state, shannon_entropies,
-                      stepwise_generator)
+from conftest import (apply, chebyshev, desk_config, random_state,
+                      shannon_entropies, stepwise_generator)
 from tsim.erasure import apply_random_phases, erasure_phases
 from tsim.fock import enumerate_basis
 from tsim.model import LatticeSpec, ModelParams, build_full, build_h1, build_h2
 from tsim.observables import schmidt_spectrum
 from tsim.propagate import evolve
-from tsim.protocol import ProtocolConfig, prepare, run_protocol, run_trotter
+from tsim.protocol import prepare, run_protocol, run_trotter
 
 # 80% of the plateau measured by the standalone brute-force reference
 # (scripts/calibrate_saturation.py, 20 seeds x 50 cycles: plateau 2.087911)
 SATURATION_THRESHOLD = 1.670329
-
-
-def desk_config(**overrides):
-    base = dict(lattice=LatticeSpec.chain(6), n_tau=2, n_upsilon=2,
-                params=ModelParams.defaults(6), cycles=1, master_seed=0)
-    base.update(overrides)
-    return ProtocolConfig(**base)
 
 
 def _report(num, name, passed, detail=""):
@@ -267,11 +260,9 @@ def test_criterion_8_oracle_equivalence():
             (build_full(lattice, params, bt, bu),
              oracles.sector_hamiltonian(*common)),
             (build_h1(lattice, params, bt, bu),
-             oracles.sector_hamiltonian(
-                 *common, terms=("hop_tau", "u_tau", "cross"))),
+             oracles.sector_hamiltonian(*common, terms=oracles.H1_TERMS)),
             (build_h2(lattice, params, bt, bu),
-             oracles.sector_hamiltonian(
-                 *common, terms=("hop_upsilon", "u_upsilon", "cross"))),
+             oracles.sector_hamiltonian(*common, terms=oracles.H2_TERMS)),
         ]
         for op, oracle in checks:
             identical = identical and np.array_equal(oracles.to_dense(op), oracle)

@@ -11,6 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from oracles import sector_hamiltonian
 from tsim import fock
 from tsim.cli import main
 from tsim.model import LatticeSpec, ModelParams
@@ -313,10 +314,17 @@ def _calibration_error(calibration, argv, monkeypatch, capsys):
     (["--t", "nan"], "--t: must be positive and finite"),
     (["--t", "0"], "--t: must be positive and finite"),
     (["--t", "-2"], "--t: must be positive and finite"),
+    (["--t", "1e10"], "--t: the stage propagators at t = 10000000000.0 are not unitary"),
+    (["--t", "1e20"], "--t: the stage propagators at t = 1e+20 are not unitary"),
+    (["--t", "1e300"], "--t: the stage propagators at t = 1e+300 are not unitary"),
 ])
 def test_calibration_rejects_bad_flags(calibration, argv, message, monkeypatch,
                                        capsys):
-    # each is a usage error naming its flag, before any matrix is built
+    # each is a usage error naming its flag, before any matrix is built, or,
+    # for propagators that expm cannot keep unitary, before the first cycle
+    if "unitary" in message:
+        monkeypatch.setattr(calibration.oracles, "sector_hamiltonian",
+                            sector_hamiltonian)
     err = _calibration_error(calibration, argv, monkeypatch, capsys)
     assert err == f"calibrate_saturation.py: error: {message}"
 

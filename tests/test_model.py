@@ -228,9 +228,9 @@ def test_h1_block_diagonal_structure():
         # block n acts on column n of gamma, flat indices n + d_y*[0, d_x), and
         # is the tau Hamiltonian with the effective potential of y
         idx = np.ix_(n + d_y * np.arange(d_x), n + d_y * np.arange(d_x))
-        eff = [params.u_tau[i] + params.u_cross * ((y >> i) & 1) for i in range(4)]
-        block = oracles.species_sector_hamiltonian(4, lattice.edges, 2,
-                                                   params.j_tau, eff)
+        block = oracles.species_sector_hamiltonian(
+            4, lattice.edges, 2, params.j_tau,
+            oracles.frozen_potential(params.u_tau, params.u_cross, y))
         assert np.allclose(dense[idx], block, atol=1e-12, rtol=0)
         rebuilt[idx] = dense[idx]
     # the blocks are entry-identical to the flat form, which has nothing else

@@ -321,9 +321,9 @@ def test_both_methods_match_per_block_expm_off_chain(lattice, n_tau, n_upsilon,
                for i, j in lattice.edges if (mask >> i) & 1 != (mask >> j) & 1)
 
     def dense_block(frozen, n_mobile, j, u):
-        eff = [u[i] + params.u_cross * ((frozen >> i) & 1) for i in range(sites)]
-        return oracles.species_sector_hamiltonian(sites, lattice.edges, n_mobile,
-                                                  j, eff)
+        return oracles.species_sector_hamiltonian(
+            sites, lattice.edges, n_mobile, j,
+            oracles.frozen_potential(u, params.u_cross, frozen))
 
     # (slice of gamma, dense block) of every frozen-configuration block: the
     # columns of gamma for H1, its rows for H2
@@ -513,7 +513,7 @@ def test_eigen_propagator_matches_oracle_blocks(build, n):
                               if (mask >> i) & 1 != (mask >> k) & 1)
     blocks = []
     for mask in frozen.configs:
-        eff = [u[i] + params.u_cross * ((mask >> i) & 1) for i in range(6)]
+        eff = oracles.frozen_potential(u, params.u_cross, mask)
         blocks.append(np.linalg.eigh(
             oracles.species_sector_hamiltonian(6, lattice.edges, n, j, eff)))
     psi = random_state(op.D.shape, 157)
@@ -559,7 +559,7 @@ def test_eigen_propagator_is_symmetric_and_matches_minors(build, lattice, n,
     sets = [np.flatnonzero(row) for row in mobile.occupations]
     for k in rng.choice(frozen.dim, 3, replace=False):
         mask = frozen.configs[k]
-        eff = [u[i] + params.u_cross * ((mask >> i) & 1) for i in range(sites)]
+        eff = oracles.frozen_potential(u, params.u_cross, mask)
         one = expm(-1j * t * (hop + np.diag(eff)))
         for s, a in rng.integers(mobile.dim, size=(6, 2)):
             for row, col in ((s, a), (a, s)):
@@ -656,7 +656,7 @@ def test_chebyshev_matches_sparse_oracle_blocks_at_l12(mobile):
     psi = random_state(part.D.shape, 137)
     blocks = []
     for frozen in (basis.configs[p] for p in picks):
-        eff = [u[i] + params.u_cross * ((frozen >> i) & 1) for i in range(12)]
+        eff = oracles.frozen_potential(u, params.u_cross, frozen)
         h = oracles.sparse_species_hamiltonian(12, lattice.edges, 6, j, eff)
         # the ring's closing bond skips occupied sites, so the sign -1 occurs
         assert (h - sp.diags(h.diagonal())).min() == -j

@@ -1,31 +1,27 @@
 import gc
+import itertools
 import re
 from dataclasses import asdict, replace
+from math import comb
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import apply, random_state
+import oracles
+from conftest import apply, desk_config, random_state
 from tsim import observables, propagate, protocol
 from tsim.config import parse_config
-from tsim.erasure import (ErasureSpec, apply_random_phases,
-                           erasure_phases)
+from tsim.erasure import ErasureSpec
 from tsim.fock import enumerate_basis
 from tsim.model import LatticeSpec, ModelParams, build_full
-from tsim.observables import fidelity
 from tsim.propagate import evolve
 from tsim.protocol import (STAGE_ERASE, STAGE_FWD1, STAGE_FWD2, STAGE_INIT,
                            STAGE_REV1, STAGE_REV2, StageRecord, ProtocolConfig,
                            prepare, run_cycle, run_full_hamiltonian,
                            run_protocol, run_trotter)
-
-
-def desk_config(**overrides):
-    base = dict(lattice=LatticeSpec.chain(6), n_tau=2, n_upsilon=2,
-                params=ModelParams.defaults(6), cycles=1, master_seed=0)
-    base.update(overrides)
-    return ProtocolConfig(**base)
 
 
 def _config_4_1_1(**overrides):
@@ -120,32 +116,6 @@ def test_trajectory_is_deterministic():
     assert all(np.array_equal(p, q) for (_, p), (_, q) in zip(a.phases, b.phases))
 
 
-def test_stage_order_and_single_erase_record():
-    cfg = desk_config(cycles=3, master_seed=5)
-    result = run_protocol(cfg)
-    assert result.records[0].stage == STAGE_INIT
-    cycle = [STAGE_FWD1, STAGE_FWD2, STAGE_ERASE, STAGE_REV2, STAGE_REV1]
-    per_cycle = {c: [r.stage for r in result.records if r.cycle == c]
-                 for c in (1, 2, 3)}
-    for stages in per_cycle.values():
-        assert stages == cycle
-    times = [r.model_time for r in result.records]
-    assert times == sorted(times)
-    # control runs drop exactly the erase stage
-    control = run_protocol(replace(cfg, no_erasure_run=True))
-    stages = [r.stage for r in control.records if r.cycle == 1]
-    assert stages == [STAGE_FWD1, STAGE_FWD2, STAGE_REV2, STAGE_REV1]
-
-
-def test_model_time_accounting():
-    cfg = desk_config(t1=1.5, t2=0.5, cycles=2)
-    result = run_protocol(cfg)
-    expected = [0.0,
-                1.5, 2.0, 2.0, 2.5, 4.0,
-                5.5, 6.0, 6.0, 6.5, 8.0]
-    assert [r.model_time for r in result.records] == expected
-
-
 def test_entropies_return_on_control_run():
     cfg = desk_config(no_erasure_run=True, cycles=2)
     result = run_protocol(cfg)
@@ -161,37 +131,6 @@ def test_entropies_return_on_control_run():
 # occupied sites, so the hopping matrices carry -1 signs
 _RING_WITH_CHORD = LatticeSpec(
     6, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (0, 3)))
-
-
-@pytest.mark.parametrize("overrides", [
-    dict(master_seed=8),
-    dict(erasure=ErasureSpec(kind="site-phase", species="tau", site=2, theta=0.7)),
-    dict(lattice=_RING_WITH_CHORD, n_tau=3, n_upsilon=2, master_seed=8),
-], ids=["random-phase-upsilon-desk", "site-phase-tau", "ring-with-chord"])
-def test_erase_record_matches_a_measure_of_the_erased_state(overrides):
-    cfg = desk_config(**overrides)
-    ctx = prepare(cfg)
-    if cfg.lattice is _RING_WITH_CHORD:
-        assert {-1.0, 1.0} <= set(np.sign(ctx.h1.hop_x.data))
-    _, records, _ = run_cycle(ctx.initial, ctx, 1)
-    fwd2, erase = (r.report for r in records[1:3])
-    assert records[2].stage == STAGE_ERASE
-    # the erased state rebuilt by hand, from the stages that precede it
-    species = cfg.erasure.species
-    basis = ctx.basis_tau if species == "tau" else ctx.basis_upsilon
-    state = evolve(evolve(ctx.initial, ctx.h1, cfg.t1), ctx.h2, cfg.t2)
-    phases = erasure_phases(cfg.erasure, basis, cfg.master_seed, 1)
-    erased = apply_random_phases(state, species, phases)
-    want = ctx.measure(erased)
-    for name in ("s_tau", "s_upsilon", "s_total", "s_ent"):
-        assert abs(getattr(erase, name) - getattr(want, name)) < 1e-12
-        assert getattr(erase, name) == getattr(fwd2, name)
-    for name in ("densities_tau", "densities_upsilon"):
-        assert np.allclose(getattr(erase, name), getattr(want, name),
-                           atol=1e-12, rtol=0)
-        assert getattr(erase, name) == getattr(fwd2, name)
-    assert erase.fidelity_to_initial == fidelity(ctx.initial, erased)
-    assert records[2].model_time == records[1].model_time
 
 
 @pytest.mark.parametrize("overrides, method", [
@@ -256,71 +195,95 @@ def test_cycle_measure_and_evolve_counts(species, no_erasure_run, monkeypatch):
         assert len(evolves) == 3 * c
 
 
-def _direct_route(ctx, state, cycles) -> list:
-    """The state after every recorded stage of ``cycles``, from ``state`` by
-    direct ``evolve`` calls: the full route, with no stage derived."""
-    cfg = ctx.config
-    species = cfg.erasure.species
-    basis = ctx.basis_tau if species == "tau" else ctx.basis_upsilon
-    stages = []
-    for cycle in cycles:
-        phases = (np.zeros(basis.dim) if cfg.no_erasure_run else
-                  erasure_phases(cfg.erasure, basis, cfg.master_seed, cycle))
-        fwd1 = evolve(state, ctx.h1, cfg.t1)
-        fwd2 = evolve(fwd1, ctx.h2, cfg.t2)
-        erased = apply_random_phases(fwd2, species, phases)
-        rev2 = evolve(erased, ctx.h2, -cfg.t2)
-        state = apply_random_phases(evolve(rev2, ctx.h1, -cfg.t1), species,
-                                    -phases)
-        stages += [fwd1, fwd2] + ([] if cfg.no_erasure_run else [erased])
-        stages += [rev2, state]
-    return stages
+def _assert_records(got, want):
+    """The same cycles and stages, each model time and field within 1e-12."""
+    assert [(r.cycle, r.stage) for r in got] == [w[:2] for w in want]
+    for rec, (cycle, stage, t, report) in zip(got, want):
+        assert list(asdict(rec.report)) == list(report)
+        np.testing.assert_allclose(
+            np.hstack([rec.model_time, *asdict(rec.report).values()]),
+            np.hstack([t, *report.values()]), rtol=0, atol=1e-12,
+            err_msg=f"cycle {cycle} {stage}: model time, then {list(report)}")
 
 
-def _assert_records_measure(ctx, records, stages):
-    assert len(records) == len(stages)
-    for rec, state in zip(records, stages):
-        want = ctx.measure(state)
-        for name in ("s_tau", "s_upsilon", "s_total", "s_ent",
-                     "fidelity_to_initial", "densities_tau", "densities_upsilon"):
-            np.testing.assert_allclose(
-                getattr(rec.report, name), getattr(want, name), rtol=0,
-                atol=1e-12, err_msg=f"cycle {rec.cycle} {rec.stage} {name}")
+@st.composite
+def _runs(draw):
+    """Up to 5 sites, any nonempty edge set, particle numbers, couplings,
+    t1 != t2, erasure, start, 1-4 cycles and Trotter steps, and seed."""
+    sites, real = draw(st.integers(2, 5)), st.floats(-2, 2)
+    edges = draw(st.lists(st.sampled_from(list(itertools.combinations(
+        range(sites), 2))), min_size=1, unique=True))
+    n = draw(st.integers(0, sites)), draw(st.integers(0, sites))
+    u = st.tuples(*[real] * sites)
+    t1, t2 = draw(st.lists(st.floats(0.1, 3), min_size=2, max_size=2, unique=True))
+    species = draw(st.sampled_from(["tau", "upsilon"]))
+    erasure = draw(st.sampled_from([ErasureSpec(species=species), ErasureSpec(
+        "site-phase", species, draw(st.integers(0, sites - 1)), draw(real))]))
+    amplitude = st.builds(complex, st.integers(-3, 3), st.integers(-3, 3))
+    initial = st.tuples(*[amplitude] * (comb(sites, n[0]) * comb(sites, n[1])))
+    return ProtocolConfig(
+        LatticeSpec(sites, tuple(edges)), *n,
+        ModelParams(draw(real), draw(real), draw(u), draw(u), draw(real)),
+        t1, t2, draw(st.integers(1, 4)), erasure, draw(st.integers(0, 2**64)),
+        draw(st.just("domain-wall") | initial.filter(any)), draw(st.booleans()),
+        trotter_steps=draw(st.integers(1, 4)))
 
 
-@pytest.mark.parametrize("overrides", [
-    dict(master_seed=8),
-    dict(master_seed=8, erasure=ErasureSpec(species="tau")),
-    dict(no_erasure_run=True),
-    dict(no_erasure_run=True, erasure=ErasureSpec(species="tau")),
-    dict(erasure=ErasureSpec(kind="site-phase", site=2, theta=0.7)),
-    dict(lattice=_RING_WITH_CHORD, n_tau=3, n_upsilon=2, master_seed=8),
-    dict(lattice=_RING_WITH_CHORD, n_tau=3, n_upsilon=2, master_seed=8,
-         erasure=ErasureSpec(species="tau")),
-], ids=["upsilon", "tau", "control-upsilon", "control-tau", "site-phase-upsilon",
-        "ring-with-chord-upsilon", "ring-with-chord-tau"])
-@pytest.mark.parametrize("method", ["stage", "chebyshev"])
-def test_derived_stages_match_direct_propagation(overrides, method, monkeypatch):
-    # upsilon erased, U1 E_c^+ U1^+ = E_c^+, so each fwd1 after cycle 1 is
-    # E_c^+ times the previous rev2; tau erased, U2^+ E_c U2 = E_c, so each
-    # rev2 is E_c times its fwd1.  The records and returned states must
-    # match the full route
-    if method == "chebyshev":
-        monkeypatch.setattr(propagate, "_EIGEN_WORK_MAX", 0)
-    cfg = desk_config(cycles=3, **overrides)
-    ctx = prepare(cfg)
-    state, records, returned = ctx.initial, [], []
-    for cycle in range(1, cfg.cycles + 1):
-        state, recs, _ = run_cycle(state, ctx, cycle)
-        records += recs
-        returned.append(state)
-    assert (propagate._DERIVED[ctx.h1].keys() == propagate._DERIVED[ctx.h2].keys()
-            == {method})
-    stages = _direct_route(ctx, ctx.initial, range(1, cfg.cycles + 1))
-    _assert_records_measure(ctx, records, stages)
-    per_cycle = len(stages) // cfg.cycles
-    for got, want in zip(returned, stages[per_cycle - 1::per_cycle], strict=True):
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+_TAU, _RING = ErasureSpec(species="tau"), dict(lattice=_RING_WITH_CHORD, n_tau=3,
+                                               n_upsilon=2, master_seed=8)
+
+
+# desk and ring-with-chord runs: either species, both kinds, control runs,
+# 1 to 3 cycles, and durations in whole quarters
+@example(desk_config(cycles=3, master_seed=8))
+@example(desk_config(cycles=3, master_seed=8, erasure=_TAU))
+@example(desk_config(cycles=3, no_erasure_run=True))
+@example(desk_config(cycles=3, no_erasure_run=True, erasure=_TAU))
+@example(desk_config(cycles=3, erasure=ErasureSpec("site-phase", site=2, theta=0.7)))
+@example(desk_config(cycles=3, **_RING))
+@example(desk_config(cycles=3, **_RING, erasure=_TAU))
+@example(desk_config(master_seed=8))
+@example(desk_config(erasure=ErasureSpec("site-phase", "tau", 2, 0.7)))
+@example(desk_config(**_RING))
+@example(desk_config(cycles=3, master_seed=5))
+@example(desk_config(cycles=3, master_seed=5, no_erasure_run=True))
+@example(desk_config(t1=1.5, t2=0.5, cycles=2))
+@example(desk_config(cycles=2, master_seed=77))
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_runs())
+def test_runs_match_the_reference(cfg):
+    # the three runs against the reference, on the eigen path and with
+    # Chebyshev forced: every record, phase and state, the derived ones too
+    ref = oracles.Trajectory(cfg)
+    records, phases, states = ref.cycles()
+    wants = [(records, states[-1]), ref.comparison(), ref.comparison(trotter=True)]
+    for method in ("stage", "chebyshev"):
+        contexts, returned = [], []
+        with pytest.MonkeyPatch.context() as mp:
+            if method == "chebyshev":
+                mp.setattr(propagate, "_EIGEN_WORK_MAX", 0)
+            mp.setattr(protocol, "prepare",
+                       lambda c: contexts.append(prepare(c)) or contexts[-1])
+            result = run_protocol(cfg, on_cycle=lambda c, s: returned.append(s))
+            runs = [result, run_full_hamiltonian(cfg), run_trotter(cfg)]
+        for ctx in contexts[::2]:  # the full run builds neither H1 nor H2
+            assert (propagate._DERIVED[ctx.h1].keys()
+                    == propagate._DERIVED[ctx.h2].keys() == {method})
+        for run, (want, final) in zip(runs, wants, strict=True):
+            _assert_records(run.records, want)
+            np.testing.assert_allclose(run.final_state, final, rtol=0, atol=1e-12)
+        for got, want in zip(returned, states, strict=True):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert [c for c, _ in result.phases] == [c for c, _ in phases]
+        assert all(np.array_equal(p, q) for (_, p), (_, q) in zip(result.phases, phases))
+        # durations in whole quarters add without rounding
+        if (4 * cfg.t1).is_integer() and (4 * cfg.t2).is_integer():
+            assert [r.model_time for r in result.records] == [w[2] for w in records]
+        # the erase record is fwd2's, with the fidelity recomputed
+        for fwd2, erase in zip(result.records, result.records[1:]):
+            if erase.stage == STAGE_ERASE:
+                assert replace(erase, stage=STAGE_FWD2, report=replace(
+                    erase.report, fidelity_to_initial=fwd2.report.fidelity_to_initial)) == fwd2
 
 
 def test_only_the_returned_array_takes_the_handoff(monkeypatch):
@@ -342,9 +305,9 @@ def test_only_the_returned_array_takes_the_handoff(monkeypatch):
     evolves.clear()
     out, records, _ = run_cycle(changed, ctx, 2)
     assert len(evolves) == 4
-    stages = _direct_route(ctx, changed, [2])
-    _assert_records_measure(ctx, records, stages)
-    np.testing.assert_allclose(out, stages[-1], rtol=0, atol=1e-12)
+    want, _, (final,) = oracles.Trajectory(cfg).cycles(changed, [2])
+    _assert_records(records, want)
+    np.testing.assert_allclose(out, final, rtol=0, atol=1e-12)
     # the full route propagates the fwd1 that the handoff derives, so the
     # two agree to roundoff, not bit for bit
     evolves.clear()
@@ -399,15 +362,6 @@ def test_upsilon_erased_fwd1_keeps_cycle_one_tau_marginal():
         assert abs(rep.s_tau - fwd1[0].s_tau) < 1e-12
         np.testing.assert_allclose(rep.densities_tau, fwd1[0].densities_tau,
                                    rtol=0, atol=1e-12)
-
-
-def test_phase_log_matches_draws():
-    from tsim.erasure import draw_phases
-    cfg = desk_config(cycles=2, master_seed=77)
-    result = run_protocol(cfg)
-    assert len(result.phases) == 2
-    for cycle, phases in result.phases:
-        assert np.array_equal(phases, draw_phases(77, cycle, 15))
 
 
 def test_run_cycle_signature():
