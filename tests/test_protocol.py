@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -233,31 +233,13 @@ _TAU, _RING = ErasureSpec(species="tau"), dict(lattice=_RING_WITH_CHORD, n_tau=3
                                                n_upsilon=2, master_seed=8)
 
 
-# desk and ring-with-chord runs: either species, both kinds, control runs,
-# 1 to 3 cycles, and durations in whole quarters
-@example(desk_config(cycles=3, master_seed=8))
-@example(desk_config(cycles=3, master_seed=8, erasure=_TAU))
-@example(desk_config(cycles=3, no_erasure_run=True))
-@example(desk_config(cycles=3, no_erasure_run=True, erasure=_TAU))
-@example(desk_config(cycles=3, erasure=ErasureSpec("site-phase", site=2, theta=0.7)))
-@example(desk_config(cycles=3, **_RING))
-@example(desk_config(cycles=3, **_RING, erasure=_TAU))
-@example(desk_config(master_seed=8))
-@example(desk_config(erasure=ErasureSpec("site-phase", "tau", 2, 0.7)))
-@example(desk_config(**_RING))
-@example(desk_config(cycles=3, master_seed=5))
-@example(desk_config(cycles=3, master_seed=5, no_erasure_run=True))
-@example(desk_config(t1=1.5, t2=0.5, cycles=2))
-@example(desk_config(cycles=2, master_seed=77))
-@settings(max_examples=30, deadline=None, derandomize=True)
-@given(_runs())
-def test_runs_match_the_reference(cfg):
+def _assert_runs_match_the_reference(cfg, methods=("stage", "chebyshev")):
     # the three runs against the reference, on the eigen path and with
     # Chebyshev forced: every record, phase and state, the derived ones too
     ref = oracles.Trajectory(cfg)
     records, phases, states = ref.cycles()
     wants = [(records, states[-1]), ref.comparison(), ref.comparison(trotter=True)]
-    for method in ("stage", "chebyshev"):
+    for method in methods:
         contexts, returned = [], []
         with pytest.MonkeyPatch.context() as mp:
             if method == "chebyshev":
@@ -284,6 +266,77 @@ def test_runs_match_the_reference(cfg):
             if erase.stage == STAGE_ERASE:
                 assert replace(erase, stage=STAGE_FWD2, report=replace(
                     erase.report, fidelity_to_initial=fwd2.report.fidelity_to_initial)) == fwd2
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_runs())
+def test_runs_match_the_reference(cfg):
+    _assert_runs_match_the_reference(cfg)
+
+
+# desk and ring-with-chord runs of 3 cycles: either species, both kinds and
+# control runs; upsilon erased, each fwd1 after cycle 1 is derived from the
+# previous rev2, tau erased, each rev2 from its fwd1
+@pytest.mark.parametrize("overrides", [
+    dict(master_seed=8),
+    dict(master_seed=8, erasure=_TAU),
+    dict(no_erasure_run=True),
+    dict(no_erasure_run=True, erasure=_TAU),
+    dict(erasure=ErasureSpec(kind="site-phase", site=2, theta=0.7)),
+    _RING,
+    dict(_RING, erasure=_TAU),
+], ids=["upsilon", "tau", "control-upsilon", "control-tau", "site-phase-upsilon",
+        "ring-with-chord-upsilon", "ring-with-chord-tau"])
+@pytest.mark.parametrize("method", ["stage", "chebyshev"])
+def test_derived_stages_match_direct_propagation(overrides, method):
+    _assert_runs_match_the_reference(desk_config(cycles=3, **overrides), [method])
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(master_seed=8),
+    dict(erasure=ErasureSpec(kind="site-phase", species="tau", site=2, theta=0.7)),
+    _RING,
+], ids=["random-phase-upsilon-desk", "site-phase-tau", "ring-with-chord"])
+def test_erase_record_matches_a_measure_of_the_erased_state(overrides):
+    cfg = desk_config(**overrides)
+    if cfg.lattice is _RING_WITH_CHORD:
+        assert {-1.0, 1.0} <= set(np.sign(prepare(cfg).h1.hop_x.data))
+    _assert_runs_match_the_reference(cfg)
+
+
+def test_stage_order_and_single_erase_record():
+    cfg = desk_config(cycles=3, master_seed=5)
+    result = run_protocol(cfg)
+    assert result.records[0].stage == STAGE_INIT
+    cycle = [STAGE_FWD1, STAGE_FWD2, STAGE_ERASE, STAGE_REV2, STAGE_REV1]
+    per_cycle = {c: [r.stage for r in result.records if r.cycle == c]
+                 for c in (1, 2, 3)}
+    for stages in per_cycle.values():
+        assert stages == cycle
+    times = [r.model_time for r in result.records]
+    assert times == sorted(times)
+    # control runs drop exactly the erase stage
+    control = run_protocol(replace(cfg, no_erasure_run=True))
+    stages = [r.stage for r in control.records if r.cycle == 1]
+    assert stages == [STAGE_FWD1, STAGE_FWD2, STAGE_REV2, STAGE_REV1]
+    _assert_runs_match_the_reference(cfg)
+    _assert_runs_match_the_reference(replace(cfg, no_erasure_run=True))
+
+
+def test_model_time_accounting():
+    cfg = desk_config(t1=1.5, t2=0.5, cycles=2)
+    result = run_protocol(cfg)
+    expected = [0.0,
+                1.5, 2.0, 2.0, 2.5, 4.0,
+                5.5, 6.0, 6.0, 6.5, 8.0]
+    assert [r.model_time for r in result.records] == expected
+    _assert_runs_match_the_reference(cfg)
+
+
+def test_phase_log_matches_draws():
+    cfg = desk_config(cycles=2, master_seed=77)
+    assert [c for c, _ in run_protocol(cfg).phases] == [1, 2]
+    _assert_runs_match_the_reference(cfg)
 
 
 def test_only_the_returned_array_takes_the_handoff(monkeypatch):
