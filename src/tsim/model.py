@@ -9,6 +9,10 @@ k = m*d_y + n.  Every operator of the model has one form,
 
 with hop_x (d_x x d_x) and hop_y (d_y x d_y) the single-species hopping
 matrices and D the real (d_x, d_y) diagonal of potentials and cross coupling.
+A hop is a :class:`CSR`: its entries in compressed sparse rows, in scipy's
+canonical order, which scipy's kernel reads as they are.  This module
+imports no scipy; ``propagate`` loads it at the first Chebyshev stage, the
+full H's or a stepwise operator's past the eigen bound.
 Construction checks those shapes; what propagation derives from an operator,
 such as its spectral interval, belongs to ``propagate``.
 
@@ -42,7 +46,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .fock import MAX_SITES, FockBasis
 
@@ -113,6 +116,19 @@ class ModelParams:
 
 
 @dataclass(frozen=True, eq=False)
+class CSR:
+    """A real sparse matrix in compressed sparse rows: row r holds the
+    entries data[indptr[r]:indptr[r + 1]] in the columns of the same slice
+    of ``indices``, ascending and unique within the row, as in scipy's
+    canonical format; ``indptr`` and ``indices`` share one index dtype."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+
+@dataclass(frozen=True, eq=False)
 class Hamiltonian:
     """H = hop_x (x) 1 + 1 (x) hop_y + diag(D) over the composite basis.
 
@@ -129,8 +145,8 @@ class Hamiltonian:
     index gamma by the hops' shapes and check none of them.
     """
 
-    hop_x: sp.csr_array | None
-    hop_y: sp.csr_array | None
+    hop_x: CSR | None
+    hop_y: CSR | None
     D: np.ndarray
     parts: tuple[tuple[np.ndarray, np.ndarray, int], ...]
 
@@ -154,11 +170,14 @@ class Hamiltonian:
         return self.D.size
 
 
-def _hop_matrix(basis: FockBasis, edges, j: float) -> sp.csr_array:
+def _hop_matrix(basis: FockBasis, edges, j: float) -> CSR:
     """Single-species hopping: entry (target, source) is j times the parity
     sign of the hop from config ``source`` to config ``target``, -1 when an
     odd number of sites strictly between the bond's ends is occupied.  All
-    (config, edge) pairs are built at once, in the order source, then edge."""
+    (config, edge) pairs are built at once, in the order source, then edge,
+    so a stable sort by target leaves each row's sources ascending; distinct
+    bonds flip distinct pairs of sites, so no two entries share a target and
+    a source."""
     configs = np.array(basis.configs, dtype=np.int64)
     occ = basis.occupations == 1
     lo, hi = np.sort(np.array(edges, dtype=np.intp).reshape(-1, 2), axis=1).T
@@ -169,8 +188,11 @@ def _hop_matrix(basis: FockBasis, edges, j: float) -> sp.csr_array:
     count = np.cumsum(occ, axis=1)
     odd = (count[cols, hi - 1] - count[cols, lo]) & 1
     rows = np.searchsorted(configs, configs[cols] ^ (1 << lo) ^ (1 << hi))
-    return sp.csr_array((j * np.where(odd, -1.0, 1.0), (rows, cols)),
-                        shape=(basis.dim, basis.dim))
+    order = np.argsort(rows, kind="stable")
+    indptr = np.zeros(basis.dim + 1, np.intp)
+    np.cumsum(np.bincount(rows, minlength=basis.dim), out=indptr[1:])
+    return CSR(indptr, cols[order], j * np.where(odd, -1.0, 1.0)[order],
+               (basis.dim, basis.dim))
 
 
 def _build(lattice: LatticeSpec, params: ModelParams, basis_tau: FockBasis,

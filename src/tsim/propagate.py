@@ -24,10 +24,14 @@ J. Chem. Phys. 81, 3967 (1984), with a term count fixed a priori, on the
 interval of ``_spectral_interval``: exact for H1 and H2, a Weyl bound for
 the full H.  The operator is real, so each product runs in real arithmetic
 on gamma's float64 view inside ``_product``, the one place that computes
-H gamma (Kosloff, J. Phys. Chem. 92, 2087 (1988)).  A one-hop operator's
-columns evolve on their own, so they run as up to ``_THREADS`` = min(2,
-usable CPUs) contiguous slabs on one pool, built at import, whose threads
-start on the first split.  The sparse product accumulates each entry in the
+H gamma (Kosloff, J. Phys. Chem. 92, 2087 (1988)): both hops, ``model.CSR``
+arrays in scipy's canonical order, go through scipy's ``csr_matvecs``
+kernel.  scipy loads at the first Chebyshev call, the full H's or a
+stepwise operator's past ``_EIGEN_WORK_MAX``, so a run that takes only the
+eigen path never imports it.  A one-hop operator's columns evolve on their
+own, so they run as up to ``_THREADS`` = min(2, usable CPUs) contiguous
+slabs on one pool, built at import, whose threads start on the first
+split.  The sparse product accumulates each entry in the
 same order at any slab width, so the result is bit-identical at any slab
 count.  The full H couples both axes and runs as one slab.  No step
 renormalizes its output.  What either method derives from an operator, U(|t|)
@@ -39,11 +43,10 @@ from __future__ import annotations
 import os
 import weakref
 from concurrent.futures import ThreadPoolExecutor
-from functools import lru_cache
+from dataclasses import replace
+from functools import cache, lru_cache
 
 import numpy as np
-from scipy.sparse._sparsetools import csr_matvecs
-from scipy.special import jv
 
 from .fock import _PHYSICAL_BYTES, enumerate_basis
 from .model import Hamiltonian
@@ -157,19 +160,39 @@ def _eigen(op: Hamiltonian, src: np.ndarray, t: float) -> np.ndarray:
     return sub.T
 
 
-def _product(hop_x, hop_y, D: np.ndarray, g: np.ndarray, out: np.ndarray):
+@cache
+def _scipy() -> tuple:
+    """scipy's private ``csr_matvecs``, the kernel behind ``csr_array @
+    dense``, and ``jv``, imported by the first Chebyshev call on the calling
+    thread, before any slab starts."""
+    from scipy.sparse._sparsetools import csr_matvecs
+    from scipy.special import jv
+    return csr_matvecs, jv
+
+
+def _product(hop_x, hop_y, D: np.ndarray, g: np.ndarray, out: np.ndarray,
+             pair: np.ndarray | None):
     """H g into ``out``, for g and out C-contiguous complex128 of D's shape.
-    The hops are real, so they act on g's float64 view (rows, 2*cols): hop_x
-    adds its product into ``out`` in place through scipy's private
-    ``csr_matvecs`` (the kernel behind ``csr_array @ dense``), and hop_y acts
-    on the real and the imaginary columns, a new array per product."""
+    The hops are real, so they act on g's float64 view (rows, 2*cols)
+    through ``csr_matvecs``, which adds its product into its output in place:
+    hop_x's straight into ``out``.  hop_y acts on the real and then the
+    imaginary columns, each copied transposed into ``pair[0]``, its product
+    made from zero in ``pair[1]`` and added back, as scipy's ``hop_y @``
+    computed it; ``pair`` is two float64 buffers of D^T's shape, None
+    without hop_y."""
+    csr_matvecs = _scipy()[0]
     np.multiply(D, g, out=out)
     gf, of = g.view(np.float64), out.view(np.float64)
     csr_matvecs(*hop_x.shape, gf.shape[1], hop_x.indptr, hop_x.indices,
                 hop_x.data, gf.ravel(), of.ravel())
     if hop_y is not None:
+        src, dst = pair
         for c in range(2):
-            of[:, c::2] += (hop_y @ gf[:, c::2].T).T
+            np.copyto(src, gf[:, c::2].T)
+            dst.fill(0.0)
+            csr_matvecs(*hop_y.shape, src.shape[1], hop_y.indptr,
+                        hop_y.indices, hop_y.data, src.ravel(), dst.ravel())
+            of[:, c::2] += dst.T
     return out
 
 
@@ -177,16 +200,19 @@ def _recurrence(h: tuple, src: np.ndarray, c: np.ndarray,
                 phase: complex) -> np.ndarray:
     """phase * sum_k c_k T_k(h) src with T_k = h T_(k-1) - T_(k-2), T_1 =
     h src / 2, for h the folded (hop_x, hop_y, D), in three rotating buffers
-    and an accumulator, each shaped like src and allocated by the thread
-    that runs it: a slab thread's heap reuses the buffers it freed, while at
-    L=10 the calling thread's go back to the system and fault in again."""
+    and an accumulator, each shaped like src, and with hop_y the pair of
+    float64 buffers of src^T's shape that its products share, all allocated
+    by the thread that runs it: a slab thread's heap reuses the buffers it
+    freed, while at L=10 the calling thread's go back to the system and
+    fault in again."""
     prev = np.array(src, dtype=np.complex128, order="C")
-    cur = _product(*h, prev, np.empty_like(prev))
+    pair = None if h[1] is None else np.empty((2, *prev.shape[::-1]))
+    cur = _product(*h, prev, np.empty_like(prev), pair)
     cur *= 0.5
     acc, tmp = c[0] * prev, np.empty_like(prev)
     for k in range(1, len(c)):
         if k > 1:  # T_k over T_(k-2)
-            np.subtract(_product(*h, cur, tmp), prev, out=prev)
+            np.subtract(_product(*h, cur, tmp, pair), prev, out=prev)
             prev, cur = cur, prev
         acc += np.multiply(cur, c[k], out=tmp)
     acc *= phase
@@ -232,6 +258,7 @@ def _chebyshev(op: Hamiltonian, src: np.ndarray, t: float) -> np.ndarray:
     the coefficients would outgrow physical memory.  A one-hop operator's
     columns evolve on their own, so they run as up to ``_THREADS`` contiguous
     slabs on the pool's threads, each writing its columns of the result."""
+    jv = _scipy()[1]
     derived = _DERIVED.setdefault(op, {})
     if "chebyshev" not in derived:
         lo, hi = _spectral_interval(op)
@@ -241,7 +268,8 @@ def _chebyshev(op: Hamiltonian, src: np.ndarray, t: float) -> np.ndarray:
             (op.hop_x, op.hop_y), op.D)
         D = np.subtract(D, b, order="C")
         D *= 2 / a
-        h = (*[None if x is None else 2 / a * x for x in hops], D)
+        h = (*[None if x is None else replace(x, data=2 / a * x.data)
+               for x in hops], D)
         derived["chebyshev"] = h, a, b
     h, a, b = derived["chebyshev"]
     hop_x, hop_y, D = h

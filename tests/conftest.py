@@ -1,10 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from tsim import propagate
 from tsim.fock import enumerate_basis
-from tsim.model import Hamiltonian, LatticeSpec, ModelParams
+from tsim.model import CSR, Hamiltonian, LatticeSpec, ModelParams
 from tsim.observables import measure
 from tsim.propagate import _product
 from tsim.protocol import ProtocolConfig
@@ -41,7 +42,8 @@ def stepwise_generator(ctx) -> Hamiltonian:
     Hamiltonians."""
     t1, t2 = ctx.config.t1, ctx.config.t2
     w1, w2 = t1 / (t1 + t2), t2 / (t1 + t2)
-    return Hamiltonian(w1 * ctx.h1.hop_x, w2 * ctx.h2.hop_y,
+    return Hamiltonian(replace(ctx.h1.hop_x, data=w1 * ctx.h1.hop_x.data),
+                       replace(ctx.h2.hop_y, data=w2 * ctx.h2.hop_y.data),
                        w1 * ctx.h1.D + w2 * ctx.h2.D,
                        tuple((w * hop, w * pot, n)
                              for w, op in ((w1, ctx.h1), (w2, ctx.h2))
@@ -53,9 +55,11 @@ def apply(op: Hamiltonian, g) -> np.ndarray:
     A frozen tau species takes an empty hop, which adds nothing, so H2's
     hop_y acts on the real and the imaginary columns, as the full H's does."""
     d_x = op.D.shape[0]
-    hop_x = sp.csr_array((d_x, d_x)) if op.hop_x is None else op.hop_x
+    hop_x = CSR(np.zeros(d_x + 1, np.intp), np.zeros(0, np.intp), np.zeros(0),
+                (d_x, d_x)) if op.hop_x is None else op.hop_x
     g = np.ascontiguousarray(g, np.complex128)
-    return _product(hop_x, op.hop_y, op.D, g, np.empty(op.D.shape, np.complex128))
+    return _product(hop_x, op.hop_y, op.D, g, np.empty(op.D.shape, np.complex128),
+                    np.empty((2, *op.D.shape[::-1])))
 
 
 def chebyshev(gamma, op: Hamiltonian, t: float) -> np.ndarray:

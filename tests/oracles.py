@@ -133,9 +133,25 @@ def to_dense(h) -> np.ndarray:
     d_x, d_y = h.D.shape
     out = np.diag(h.D.ravel())
     if h.hop_x is not None:
-        out += np.kron(h.hop_x.toarray(), np.eye(d_y))
+        out += np.kron(hop_to_dense(h.hop_x), np.eye(d_y))
     if h.hop_y is not None:
-        out += np.kron(np.eye(d_x), h.hop_y.toarray())
+        out += np.kron(np.eye(d_x), hop_to_dense(h.hop_y))
+    return out
+
+
+def hop_entries(hop) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (rows, columns, values) of a package hop's stored entries, read
+    off its compressed sparse rows (indptr, indices, data, shape)."""
+    rows = np.repeat(np.arange(hop.shape[0]), np.diff(hop.indptr))
+    return rows, hop.indices, hop.data
+
+
+def hop_to_dense(hop) -> np.ndarray:
+    """A package hop as a dense matrix; entries that share a row and a
+    column add up."""
+    out = np.zeros(hop.shape)
+    rows, cols, vals = hop_entries(hop)
+    np.add.at(out, (rows, cols), vals)
     return out
 
 

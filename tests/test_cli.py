@@ -79,6 +79,42 @@ def test_closed_stdout_is_not_a_failure():
                      b"00000000010111111111\n"]
 
 
+def test_eigen_path_runs_load_no_scipy(tmp_path):
+    # validate, basis and a desk simulate, whose every stage takes the eigen
+    # path, run in a fresh interpreter without importing scipy; the first
+    # Chebyshev stage, here the desk full H's, loads it and runs
+    config = _write_config(tmp_path)
+    code = f"""if True:
+        import contextlib, io, json, sys
+        import numpy as np
+        import tsim
+        from tsim.cli import main
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [main(["validate", "--config", {str(config)!r}]),
+                     main(["basis", "--sites", "6", "--particles", "2"]),
+                     main(["simulate", "--config", {str(config)!r},
+                           "--out", {str(tmp_path / "run")!r}])]
+        eigen = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        ctx = tsim.prepare(tsim.ProtocolConfig(
+            tsim.LatticeSpec.chain(6), 2, 2, tsim.ModelParams.defaults(6)))
+        full = tsim.build_full(ctx.config.lattice, ctx.config.params,
+                               ctx.basis_tau, ctx.basis_upsilon)
+        out = tsim.evolve(ctx.initial, full, 1.0)
+        print(json.dumps({{"codes": codes, "eigen": eigen,
+                          "loaded": "scipy.special" in sys.modules,
+                          "norm": float(np.linalg.norm(out))}}))
+    """
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["codes"] == [0, 0, 0]
+    assert (tmp_path / "run" / "trajectory.csv").is_file()
+    assert got["eigen"] == []
+    assert got["loaded"] and abs(got["norm"] - 1.0) < 1e-12
+
+
 def test_validate_echoes_resolved_config(tmp_path, capsys):
     path = _write_config(tmp_path)
     assert main(["validate", "--config", str(path)]) == 0

@@ -629,6 +629,38 @@ def test_chebyshev_matches_dense_eigendecomposition(layout):
         assert np.max(np.abs(out.ravel() - exact)) < 1e-12
 
 
+def test_second_hop_matches_the_public_product():
+    # the full H's hop_y runs through csr_matvecs on transposed copies of
+    # gamma's real and imaginary columns, in two buffers that the
+    # recurrence owns; the product must be, bit for bit, D*gamma + hop_x
+    # gamma + (hop_y gamma^T)^T by scipy's public csr_array product.  gamma
+    # is 20 x 15, so a buffer of the swapped shape cannot pass
+    lattice = LatticeSpec(6, _ring(6).edges + ((0, 3),))
+    rng = np.random.default_rng(191)
+    params = ModelParams(j_tau=0.9, j_upsilon=1.2,
+                         u_tau=tuple(rng.uniform(-1, 1, 6)),
+                         u_upsilon=tuple(rng.uniform(-1, 1, 6)), u_cross=1.3)
+    op = build_full(lattice, params, enumerate_basis(6, 3), enumerate_basis(6, 2))
+    assert op.D.shape == (20, 15)
+    assert op.hop_x.data.min() < 0 and op.hop_y.data.min() < 0
+    hop_x, hop_y = (sp.csr_array((h.data, h.indices, h.indptr), shape=h.shape)
+                    for h in (op.hop_x, op.hop_y))
+    g = random_state(op.D.shape, 193)
+    gf = g.view(np.float64)
+    # the kernel adds hop_x's entries to D*gamma in place, row by row, so the
+    # public product takes D*gamma as the first column of each row, through
+    # an identity block in front of hop_x
+    first = sp.hstack([sp.eye_array(20), hop_x], format="csr")
+    want = first @ np.vstack([(op.D * g).view(np.float64), gf])
+    for c in range(2):
+        want[:, c::2] += (hop_y @ gf[:, c::2].T).T
+    assert np.array_equal(apply(op, g).view(np.float64), want)
+    # T_1 = H g / 2 is the recurrence's first term, made on its own buffers
+    one = propagate._recurrence((op.hop_x, op.hop_y, op.D), g,
+                                np.array([0, 1], np.complex128), 1.0)
+    assert np.array_equal((2 * one).view(np.float64), want)
+
+
 @pytest.mark.parametrize("mobile", ["h1", "h2"])
 def test_chebyshev_matches_sparse_oracle_blocks_at_l12(mobile):
     # L=12, 6+6 is where whole-gamma Chebyshev is the default for H1 and H2.
