@@ -19,11 +19,22 @@ below about 1e-16 are noise, some of them negative; the 1e-300 floor drops
 the negative ones.  On dense low-rank states the noise weights add up:
 against an SVD, S_ent moves by up to about 5e-13 at L <= 12 (a rank-1
 gamma: 1.3e-13 at 70 x 70, 3.0e-13 at 252 x 252 and 5.5e-13 at 924 x 924).
+
+The Gram product, the eigensolve and the fidelity's ``vdot`` run on one BLAS
+thread, and so repeat bit for bit at any BLAS thread count, at the sizes where
+a second thread does not pay (see ``_one_blas_thread``): after a threaded call
+OpenBLAS's workers spin for about 134 ms of CPU, against the propagation's
+slab threads.  The count is the process's, so concurrent calls take turns,
+and other threads' BLAS calls made meanwhile run on one thread.
 """
 
 from __future__ import annotations
 
+import ctypes
+import threading
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
+from functools import cache
 from math import isfinite
 
 import numpy as np
@@ -31,6 +42,56 @@ import numpy as np
 from .fock import FockBasis
 
 _P_FLOOR = 1e-300
+# below this many entries of gamma the measure's second BLAS thread pays or
+# is level: one thread made a cycle 3-6% slower at 70 x 70 (L=8) and level at
+# 126 x 126 (L=9), and a Trotter step 24% faster at 252 x 252 (L=10)
+_ONE_BLAS_THREAD_ENTRIES = 16384
+# past this Gram side a second BLAS thread pays: a Gram product and eigensolve
+# took 2.76 s on one thread, 1.54 s on two at side 1,716 (12.6, 14.8 ms at 252)
+_ONE_BLAS_THREAD_MAX = 1024
+# held while the count is 1; a nested block restores the 1 it found
+_BLAS_LOCK = threading.RLock()
+
+
+@cache
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS that numpy loaded, found
+    through the LAPACK module that links it; None where none is found."""
+    try:
+        from numpy.linalg import _umath_linalg
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except (ImportError, OSError):
+        return None
+    for name in ("scipy_openblas_{}64_", "openblas_{}64_", "openblas_{}"):
+        get, put = (getattr(lib, name.format(f"{op}_num_threads"), None)
+                    for op in ("get", "set"))
+        if get is not None and put is not None:
+            get.argtypes, get.restype = (), ctypes.c_int
+            put.argtypes, put.restype = (ctypes.c_int,), None
+            return get, put
+    return None
+
+
+def _one_blas_thread(gamma: np.ndarray):
+    """A context that runs BLAS calls on ``gamma`` on one thread, restoring
+    the count after it, if gamma has ``_ONE_BLAS_THREAD_ENTRIES`` entries or
+    more and no side past ``_ONE_BLAS_THREAD_MAX``; else a no-op."""
+    api = _openblas_threads()
+    if (api is None or gamma.size < _ONE_BLAS_THREAD_ENTRIES
+            or min(gamma.shape) > _ONE_BLAS_THREAD_MAX):
+        return nullcontext()
+    return _one_thread(*api)
+
+
+@contextmanager
+def _one_thread(get, put):
+    with _BLAS_LOCK:
+        restore = get()
+        put(1)
+        try:
+            yield
+        finally:
+            put(restore)
 
 
 def _entropy(p: np.ndarray) -> float:
@@ -48,9 +109,10 @@ def _gram_eigenvalues(gamma: np.ndarray) -> np.ndarray:
     g = gamma if gamma.shape[0] <= gamma.shape[1] else gamma.T
     # a complex product with an inf meets inf * 0, a NaN that the eigensolve
     # or the entropy refuses, so it warns of nothing
-    with np.errstate(invalid="ignore"):
-        gram = g @ g.conj().T
-    return np.linalg.eigvalsh(gram)
+    with _one_blas_thread(g):
+        with np.errstate(invalid="ignore"):
+            gram = g @ g.conj().T
+        return np.linalg.eigvalsh(gram)
 
 
 def schmidt_spectrum(gamma: np.ndarray) -> np.ndarray:
@@ -87,7 +149,8 @@ def fidelity(a: np.ndarray, b: np.ndarray) -> float:
     """|<a|b>|^2 of two coefficient matrices; insensitive to global phases."""
     if a.shape != b.shape:
         raise ValueError(f"state shapes differ: {a.shape} vs {b.shape}")
-    return float(np.abs(np.vdot(a, b)) ** 2)
+    with _one_blas_thread(a):
+        return float(np.abs(np.vdot(a, b)) ** 2)
 
 
 @dataclass(frozen=True)

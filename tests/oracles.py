@@ -222,7 +222,10 @@ def two_site_hop_amplitudes(j: float, t: float) -> tuple[complex, complex]:
 def shannon(p: np.ndarray) -> float:
     p = np.asarray(p, dtype=float)
     p = p[p > 1e-300]
-    return float(-(p * np.log(p)).sum()) if p.size else 0.0
+    s = float(-(p * np.log(p)).sum())
+    # clamp a roundoff sum a few ulps below 0, and -0.0, as
+    # observables._entropy does; an infinite p still gives -inf
+    return 0.0 if -np.inf < s <= 0.0 else s
 
 
 def entanglement_from_vector(vec: np.ndarray, d_x: int, d_y: int) -> float:

@@ -365,6 +365,23 @@ def test_calibration_rejects_bad_flags(calibration, argv, message, monkeypatch,
     assert err == f"calibrate_saturation.py: error: {message}"
 
 
+def test_calibration_of_a_one_state_sector_prints_zeros(calibration,
+                                                        monkeypatch, capsys):
+    # one site with one particle of each species holds one state, whose
+    # amplitude's modulus drifts by an ulp a cycle; its entropies are
+    # roundoff around 0, which the oracle's entropy clamps to 0
+    monkeypatch.setattr(calibration.oracles, "sector_hamiltonian",
+                        sector_hamiltonian)
+    monkeypatch.setattr("sys.argv", ["calibrate_saturation.py", "--sites", "1",
+                                     "--particles", "1", "--seeds", "2",
+                                     "--cycles", "6"])
+    calibration.main()
+    out = capsys.readouterr().out.splitlines()
+    assert "plateau (cycles 4..6): 0.000000" in out
+    assert [line for line in out if line.startswith("worst")] == [
+        "worst smoothed diff: 0.00 SE (bound -31.82)"]
+
+
 def test_calibration_beyond_physical_memory_is_refused(calibration, monkeypatch,
                                                        capsys):
     # at 8 GiB: 9 sites with 4+4 particles take 11 sector matrices of 4 GB,

@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import random_state, shannon_entropies
+from tsim import observables
 from tsim.fock import enumerate_basis
-from tsim.observables import (_entropy, entanglement_entropy, fidelity, measure,
-                              schmidt_spectrum)
+from tsim.observables import (EntropyReport, _entropy, entanglement_entropy,
+                              fidelity, measure, schmidt_spectrum)
 
 
 def densities(gamma, bt, bu):
@@ -312,3 +313,84 @@ def test_eigensolve_runs_on_the_support(monkeypatch):
               random_state((15, 10), 6)):
         schmidt_spectrum(g)
     assert solved == [(1, 1), (1, 1), (2, 2), (15, 15), (10, 10)]
+
+
+@pytest.fixture
+def blas_threads():
+    """The thread count getter of numpy's OpenBLAS, with the count set to 2
+    for the test and restored after it."""
+    api = observables._openblas_threads()
+    if api is None:
+        pytest.skip("numpy links no OpenBLAS whose thread count can be set")
+    get, put = api
+    before = get()
+    put(2)
+    yield get
+    put(before)
+
+
+def _record_blas_threads(monkeypatch, get):
+    """(name, BLAS thread count) of each eigvalsh and vdot call, as a list
+    that the calls fill."""
+    seen = []
+
+    def recording(f):
+        def call(*args, **kwargs):
+            seen.append((f.__name__, get()))
+            return f(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording(np.linalg.eigvalsh))
+    monkeypatch.setattr(np, "vdot", recording(np.vdot))
+    return seen
+
+
+@pytest.mark.parametrize("bound, value, count", [
+    (None, None, 1),
+    ("_ONE_BLAS_THREAD_MAX", 119, 2),
+    ("_ONE_BLAS_THREAD_ENTRIES", 120 * 252 + 1, 2),
+], ids=["within-the-bounds", "past-the-side-bound", "below-the-entry-bound"])
+def test_measure_runs_blas_on_one_thread(blas_threads, monkeypatch, bound,
+                                         value, count):
+    # a 120 x 120 Gram product or eigvalsh leaves OpenBLAS's workers spinning
+    # after it on two threads; outside the bounds the count is untouched
+    if bound is not None:
+        monkeypatch.setattr(observables, bound, value)
+    seen = _record_blas_threads(monkeypatch, blas_threads)
+    bt, bu = enumerate_basis(10, 3), enumerate_basis(10, 5)
+    g, init = random_state((120, 252), 191), random_state((120, 252), 193)
+    measure(g, bt, bu, init)
+    assert blas_threads() == 2
+    fidelity(init, g)
+    assert seen == [("eigvalsh", count), ("vdot", count), ("vdot", count)]
+    assert blas_threads() == 2
+
+
+def test_blas_thread_count_is_restored_after_an_error(blas_threads, monkeypatch):
+    # the eigensolve of a gamma with an inf raises inside the one-thread
+    # block: numpy's LinAlgError, a ValueError
+    seen = _record_blas_threads(monkeypatch, blas_threads)
+    g = random_state((120, 252), 197)
+    g[3, 4] = np.inf
+    with pytest.raises(np.linalg.LinAlgError):
+        entanglement_entropy(g)
+    assert seen == [("eigvalsh", 1)]
+    assert blas_threads() == 2
+
+
+def test_measure_without_openblas_is_unchanged(monkeypatch):
+    # where no thread API is found, the report is the one computed without
+    # any thread setting, field for field
+    bt, bu = enumerate_basis(10, 5), enumerate_basis(10, 3)
+    g, init = random_state((252, 120), 199), random_state((252, 120), 211)
+    p = np.abs(g) ** 2
+    s = g.T
+    expected = EntropyReport(
+        s_tau=_entropy(p.sum(axis=1)), s_upsilon=_entropy(p.sum(axis=0)),
+        s_total=_entropy(p.reshape(-1)),
+        s_ent=_entropy(np.linalg.eigvalsh(s @ s.conj().T)[::-1]),
+        densities_tau=tuple((p.sum(axis=1) @ bt.occupations).tolist()),
+        densities_upsilon=tuple((p.sum(axis=0) @ bu.occupations).tolist()),
+        fidelity_to_initial=float(np.abs(np.vdot(init, g)) ** 2))
+    monkeypatch.setattr(observables, "_openblas_threads", lambda: None)
+    assert measure(g, bt, bu, init) == expected

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
 
 import numpy as np
@@ -721,17 +722,36 @@ def _chebyshev_peak(build, sites, t):
     return peak, psi.nbytes
 
 
+@pytest.fixture
+def lockstep_slabs(monkeypatch):
+    """Slabs on a pool of two threads that wait for each other before each
+    product, so that both slabs' buffers are live at once however the
+    threads are scheduled, on one CPU too; the calling thread never waits."""
+    both, product = threading.Barrier(2, timeout=60), propagate._product
+
+    def held(*args):
+        if threading.current_thread() is not threading.main_thread():
+            both.wait()
+        return product(*args)
+
+    pool = ThreadPoolExecutor(2)
+    monkeypatch.setattr(propagate, "_pool", pool)
+    monkeypatch.setattr(propagate, "_product", held)
+    yield
+    pool.shutdown()
+
+
 @pytest.mark.parametrize("t", [0.5, 20.0])
 @pytest.mark.parametrize("build", [build_h1, build_h2, build_full],
                          ids=["h1", "h2", "full"])
-def test_chebyshev_peak_memory(build, t, monkeypatch):
+def test_chebyshev_peak_memory(build, t, monkeypatch, lockstep_slabs):
     # one slab: three rotating buffers and one accumulator, each the size of
     # gamma, plus the full H's hop_y product, numpy's cast buffer of D * gamma
     # (all of gamma at this size) and H2's transposed result, made once the
     # buffers are freed; two slabs: the result, held from the start, beside
-    # each slab's buffers and cast buffer, half of gamma's each.  The folded
-    # operator is built once per operator, by the first call, and is not
-    # counted
+    # each slab's buffers and cast buffer, half of gamma's each, live at once
+    # since the slabs run in lockstep.  The folded operator is built once per
+    # operator, by the first call, and is not counted
     for threads in (1, 2):
         monkeypatch.setattr(propagate, "_THREADS", threads)
         peak, nbytes = _chebyshev_peak(build, 8, t)
