@@ -20,12 +20,13 @@ the negative ones.  On dense low-rank states the noise weights add up:
 against an SVD, S_ent moves by up to about 5e-13 at L <= 12 (a rank-1
 gamma: 1.3e-13 at 70 x 70, 3.0e-13 at 252 x 252 and 5.5e-13 at 924 x 924).
 
-The Gram product, the eigensolve and the fidelity's ``vdot`` run on one BLAS
-thread, and so repeat bit for bit at any BLAS thread count, at the sizes where
-a second thread does not pay (see ``_one_blas_thread``): after a threaded call
-OpenBLAS's workers spin for about 134 ms of CPU, against the propagation's
-slab threads.  The count is the process's, so concurrent calls take turns,
-and other threads' BLAS calls made meanwhile run on one thread.
+The Gram product, the eigensolve, the densities' products and the fidelity's
+``vdot`` run on one BLAS thread, and so repeat bit for bit at any BLAS thread
+count, at the sizes where a second thread does not pay (see
+``_one_blas_thread``): after a threaded call OpenBLAS's workers spin for
+about 134 ms of CPU, against the propagation's slab threads.  The count is
+the process's, so concurrent calls take turns, and other threads' BLAS calls
+made meanwhile run on one thread.
 """
 
 from __future__ import annotations
@@ -46,11 +47,14 @@ _P_FLOOR = 1e-300
 # is level: one thread made a cycle 3-6% slower at 70 x 70 (L=8) and level at
 # 126 x 126 (L=9), and a Trotter step 24% faster at 252 x 252 (L=10)
 _ONE_BLAS_THREAD_ENTRIES = 16384
-# past this Gram side a second BLAS thread pays: a Gram product and eigensolve
-# took 2.76 s on one thread, 1.54 s on two at side 1,716 (12.6, 14.8 ms at 252)
-_ONE_BLAS_THREAD_MAX = 1024
+# past this Gram side a second BLAS thread pays: one thread made 16 Trotter
+# steps 13% faster at 330 x 330 (L=11, 4+4) and the full-H run level, but at
+# 462 x 462 (L=11, 5+5) the full-H run 6% slower and the Trotter steps level
+_ONE_BLAS_THREAD_MAX = 330
 # held while the count is 1; a nested block restores the 1 it found
 _BLAS_LOCK = threading.RLock()
+# the context outside the bounds, reusable, built once for the desk's many calls
+_AS_IS = nullcontext()
 
 
 @cache
@@ -76,11 +80,11 @@ def _one_blas_thread(gamma: np.ndarray):
     """A context that runs BLAS calls on ``gamma`` on one thread, restoring
     the count after it, if gamma has ``_ONE_BLAS_THREAD_ENTRIES`` entries or
     more and no side past ``_ONE_BLAS_THREAD_MAX``; else a no-op."""
-    api = _openblas_threads()
-    if (api is None or gamma.size < _ONE_BLAS_THREAD_ENTRIES
+    if (gamma.size < _ONE_BLAS_THREAD_ENTRIES
             or min(gamma.shape) > _ONE_BLAS_THREAD_MAX):
-        return nullcontext()
-    return _one_thread(*api)
+        return _AS_IS
+    api = _openblas_threads()
+    return _AS_IS if api is None else _one_thread(*api)
 
 
 @contextmanager
@@ -172,12 +176,14 @@ def measure(gamma: np.ndarray, basis_tau: FockBasis, basis_upsilon: FockBasis,
     the densities are the expected per-site occupancies of each species."""
     p = np.abs(gamma) ** 2
     p_tau, p_upsilon = p.sum(axis=1), p.sum(axis=0)
-    return EntropyReport(
-        s_tau=_entropy(p_tau),
-        s_upsilon=_entropy(p_upsilon),
-        s_total=_entropy(p.reshape(-1)),
-        s_ent=entanglement_entropy(gamma),
-        densities_tau=tuple((p_tau @ basis_tau.occupations).tolist()),
-        densities_upsilon=tuple((p_upsilon @ basis_upsilon.occupations).tolist()),
-        fidelity_to_initial=fidelity(initial, gamma),
-    )
+    # the densities' products are BLAS calls too
+    with _one_blas_thread(gamma):
+        return EntropyReport(
+            s_tau=_entropy(p_tau),
+            s_upsilon=_entropy(p_upsilon),
+            s_total=_entropy(p.reshape(-1)),
+            s_ent=entanglement_entropy(gamma),
+            densities_tau=tuple((p_tau @ basis_tau.occupations).tolist()),
+            densities_upsilon=tuple((p_upsilon @ basis_upsilon.occupations).tolist()),
+            fidelity_to_initial=fidelity(initial, gamma),
+        )

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -330,8 +332,9 @@ def blas_threads():
 
 
 def _record_blas_threads(monkeypatch, get):
-    """(name, BLAS thread count) of each eigvalsh and vdot call, as a list
-    that the calls fill."""
+    """(name, BLAS thread count) of each eigvalsh and vdot call, and of each
+    density product with a basis passed through ``recorded``, as a list that
+    the calls fill; and ``recorded``."""
     seen = []
 
     def recording(f):
@@ -340,9 +343,18 @@ def _record_blas_threads(monkeypatch, get):
             return f(*args, **kwargs)
         return call
 
+    class Occupations(np.ndarray):
+        # p @ occupations tries a subclass's reflected product first
+        def __rmatmul__(self, other):
+            seen.append(("matmul", get()))
+            return other @ self.view(np.ndarray)
+
+    def recorded(basis):
+        return SimpleNamespace(occupations=basis.occupations.view(Occupations))
+
     monkeypatch.setattr(np.linalg, "eigvalsh", recording(np.linalg.eigvalsh))
     monkeypatch.setattr(np, "vdot", recording(np.vdot))
-    return seen
+    return seen, recorded
 
 
 @pytest.mark.parametrize("bound, value, count", [
@@ -356,20 +368,23 @@ def test_measure_runs_blas_on_one_thread(blas_threads, monkeypatch, bound,
     # after it on two threads; outside the bounds the count is untouched
     if bound is not None:
         monkeypatch.setattr(observables, bound, value)
-    seen = _record_blas_threads(monkeypatch, blas_threads)
+    seen, recorded = _record_blas_threads(monkeypatch, blas_threads)
     bt, bu = enumerate_basis(10, 3), enumerate_basis(10, 5)
     g, init = random_state((120, 252), 191), random_state((120, 252), 193)
-    measure(g, bt, bu, init)
+    report = measure(g, recorded(bt), recorded(bu), init)
+    assert report == measure(g, bt, bu, init)
     assert blas_threads() == 2
     fidelity(init, g)
-    assert seen == [("eigvalsh", count), ("vdot", count), ("vdot", count)]
+    assert seen == [("eigvalsh", count), ("matmul", count), ("matmul", count),
+                    ("vdot", count), ("eigvalsh", count), ("vdot", count),
+                    ("vdot", count)]
     assert blas_threads() == 2
 
 
 def test_blas_thread_count_is_restored_after_an_error(blas_threads, monkeypatch):
     # the eigensolve of a gamma with an inf raises inside the one-thread
     # block: numpy's LinAlgError, a ValueError
-    seen = _record_blas_threads(monkeypatch, blas_threads)
+    seen, _ = _record_blas_threads(monkeypatch, blas_threads)
     g = random_state((120, 252), 197)
     g[3, 4] = np.inf
     with pytest.raises(np.linalg.LinAlgError):
