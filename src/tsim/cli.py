@@ -48,8 +48,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(path: str, seed: int | None, out: str | None) -> tuple[ProtocolConfig, OutputOptions]:
-    text = Path(path).read_text(encoding="utf-8")
-    config, output = parse_config(text)
+    try:
+        config, output = parse_config(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     if seed is not None:
         if seed < 0:
             raise ConfigError("--seed: must be nonnegative")
@@ -110,7 +112,7 @@ def main(argv=None) -> int:
     except BrokenPipeError:  # a reader that stops early, as head does, is no
         # failure; the interpreter's final flush then goes to the null device
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -1,15 +1,15 @@
 """Configuration documents: a single JSON object with nested sections.
 
-Unknown keys are rejected, missing keys take the documented defaults, and
-every constraint violation names the offending key path.  The document checks
-JSON types and forms; each range rule lives in the type that holds the value
-(``LatticeSpec``, ``ModelParams``, ``ErasureSpec``, ``ProtocolConfig``, which
-owns every rule on ``initial``), whose ``ValueError`` reads
-``"<field>: <rule>"`` and is reported here at the field's key path.
-``serialize_config`` emits a canonical document that reparses to an equal
-configuration.  One key table, ``_KEYS``, lists the keys of every section
-except ``initial``, each with the reader that checks its JSON type; every
-present key of a section is read before the section's range rules run.
+Unknown and repeated keys are rejected, missing keys take the documented
+defaults, and every constraint violation names the offending key path.  The
+document checks JSON types and forms; each range rule lives in the type that
+holds the value (``LatticeSpec``, ``ModelParams``, ``ErasureSpec``,
+``ProtocolConfig``, which owns every rule on ``initial``), whose
+``ValueError`` reads ``"<field>: <rule>"`` and is reported here at the field's
+key path.  ``serialize_config`` emits a canonical document that reparses to an
+equal configuration.  One key table, ``_KEYS``, lists the keys of every
+section except ``initial``, each with the reader that checks its JSON type;
+every present key of a section is read before the section's range rules run.
 
 Minimal document::
 
@@ -144,12 +144,25 @@ def _read(doc: dict, name: str, defaults: dict) -> dict:
     return out
 
 
+def _object(pairs: list) -> dict | tuple:
+    """A JSON object; or, as a tuple, which no JSON value is, the key path of
+    the first key that it or an object among its values repeats."""
+    doc = {}
+    for key, val in pairs:
+        if isinstance(val, tuple) or key in doc:
+            return (key, *val) if isinstance(val, tuple) else (key,)
+        doc[key] = val
+    return doc
+
+
 def parse_config(text: str) -> tuple[ProtocolConfig, OutputOptions]:
     """Parse a document, apply defaults, and validate every constraint."""
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text, object_pairs_hook=_object)
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"malformed document: {exc}") from exc
+    if isinstance(doc, tuple):
+        raise ConfigError(f"{'.'.join(doc)}: duplicate key")
     if not isinstance(doc, dict):
         raise ConfigError("top level: must be an object")
     for key in doc:

@@ -34,8 +34,7 @@ class ErasureSpec:
         if self.kind not in KINDS:
             raise ValueError(f"kind: must be one of {KINDS}, got {self.kind!r}")
         if self.species not in SPECIES:
-            raise ValueError(
-                f"species: must be one of {SPECIES}, got {self.species!r}")
+            raise ValueError(f"species: must be one of {SPECIES}, got {self.species!r}")
         if self.theta is not None and not np.isfinite(self.theta):
             raise ValueError("theta: must be finite")
         if self.kind == SITE_PHASE:

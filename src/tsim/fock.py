@@ -1,10 +1,11 @@
 """Fermionic Fock bases as occupation bitmasks.
 
 A basis state for one spinless-fermion species on ``L`` sites is an integer
-whose bit ``i`` is set iff site ``i`` is occupied.  Bases are enumerated in
-ascending unsigned integer order, so ``configs[0]`` is the mask with the
-lowest ``particles`` sites occupied.  Each basis builds its per-site
-occupation table once, on first use, and shares it read-only.
+whose bit ``i`` is set iff site ``i`` is occupied.  A basis holds its masks
+as one read-only int64 array in ascending order, so ``configs[0]`` is the
+mask with the lowest ``particles`` sites occupied, and compares and hashes
+by ``(sites, particles)``.  It builds its per-site occupation table once,
+on first use, and shares it read-only.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from math import comb
 
 import numpy as np
 
-MAX_SITES = 63  # one machine word per mask
+MAX_SITES = 63  # one int64 per mask
 # the machine's physical memory in bytes, the most any basis or gamma can take
 _PHYSICAL_BYTES = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
@@ -28,7 +29,7 @@ class FockBasis:
 
     sites: int
     particles: int
-    configs: tuple[int, ...] = field(repr=False)
+    configs: np.ndarray = field(repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -37,8 +38,7 @@ class FockBasis:
     @cached_property
     def occupations(self) -> np.ndarray:
         """Read-only (dim, sites) float64 table, 1.0 where config k occupies site i."""
-        occ = ((np.array(self.configs)[:, None] >> np.arange(self.sites)) & 1
-               ).astype(np.float64)
+        occ = ((self.configs[:, None] >> np.arange(self.sites)) & 1).astype(np.float64)
         occ.flags.writeable = False
         return occ
 
@@ -49,13 +49,13 @@ def enumerate_basis(sites: int, particles: int) -> FockBasis:
         raise ValueError(f"sites must be in [0, {MAX_SITES}], got {sites}")
     if not 0 <= particles <= sites:
         raise ValueError(f"particles must be in [0, {sites}], got {particles}")
-    # refused before enumerating: 8 bytes a mask is the least any form takes
-    if (size := 8 * comb(sites, particles)) > _PHYSICAL_BYTES:
+    # refused before enumerating: 8 bytes a mask, all that the enumeration holds
+    if (size := 8 * (dim := comb(sites, particles))) > _PHYSICAL_BYTES:
         raise ValueError(f"sites: the basis takes {size} bytes, more than "
                          f"the {_PHYSICAL_BYTES} bytes of physical memory")
-    configs = sorted(
-        sum(1 << i for i in occ)
-        for occ in itertools.combinations(range(sites), particles)
-    )
-    return FockBasis(sites=sites, particles=particles, configs=tuple(configs))
-
+    configs = np.fromiter((sum(1 << i for i in occ) for occ in
+                           itertools.combinations(range(sites), particles)),
+                          np.int64, dim)
+    configs.sort()
+    configs.flags.writeable = False
+    return FockBasis(sites=sites, particles=particles, configs=configs)

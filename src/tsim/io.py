@@ -37,20 +37,17 @@ def write_trajectory(records, out_dir, name: str = "trajectory.csv") -> Path:
     lines = [TRAJECTORY_HEADER]
     for r in records:
         rep = r.report
-        lines.append(",".join([
-            str(r.cycle), r.stage, _fmt(r.model_time),
-            _fmt(rep.s_tau), _fmt(rep.s_upsilon), _fmt(rep.s_total),
-            _fmt(rep.s_ent), _fmt(rep.fidelity_to_initial),
-        ]))
+        lines.append(",".join([str(r.cycle), r.stage, *map(_fmt, (
+            r.model_time, rep.s_tau, rep.s_upsilon, rep.s_total, rep.s_ent,
+            rep.fidelity_to_initial))]))
     return _write_lines(out_dir, name, lines)
 
 
 def write_phases(phase_log, out_dir) -> Path:
     """Audit dump of the phases applied at each erase stage."""
     lines = ["cycle,index,theta"]
-    for cycle, phases in phase_log:
-        for i, theta in enumerate(phases):
-            lines.append(f"{cycle},{i},{_fmt(theta)}")
+    lines += (f"{cycle},{i},{_fmt(theta)}" for cycle, phases in phase_log
+              for i, theta in enumerate(phases))
     return _write_lines(out_dir, "phases.csv", lines)
 
 
@@ -76,8 +73,7 @@ def read_state(path) -> np.ndarray:
     expected = 24 + 16 * d_x * d_y
     if len(raw) != expected:
         raise ValueError(f"{path}: size {len(raw)} != expected {expected}")
-    gamma = np.frombuffer(raw[24:], dtype="<c16").astype(np.complex128)
-    return gamma.reshape(d_x, d_y)
+    return np.frombuffer(raw[24:], dtype="<c16").astype(np.complex128).reshape(d_x, d_y)
 
 
 def state_dump_name(cycle: int) -> str:

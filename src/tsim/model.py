@@ -66,19 +66,15 @@ class LatticeSpec:
             raise ValueError("sites: must be a positive integer")
         if self.sites > MAX_SITES:
             raise ValueError(f"sites: must be at most {MAX_SITES}")
-        seen = set()
-        norm = []
-        for e in self.edges:
-            i, j = e
+        norm = {}  # each bond as (low, high), in the order given
+        for i, j in self.edges:
             if i == j:
                 raise ValueError(f"edges: self-loop edge ({i}, {j})")
             if not (0 <= i < self.sites and 0 <= j < self.sites):
                 raise ValueError(f"edges: edge ({i}, {j}) outside [0, {self.sites})")
-            key = (min(i, j), max(i, j))
-            if key in seen:
+            if (key := (min(i, j), max(i, j))) in norm:
                 raise ValueError(f"edges: duplicate edge ({i}, {j})")
-            seen.add(key)
-            norm.append(key)
+            norm[key] = None
         object.__setattr__(self, "edges", tuple(norm))
 
     @classmethod
@@ -178,8 +174,7 @@ def _hop_matrix(basis: FockBasis, edges, j: float) -> CSR:
     so a stable sort by target leaves each row's sources ascending; distinct
     bonds flip distinct pairs of sites, so no two entries share a target and
     a source."""
-    configs = np.array(basis.configs, dtype=np.int64)
-    occ = basis.occupations == 1
+    configs, occ = basis.configs, basis.occupations == 1
     lo, hi = np.sort(np.array(edges, dtype=np.intp).reshape(-1, 2), axis=1).T
     # a hop needs exactly one occupied end
     cols, e = np.nonzero(occ[:, lo] != occ[:, hi])
@@ -203,10 +198,8 @@ def _build(lattice: LatticeSpec, params: ModelParams, basis_tau: FockBasis,
     one part, j times the adjacency plus its potential; the first also takes
     the cross coupling set by each config of the other species."""
     if basis_tau.sites != lattice.sites or basis_upsilon.sites != lattice.sites:
-        raise ValueError(
-            f"bases on {basis_tau.sites}/{basis_upsilon.sites} sites do not "
-            f"match lattice with {lattice.sites}"
-        )
+        raise ValueError(f"bases on {basis_tau.sites}/{basis_upsilon.sites} "
+                         f"sites do not match lattice with {lattice.sites}")
     if len(params.u_tau) != lattice.sites or len(params.u_upsilon) != lattice.sites:
         raise ValueError("potential sequences must have one entry per site")
     occ_x, occ_y = (b.occupations == 1 for b in (basis_tau, basis_upsilon))

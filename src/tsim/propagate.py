@@ -97,13 +97,12 @@ def _minor_tables(sites: int, n: int) -> tuple:
     levels, prev = [], np.zeros(1, np.int64)
     for r in range(1, m + 1):
         basis = enumerate_basis(sites, r)
-        masks = np.array(basis.configs, dtype=np.int64)
         pick = np.nonzero(basis.occupations)[1].reshape(-1, r)
-        rest = np.searchsorted(prev, masks[:, None] ^ (1 << pick))
-        s, a = np.triu_indices(len(masks))
+        rest = np.searchsorted(prev, basis.configs[:, None] ^ (1 << pick))
+        s, a = np.triu_indices(basis.dim)
         levels.append((_pair(rest[s], rest[a, :1], len(prev)).T.copy(),
                        (pick[s] * sites + pick[a, :1]).T.copy()))
-        prev = masks
+        prev = basis.configs
     full = _pair(*np.indices((len(prev),) * 2), len(prev))
     if m == n:
         return levels, full, None
@@ -155,9 +154,7 @@ def _eigen(op: Hamiltonian, src: np.ndarray, t: float) -> np.ndarray:
     # h is real, so U(-t) = conj(U(t)) and one propagator serves both
     sub = np.ascontiguousarray(src.T if t > 0 else src.T.conj())
     sub = (u @ sub[..., None])[..., 0]
-    if t < 0:
-        sub = sub.conj()
-    return sub.T
+    return (sub.conj() if t < 0 else sub).T
 
 
 @cache

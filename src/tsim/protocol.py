@@ -309,8 +309,7 @@ def run_trotter(config: ProtocolConfig) -> ProtocolResult:
     reproduces a single stepwise forward pass."""
     n = config.trotter_steps
     ctx = prepare(config)
-    dt1 = config.t1 * config.cycles / n
-    dt2 = config.t2 * config.cycles / n
+    dt1, dt2 = (t * config.cycles / n for t in (config.t1, config.t2))
     h1, h2 = ctx.h1, ctx.h2  # built once, before the first step
     state = ctx.initial
     records = [StageRecord(0, STAGE_INIT, 0.0, ctx.measure(state))]

@@ -185,6 +185,15 @@ def test_missing_config_file_reports_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_non_utf8_config_file_error_names_its_path(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"lattice": {"sites": 4}, "caf\xe9": 1}')
+    assert main(["validate", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xe9")
+    assert "Traceback" not in err
+
+
 def test_simulate_rejects_nan_duration_without_traceback(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({**MINIMAL, "protocol": {"t1": float("nan")}}))

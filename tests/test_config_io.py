@@ -89,6 +89,31 @@ def test_malformed_and_constraint_errors():
         parse_config('{"lattice": {"sites": 4, "chain": true, "edges": [[0, 1]]}, "particles": {"tau": 1, "upsilon": 1}}')
 
 
+def test_repeated_top_level_key_rejected():
+    # json keeps the last of two equal keys, so this read as a 4-site lattice
+    doc = ('{"lattice": {"sites": 6}, "particles": {"tau": 2, "upsilon": 2}, '
+           '"lattice": {"sites": 4}}')
+    with pytest.raises(ConfigError, match="^lattice: duplicate key$"):
+        parse_config(doc)
+
+
+@pytest.mark.parametrize("doc, path", [
+    ('{"lattice": {"sites": 6, "sites": 4}, "particles": {"tau": 2, "upsilon": 2}}',
+     "lattice.sites"),
+    ('{"lattice": {"sites": 4}, "particles": {"tau": 1, "upsilon": 1}, '
+     '"params": {"potato": {"a": 1, "a": 1}}}', "params.potato.a"),
+], ids=["section", "nested"])
+def test_repeated_key_in_a_section_rejected_at_its_path(doc, path):
+    with pytest.raises(ConfigError, match=f"^{re.escape(path)}: duplicate key$"):
+        parse_config(doc)
+
+
+def test_deeply_nested_document_is_malformed():
+    # 200,000 nested lists ended in a RecursionError traceback
+    with pytest.raises(ConfigError, match="^malformed document: maximum recursion"):
+        parse_config("[" * 200_000)
+
+
 _SMALL = {"lattice": {"sites": 4}, "particles": {"tau": 1, "upsilon": 1}}
 _NAN, _INF = float("nan"), float("inf")
 

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -15,13 +16,13 @@ def test_dimension_small():
 
 def test_vacuum_single_empty_mask():
     basis = enumerate_basis(3, 0)
-    assert basis.configs == (0,)
+    assert basis.configs.tolist() == [0]
     assert basis.dim == 1
 
 
 def test_single_particle_order():
     basis = enumerate_basis(3, 1)
-    assert basis.configs == (0b001, 0b010, 0b100)
+    assert basis.configs.tolist() == [0b001, 0b010, 0b100]
 
 
 def test_configs_match_enumerate_and_sort_oracle():
@@ -36,7 +37,36 @@ def test_configs_match_enumerate_and_sort_oracle():
 def test_minimal_mask_has_rank_zero():
     basis = enumerate_basis(7, 3)
     assert basis.configs[0] == 0b0000111
-    assert basis.configs.index(0b0000111) == 0
+    assert basis.configs.tolist().index(0b0000111) == 0
+
+
+def test_configs_is_one_read_only_int64_array():
+    basis = enumerate_basis(7, 3)
+    configs = basis.configs
+    assert isinstance(configs, np.ndarray)
+    assert configs.dtype == np.int64 and configs.shape == (comb(7, 3),)
+    assert configs.flags.c_contiguous and not configs.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        configs[0] = 0
+
+
+def test_bases_compare_and_hash_by_counts():
+    a, b = enumerate_basis(6, 2), enumerate_basis(6, 2)
+    assert a.configs is not b.configs
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, enumerate_basis(6, 3), enumerate_basis(5, 2)}) == 3
+
+
+def test_enumeration_peaks_at_its_masks():
+    # the masks take 8 bytes each; enumerating them may take little more
+    tracemalloc.start()
+    try:
+        basis = enumerate_basis(20, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert basis.dim == 184_756
+    assert peak <= 9 * basis.dim
 
 
 def test_invalid_arguments():

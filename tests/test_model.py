@@ -89,7 +89,7 @@ def test_single_doubly_occupied_site_energy():
     lattice, bt, bu, _ = _operators(2, 1, 1, params)
     h = build_full(lattice, params, bt, bu)
     # both species on site 0
-    k = bt.configs.index(0b01) * bu.dim + bu.configs.index(0b01)
+    k = bt.configs.tolist().index(0b01) * bu.dim + bu.configs.tolist().index(0b01)
     assert oracles.to_dense(h)[k, k] == 2.0
 
 
@@ -199,9 +199,9 @@ def _effective_potential(frozen, params, species):
     lattice, others = LatticeSpec.chain(4), bin(frozen).count("1")
     if species == "tau":
         bt, bu = enumerate_basis(4, 1), enumerate_basis(4, others)
-        return tuple(build_h1(lattice, params, bt, bu).D[:, bu.configs.index(frozen)])
+        return tuple(build_h1(lattice, params, bt, bu).D[:, bu.configs.tolist().index(frozen)])
     bt, bu = enumerate_basis(4, others), enumerate_basis(4, 1)
-    return tuple(build_h2(lattice, params, bt, bu).D[bt.configs.index(frozen), :])
+    return tuple(build_h2(lattice, params, bt, bu).D[bt.configs.tolist().index(frozen), :])
 
 
 def test_effective_potential_examples():

@@ -32,7 +32,7 @@ def _config_4_1_1(**overrides):
 def test_domain_wall_initial_state():
     bt, bu = enumerate_basis(6, 2), enumerate_basis(6, 2)
     psi = prepare(desk_config()).initial
-    assert psi[bt.configs.index(0b000011), bu.configs.index(0b000011)] == 1.0
+    assert psi[bt.configs.tolist().index(0b000011), bu.configs.tolist().index(0b000011)] == 1.0
     assert np.count_nonzero(psi) == 1
 
 
