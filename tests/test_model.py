@@ -56,6 +56,13 @@ def test_lattice_validation():
     assert LatticeSpec.chain(4).edges == ((0, 1), (1, 2), (2, 3))
 
 
+def test_lattice_stores_each_bond_low_end_first():
+    # the hopping matrix and the one-body adjacency read each bond as
+    # (low, high) without sorting it again
+    lattice = LatticeSpec(6, ((5, 0), (1, 2), (4, 3)))
+    assert lattice.edges == ((0, 5), (1, 2), (3, 4))
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("j_tau", float("nan"), "j_tau: must be finite"),
     ("u_cross", float("-inf"), "u_cross: must be finite"),

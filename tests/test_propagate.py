@@ -208,19 +208,22 @@ def test_dimension_mismatch_rejected():
         evolve(bad, h, 1.0)
 
 
-@pytest.mark.parametrize("sites,n_tau,n_upsilon,shape", [
+@pytest.mark.parametrize("sites,n_tau,n_upsilon,shape,build", [
     # past evolve's check, numpy would refuse these two, since D does not
     # broadcast into buffers shaped like the state, but with a message that
     # names neither operator nor state
-    (10, 5, 5, (1, 252)),
-    (6, 2, 2, (15, 1)),
+    (10, 5, 5, (1, 252), build_h1),
+    (6, 2, 2, (15, 1), build_h1),
     # and take this one: the one-row D broadcasts over all three rows, and
     # the 1 x 1 hop reads and writes only the first
-    (4, 0, 2, (3, 6)),
-], ids=["L10-row", "desk-column", "one-row"])
-def test_state_of_another_shape_rejected(sites, n_tau, n_upsilon, shape):
+    (4, 0, 2, (3, 6), build_h1),
+    # H2 refuses it before it lays out its stage on gamma^T
+    (6, 2, 2, (1, 15), build_h2),
+], ids=["L10-row", "desk-column", "one-row", "desk-h2-row"])
+def test_state_of_another_shape_rejected(sites, n_tau, n_upsilon, shape,
+                                         build):
     lattice, params, bt, bu = _chain_setup(sites, n_tau, n_upsilon)
-    op = build_h1(lattice, params, bt, bu)
+    op = build(lattice, params, bt, bu)
     bad = np.ones(shape, np.complex128)
     # evolve checks the shape before either method runs
     for run in (evolve, chebyshev):
@@ -846,6 +849,60 @@ def test_slabs_match_one_thread_at_l10(chain10, mobile, t, monkeypatch):
     two, slabs, one = _slabs_and_one_thread(monkeypatch, ops[mobile], psi, t)
     assert slabs == [126, 126]
     assert np.array_equal(two, one)
+
+
+def _cheb(widths, terms):
+    """A stage pinned as Chebyshev: its slab widths, and its term count at
+    each of ``_STAGE_TIMES``."""
+    return [("chebyshev", widths, n) for n in terms]
+
+
+_EIGEN = [("eigen", [], None)] * 3
+_STAGE_TIMES = (2.0, -2.0, 0.125)
+
+
+@pytest.mark.parametrize("sites,n,stages", [
+    (6, 2, {"h1": _EIGEN, "h2": _EIGEN, "full": _cheb([15], (39, 39, 14))}),
+    (8, 4, {"h1": _EIGEN, "h2": _EIGEN, "full": _cheb([70], (50, 50, 15))}),
+    (10, 5, {"h1": _cheb([126, 126], (40, 40, 14)),
+             "h2": _cheb([126, 126], (40, 40, 14)),
+             "full": _cheb([252], (58, 58, 17))}),
+    (12, 6, {"h1": _cheb([462, 462], (44, 44, 14)),
+             "h2": _cheb([462, 462], (44, 44, 14)),
+             "full": _cheb([924], (65, 65, 18))}),
+], ids=["desk", "L8", "L10", "L12"])
+def test_each_stage_keeps_its_method_slabs_and_terms(sites, n, stages,
+                                                     monkeypatch):
+    # H1, H2 and the full H of each ladder chain, default params, at each t:
+    # the method evolve picks, the column widths of the slabs it runs on two
+    # threads and the Chebyshev term count; both methods are stubbed, so
+    # nothing propagates and the whole ladder takes a fraction of a second
+    runs = []
+
+    def eigen(op, src, t):
+        runs.append(("eigen", None, None))
+        return src
+
+    def recurrence(h, src, c, phase):
+        runs.append(("chebyshev", src.shape[1], len(c)))
+        return np.zeros(src.shape, np.complex128)
+
+    monkeypatch.setattr(propagate, "_eigen", eigen)
+    monkeypatch.setattr(propagate, "_recurrence", recurrence)
+    monkeypatch.setattr(propagate, "_THREADS", 2)
+    lattice, params = LatticeSpec.chain(sites), ModelParams.defaults(sites)
+    basis = enumerate_basis(sites, n)
+    gamma = np.zeros((basis.dim, basis.dim), np.complex128)
+    for name, build in (("h1", build_h1), ("h2", build_h2), ("full", build_full)):
+        op = build(lattice, params, basis, basis)
+        got = []
+        for t in _STAGE_TIMES:
+            runs.clear()
+            evolve(gamma, op, t)
+            (method,), terms = {r[0] for r in runs}, {r[2] for r in runs}
+            assert len(terms) == 1, (name, t, runs)
+            got.append((method, sorted(r[1] for r in runs if r[1]), terms.pop()))
+        assert got == stages[name], name
 
 
 @pytest.mark.parametrize("lattice,n_tau,n_upsilon,slabs", [
