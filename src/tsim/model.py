@@ -161,21 +161,17 @@ class Hamiltonian:
             raise ValueError(f"operator has {len(self.parts)} one-body parts "
                              f"for {len(hops)} hops")
 
-    @property
-    def dim(self) -> int:
-        return self.D.size
 
-
-def _hop_matrix(basis: FockBasis, edges, j: float) -> CSR:
-    """Single-species hopping: entry (target, source) is j times the parity
-    sign of the hop from config ``source`` to config ``target``, -1 when an
-    odd number of sites strictly between the bond's ends is occupied.  All
-    (config, edge) pairs are built at once, in the order source, then edge,
-    so a stable sort by target leaves each row's sources ascending; distinct
-    bonds flip distinct pairs of sites, so no two entries share a target and
-    a source."""
+def _hop_matrix(basis: FockBasis, lo: np.ndarray, hi: np.ndarray,
+                j: float) -> CSR:
+    """Single-species hopping over the bonds (lo[e], hi[e]), lo[e] < hi[e]:
+    entry (target, source) is j times the parity sign of the hop from config
+    ``source`` to config ``target``, -1 when an odd number of sites strictly
+    between the bond's ends is occupied.  All (config, bond) pairs are built
+    at once, in the order source, then bond, so a stable sort by target
+    leaves each row's sources ascending; distinct bonds flip distinct pairs
+    of sites, so no two entries share a target and a source."""
     configs, occ = basis.configs, basis.occupations == 1
-    lo, hi = np.sort(np.array(edges, dtype=np.intp).reshape(-1, 2), axis=1).T
     # a hop needs exactly one occupied end
     cols, e = np.nonzero(occ[:, lo] != occ[:, hi])
     lo, hi = lo[e], hi[e]
@@ -203,9 +199,10 @@ def _build(lattice: LatticeSpec, params: ModelParams, basis_tau: FockBasis,
     if len(params.u_tau) != lattice.sites or len(params.u_upsilon) != lattice.sites:
         raise ValueError("potential sequences must have one entry per site")
     occ_x, occ_y = (b.occupations == 1 for b in (basis_tau, basis_upsilon))
+    # every bond low end first, as ``LatticeSpec`` stores it
+    lo, hi = np.array(lattice.edges, dtype=np.intp).reshape(-1, 2).T
     adjacency = np.zeros((lattice.sites, lattice.sites))
-    for i, k in lattice.edges:
-        adjacency[i, k] = adjacency[k, i] = 1.0
+    adjacency[lo, hi] = adjacency[hi, lo] = 1.0
     diag = np.zeros((basis_tau.dim, basis_upsilon.dim))
     hops, parts = [], []
     for mobile, basis, other, occ, j, u, axis in (
@@ -213,7 +210,7 @@ def _build(lattice: LatticeSpec, params: ModelParams, basis_tau: FockBasis,
              np.s_[:, None]),
             (upsilon, basis_upsilon, basis_tau, occ_y, params.j_upsilon,
              params.u_upsilon, np.s_[None, :])):
-        hops.append(_hop_matrix(basis, lattice.edges, j) if mobile else None)
+        hops.append(_hop_matrix(basis, lo, hi, j) if mobile else None)
         if mobile:
             cross = np.zeros((1, lattice.sites)) if parts else other.occupations
             pot = np.asarray(u) + params.u_cross * cross

@@ -1,12 +1,15 @@
 """Time evolution exp(-i*H*t) of a state, the coefficient matrix gamma.
 
 :func:`evolve` returns a new C-contiguous complex128 gamma, never its input,
-and, as the one caller of both methods, picks one from the operator alone.
-Both see one layout, H1's.  A stepwise operator moves one species, so it is
-block-diagonal over the frozen one, and H2's method runs on gamma^T: a
-one-hop operator's blocks are always the columns of the method's source.
+and is the one place that decides a stage: right after its input checks it
+lays the operator out, picks the method from the operator alone and, for
+Chebyshev, the slab count, and hands the method what it decided.  Both
+methods see one layout, H1's.  A stepwise operator moves one species, so it
+is block-diagonal over the frozen one, and H2's stage is (hop_y, None, D^T)
+on gamma^T: a one-hop operator's blocks are always the columns of the
+method's source.
 
-A stepwise operator with dim * b**2 (b its hop's dimension) at most
+A stepwise operator with D.size * b**2 (b its hop's dimension) at most
 ``_EIGEN_WORK_MAX`` is solved exactly by one cached U(|t|), rebuilt when |t|
 changes: block k of U is the n-th compound of exp(-i*h_k*|t|), for h_k its
 part's L x L one-body block (Thouless, Nucl. Phys. 21, 225 (1960)).  h_k is
@@ -29,13 +32,13 @@ arrays in scipy's canonical order, go through scipy's ``csr_matvecs``
 kernel.  scipy loads at the first Chebyshev call, the full H's or a
 stepwise operator's past ``_EIGEN_WORK_MAX``, so a run that takes only the
 eigen path never imports it.  A one-hop operator's columns evolve on their
-own, so they run as up to ``_THREADS`` = min(2, usable CPUs) contiguous
-slabs on one pool, built at import, whose threads start on the first
-split.  The sparse product accumulates each entry in the
-same order at any slab width, so the result is bit-identical at any slab
-count.  The full H couples both axes and runs as one slab.  No step
-renormalizes its output.  What either method derives from an operator, U(|t|)
-or the folded interval, lives in ``_DERIVED`` for as long as the operator.
+own, so ``evolve`` runs them as up to ``_THREADS`` = min(2, usable CPUs)
+contiguous slabs on one pool, built at import, whose threads start on the
+first split.  The sparse product accumulates each entry in the same order at
+any slab width, so the result is bit-identical at any slab count.  The full
+H couples both axes and runs as one slab.  No step renormalizes its output.
+What either method derives from an operator, U(|t|) or the folded interval,
+lives in ``_DERIVED`` for as long as the operator.
 """
 
 from __future__ import annotations
@@ -51,8 +54,8 @@ import numpy as np
 from .fock import _PHYSICAL_BYTES, enumerate_basis
 from .model import Hamiltonian
 
-# a stepwise operator with a larger dim * b**2 takes Chebyshev, a boundary
-# kept so that every operator keeps its method; U(|t|) takes 16 * dim * b bytes
+# a stepwise operator with a larger D.size * b**2 takes Chebyshev, a boundary
+# kept so that every operator keeps its method; U takes 16 * D.size * b bytes
 _EIGEN_WORK_MAX = 2**28
 # U is built a chunk of blocks at a time, whose triangles of n x n minors
 # take at most this many bytes: at L=8, 4+4 the build peaks at 1.37 U
@@ -242,34 +245,34 @@ def _spectral_interval(op: Hamiltonian) -> tuple[float, float]:
     return float(lo - pad), float(hi + pad)
 
 
-def _chebyshev(op: Hamiltonian, src: np.ndarray, t: float) -> np.ndarray:
+def _chebyshev(op: Hamiltonian, stage: tuple, src: np.ndarray, t: float,
+               slabs: int) -> np.ndarray:
     """exp(-i*t*H) src as exp(-i*b*t) sum_k c_k T_k((H - b)/a) src on the
     operator's spectral interval [b - a, b + a], with c_k = (2 - delta_k0)
-    (-i)^k J_k(a*t), in one expansion however long t is.  The interval is
-    computed here, on the operator's first call, never for an eigen-path
-    operator, and folded into copies of the hops and D in H1's layout, H2's
-    as (hop_y, None, D^T); src has D's shape, which ``evolve`` checks, and
-    each hop matches D's side, which ``Hamiltonian`` checks; ``csr_matvecs``
-    checks neither.  t is refused, naming a and t, before any term is built
-    when a*|t| reaches 2**52, where a phase keeps no significant bit, or when
-    the coefficients would outgrow physical memory.  A one-hop operator's
-    columns evolve on their own, so they run as up to ``_THREADS`` contiguous
-    slabs on the pool's threads, each writing its columns of the result."""
+    (-i)^k J_k(a*t), in one expansion however long t is.  ``evolve`` hands
+    over the stage (hop, other, D) in H1's layout, other the full H's second
+    hop or None, and the count of slabs it runs as.  The interval is computed
+    here, on the operator's first call, never for an eigen-path operator, and
+    folded into copies of the stage's hops and D; src has D's shape, which
+    ``evolve`` checks, and each hop matches D's side, which ``Hamiltonian``
+    checks; ``csr_matvecs`` checks neither.  t is refused, naming a and t,
+    before any term is built when a*|t| reaches 2**52, where a phase keeps
+    no significant bit, or when the coefficients would outgrow physical
+    memory.  More than one slab splits src into contiguous column slabs on
+    the pool's threads, each writing its columns of the result."""
     jv = _scipy()[1]
     derived = _DERIVED.setdefault(op, {})
     if "chebyshev" not in derived:
         lo, hi = _spectral_interval(op)
         # a point interval means H = b, and then any half-width bounds it
         a, b = (hi - lo) / 2 or 1.0, (hi + lo) / 2
-        hops, D = ((op.hop_y, None), op.D.T) if op.hop_x is None else (
-            (op.hop_x, op.hop_y), op.D)
+        *hops, D = stage
         D = np.subtract(D, b, order="C")
         D *= 2 / a
         h = (*[None if x is None else replace(x, data=2 / a * x.data)
                for x in hops], D)
         derived["chebyshev"] = h, a, b
     h, a, b = derived["chebyshev"]
-    hop_x, hop_y, D = h
     # the Bessel and coefficient arrays take 24 bytes a term
     if not a * abs(t) < 2**52 or 24 * (2 * int(a * abs(t)) + 40) > _PHYSICAL_BYTES:
         raise ValueError(f"t = {t}: the Chebyshev expansion over the spectral "
@@ -280,17 +283,15 @@ def _chebyshev(op: Hamiltonian, src: np.ndarray, t: float) -> np.ndarray:
     c = np.array([2, -2j, -2, 2j])[np.arange(n) % 4] * bessel[:n]
     c[0] /= 2
     phase = np.exp(-1j * b * t)
-    cols = src.shape[1]
-    # the full H's second hop couples the columns, so it runs as one slab
-    slabs = min(_THREADS, cols) if hop_y is None else 1
     if slabs == 1:
         return _recurrence(h, src, c, phase)
+    (hop, _, D), cols = h, src.shape[1]
     # in src's memory order, so H2's slabs write rows of gamma
     out = np.empty_like(src, dtype=np.complex128)
 
     def run(j: int) -> None:
         s = np.s_[:, cols * j // slabs:cols * (j + 1) // slabs]
-        out[s] = _recurrence((hop_x, None, D[s]), src[s], c, phase)
+        out[s] = _recurrence((hop, None, D[s]), src[s], c, phase)
 
     # reading each result raises the first error a slab met
     list(_pool.map(run, range(slabs)))
@@ -299,9 +300,10 @@ def _chebyshev(op: Hamiltonian, src: np.ndarray, t: float) -> np.ndarray:
 
 def evolve(gamma: np.ndarray, op: Hamiltonian, t: float) -> np.ndarray:
     """exp(-i*op*t) applied to the coefficient matrix ``gamma``, as a new
-    C-contiguous complex array; negative t reverses the evolution.  Cached
-    block eigen for a small stepwise operator, Chebyshev otherwise, H2's on
-    gamma^T; either runs only on a state of the operator's shape."""
+    C-contiguous complex array; negative t reverses the evolution.  Past the
+    input checks it decides the stage: H2's layout on gamma^T, the method,
+    cached block eigen for a small stepwise operator or Chebyshev, and
+    Chebyshev's slab count; either runs only on a state of op's shape."""
     if gamma.shape != op.D.shape:
         raise ValueError(f"operator dims {op.D.shape} do not match state "
                          f"dims {gamma.shape}")
@@ -309,9 +311,15 @@ def evolve(gamma: np.ndarray, op: Hamiltonian, t: float) -> np.ndarray:
         raise ValueError(f"t must be finite, got {t}")
     if t == 0.0:
         return np.array(gamma, dtype=np.complex128, order="C")
-    # the block path needs exactly one mobile species, with a b x b hop matrix
-    b = [h.shape[0] for h in (op.hop_x, op.hop_y) if h is not None]
-    exact = len(b) == 1 and op.dim * b[0] ** 2 <= _EIGEN_WORK_MAX
+    # H2 runs in H1's layout, on gamma^T: its hop first, with D^T
     flip = op.hop_x is None
-    out = (_eigen if exact else _chebyshev)(op, gamma.T if flip else gamma, t)
+    hop, other, D = (op.hop_y, None, op.D.T) if flip else (op.hop_x, op.hop_y, op.D)
+    src = gamma.T if flip else gamma
+    # the block path needs exactly one mobile hop, of dimension b
+    if other is None and D.size * hop.shape[0] ** 2 <= _EIGEN_WORK_MAX:
+        out = _eigen(op, src, t)
+    else:
+        # the full H's second hop couples the columns, so it runs as one slab
+        slabs = 1 if other is not None else min(_THREADS, D.shape[1])
+        out = _chebyshev(op, (hop, other, D), src, t, slabs)
     return np.ascontiguousarray(out.T if flip else out)

@@ -273,7 +273,7 @@ def test_criterion_8_oracle_equivalence():
         params = ModelParams.defaults(sites)
         bt, bu = enumerate_basis(sites, n_t), enumerate_basis(sites, n_u)
         h = build_full(lattice, params, bt, bu)
-        assert h.dim <= 64
+        assert h.D.size <= 64
         psi = random_state((bt.dim, bu.dim), 950 + seed)
         for t in (0.7, 2.0):
             exact = expm(-1j * t * oracles.to_dense(h)) @ psi.ravel()

@@ -301,7 +301,7 @@ def test_hop_matrix_matches_per_config_loop(edges):
     signs = set()
     for particles in range(7):
         basis = enumerate_basis(6, particles)
-        hop = _hop_matrix(basis, lattice.edges, -0.8)
+        hop = _hop_matrix(basis, *np.array(lattice.edges).T, -0.8)
         # scipy's canonical format, which its kernels assume: rows in order,
         # each row's columns ascending and free of duplicates
         assert hop.indptr.dtype == hop.indices.dtype

@@ -133,7 +133,7 @@ def test_evolve_matches_dense_eigendecomposition():
     # the Chebyshev expansion against the dense eigendecomposition, L=5, 2+2
     lattice, params, bt, bu = _chain_setup(5, 2, 2, seed=19)
     h = build_full(lattice, params, bt, bu)
-    assert h.dim <= 256
+    assert h.D.size <= 256
     w, v = np.linalg.eigh(oracles.to_dense(h))
     psi = random_state((bt.dim, bu.dim), 23)
     for t in (0.4, 2.0, -1.3):
@@ -146,7 +146,7 @@ def test_evolve_matches_expm_small_dims():
     for seed, (sites, n_t, n_u) in enumerate([(3, 1, 1), (4, 1, 1), (4, 2, 1)]):
         lattice, params, bt, bu = _chain_setup(sites, n_t, n_u, seed=seed)
         h = build_full(lattice, params, bt, bu)
-        assert h.dim <= 64
+        assert h.D.size <= 64
         psi = random_state((bt.dim, bu.dim), seed + 31)
         t = 1.1
         exact = expm(-1j * t * oracles.to_dense(h)) @ psi.ravel()
