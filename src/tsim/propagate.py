@@ -36,7 +36,15 @@ own, so ``evolve`` runs them as up to ``_THREADS`` = min(2, usable CPUs)
 contiguous slabs on one pool, built at import, whose threads start on the
 first split.  The sparse product accumulates each entry in the same order at
 any slab width, so the result is bit-identical at any slab count.  The full
-H couples both axes and runs as one slab.  No step renormalizes its output.
+H couples both axes, but it is real, so T_k(H)(x + iy) = T_k(H) x +
+i T_k(H) y: its expansion runs as two real halves, on gamma's real and
+imaginary parts, that never exchange data.  Past the bound at which a
+one-hop stage leaves the eigen path, D.size * b**2 > ``_EIGEN_WORK_MAX``
+with b the first hop's dimension, the halves run on two of the pool's
+threads, and below it in turn on the calling thread, so desk and L=8 runs
+start no thread; each half does the same arithmetic either way, so the
+result is bit-identical at any thread count.  No step renormalizes its
+output.
 What either method derives from an operator, U(|t|) or the folded interval,
 lives in ``_DERIVED`` for as long as the operator.
 """
@@ -72,9 +80,10 @@ _CHEB_CUTOFF = 1e-15
 # eigenvalues of a dense H fall up to about 4e-16 of its norm outside the
 # unpadded exact interval
 _SPECTRAL_PAD = 1e-12
-# the most slabs a one-hop Chebyshev stage splits into, one thread each of a
-# pool built at import, whose threads start on the first split: the usable
-# CPUs where the platform reports them (macOS does not), else all CPUs
+# the most slabs a one-hop Chebyshev stage splits into, and the threads the
+# full H's two halves take, one thread each of a pool built at import, whose
+# threads start on the first split: the usable CPUs where the platform
+# reports them (macOS does not), else all CPUs
 _THREADS = min(2, len(os.sched_getaffinity(0))
                if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
@@ -145,6 +154,12 @@ def _eigen(op: Hamiltonian, src: np.ndarray, t: float) -> np.ndarray:
         u = _STAGE_U.get(part)
         if u is None:
             w, phi = np.linalg.eigh(hop + pot[:, :, None] * np.eye(len(hop)))
+            lo, hi = _interval([(w, n)])
+            a = (hi - lo) / 2
+            # Chebyshev's rule: past 2**52 a phase keeps no significant bit
+            if not a * abs(t) < 2**52:
+                raise ValueError(f"t = {t}: no phase resolves the spectral "
+                                 f"half-width a = {a}")
             one = (phi * np.exp(-1j * abs(t) * w)[:, None, :]) @ phi.swapaxes(1, 2)
             u = np.empty((len(one), len(src), len(src)), dtype=np.complex128)
             # a block's triangle holds C (C + 1) / 2 complex minors
@@ -170,53 +185,91 @@ def _scipy() -> tuple:
     return csr_matvecs, jv
 
 
+def _scratch(shape: tuple) -> tuple:
+    """A real half's scratch for ``_product``: one float64 buffer of
+    rows*cols + cols entries, viewed as D*g's (rows, cols) and, for each
+    half of the rows, as their transposed copy and hop_y's product of it,
+    side by side."""
+    rows, cols = shape
+    buf = np.empty(rows * cols + cols)
+    step, pieces = (rows + 1) // 2, []
+    for r in range(0, rows, step):
+        n = min(step, rows - r)
+        halves = buf[:2 * cols * n].reshape(2, cols, n)
+        pieces.append((np.s_[r:r + n], *halves))
+    return buf[:rows * cols].reshape(shape), pieces
+
+
 def _product(hop_x, hop_y, D: np.ndarray, g: np.ndarray, out: np.ndarray,
-             pair: np.ndarray | None):
-    """H g into ``out``, for g and out C-contiguous complex128 of D's shape.
-    The hops are real, so they act on g's float64 view (rows, 2*cols)
-    through ``csr_matvecs``, which adds its product into its output in place:
-    hop_x's straight into ``out``.  hop_y acts on the real and then the
-    imaginary columns, each copied transposed into ``pair[0]``, its product
-    made from zero in ``pair[1]`` and added back, as scipy's ``hop_y @``
-    computed it; ``pair`` is two float64 buffers of D^T's shape, None
-    without hop_y."""
+             scratch: tuple | None = None):
+    """H g into ``out``, for g and out C-contiguous of D's shape; given a
+    ``_scratch``, H g less what ``out`` held, the recurrence's T_k over
+    T_(k-2).  The hops are real, so they act on g's float64 view (rows,
+    2*cols) through ``csr_matvecs``, which adds its product into its output
+    in place: hop_x's straight into ``out``.  hop_y reaches only a real g,
+    with the scratch, which holds D*g, then, for half of g's rows at a time,
+    their transposed copy and hop_y's product of it, made from zero and
+    added back, as scipy's ``hop_y @`` computed it."""
     csr_matvecs = _scipy()[0]
-    np.multiply(D, g, out=out)
+    if scratch is None:
+        np.multiply(D, g, out=out)
+    else:
+        np.subtract(np.multiply(D, g, out=scratch[0]), out, out=out)
     gf, of = g.view(np.float64), out.view(np.float64)
     csr_matvecs(*hop_x.shape, gf.shape[1], hop_x.indptr, hop_x.indices,
-                hop_x.data, gf.ravel(), of.ravel())
+                hop_x.data, gf, of)
     if hop_y is not None:
-        src, dst = pair
-        for c in range(2):
-            np.copyto(src, gf[:, c::2].T)
+        for rows, src, dst in scratch[1]:
+            np.copyto(src, g[rows].T)
             dst.fill(0.0)
             csr_matvecs(*hop_y.shape, src.shape[1], hop_y.indptr,
-                        hop_y.indices, hop_y.data, src.ravel(), dst.ravel())
-            of[:, c::2] += dst.T
+                        hop_y.indices, hop_y.data, src, dst)
+            out[rows] += dst.T
     return out
 
 
 def _recurrence(h: tuple, src: np.ndarray, c: np.ndarray,
                 phase: complex) -> np.ndarray:
     """phase * sum_k c_k T_k(h) src with T_k = h T_(k-1) - T_(k-2), T_1 =
-    h src / 2, for h the folded (hop_x, hop_y, D), in three rotating buffers
-    and an accumulator, each shaped like src, and with hop_y the pair of
-    float64 buffers of src^T's shape that its products share, all allocated
+    h src / 2, for h a one-hop stage's folded (hop, None, D), in three
+    rotating buffers and an accumulator, each shaped like src, all allocated
     by the thread that runs it: a slab thread's heap reuses the buffers it
     freed, while at L=10 the calling thread's go back to the system and
     fault in again."""
     prev = np.array(src, dtype=np.complex128, order="C")
-    pair = None if h[1] is None else np.empty((2, *prev.shape[::-1]))
-    cur = _product(*h, prev, np.empty_like(prev), pair)
+    cur = _product(*h, prev, np.empty_like(prev))
     cur *= 0.5
     acc, tmp = c[0] * prev, np.empty_like(prev)
     for k in range(1, len(c)):
         if k > 1:  # T_k over T_(k-2)
-            np.subtract(_product(*h, cur, tmp, pair), prev, out=prev)
+            np.subtract(_product(*h, cur, tmp), prev, out=prev)
             prev, cur = cur, prev
         acc += np.multiply(cur, c[k], out=tmp)
     acc *= phase
     return acc
+
+
+def _half(h: tuple, x: np.ndarray, c: np.ndarray, even: np.ndarray,
+          odd: np.ndarray) -> None:
+    """The full H's expansion of a real x: sum_k Re(c_k) T_k(h) x over even
+    k into ``even`` and sum_k Im(c_k) T_k(h) x over odd k into ``odd``,
+    since c_k is real for even k and imaginary for odd k.  Three float64
+    buffers: T_k is written over T_(k-2), and the scratch that each product
+    takes also holds each term's weighted copy."""
+    prev = np.array(x, dtype=np.float64, order="C")
+    scratch = _scratch(prev.shape)
+    cur = _product(*h, prev, np.zeros_like(prev), scratch)
+    cur *= 0.5
+    np.multiply(prev, c[0].real, out=even)
+    np.multiply(cur, c[1].imag, out=odd)
+    term = scratch[0]
+    for k in range(2, len(c)):
+        _product(*h, cur, prev, scratch)
+        prev, cur = cur, prev
+        if k % 2:
+            odd += np.multiply(cur, c[k].imag, out=term)
+        else:
+            even += np.multiply(cur, c[k].real, out=term)
 
 
 def _new_pool() -> None:
@@ -230,14 +283,15 @@ _new_pool()
 os.register_at_fork(after_in_child=_new_pool)
 
 
-def _spectral_interval(op: Hamiltonian) -> tuple[float, float]:
-    """Interval [lo, hi] that holds every eigenvalue of ``op``: each part
-    adds the extreme sums of n eigenvalues of its h_k (exact for one part, a
-    Weyl bound for several), padded outward by ``_SPECTRAL_PAD`` times the
-    norm bound sum(n * max_k ||h_k||)."""
+def _interval(spectra) -> tuple[float, float]:
+    """Interval [lo, hi] that holds every eigenvalue of an operator whose
+    one-body parts have the pairs (w, n) of ``spectra``, w the ascending
+    eigenvalues of each h_k, a row per block: each part adds the extreme
+    sums of n eigenvalues of its h_k (exact for one part, a Weyl bound for
+    several), padded outward by ``_SPECTRAL_PAD`` times the norm bound
+    sum(n * max_k ||h_k||)."""
     lo = hi = norm = 0.0
-    for hop, pot, n in op.parts:
-        w = np.linalg.eigvalsh(hop + pot[:, :, None] * np.eye(len(hop)))
+    for w, n in spectra:
         lo += w[:, :n].sum(axis=1).min()
         hi += w[:, w.shape[1] - n:].sum(axis=1).max()
         norm += n * np.abs(w).max()
@@ -245,21 +299,28 @@ def _spectral_interval(op: Hamiltonian) -> tuple[float, float]:
     return float(lo - pad), float(hi + pad)
 
 
+def _spectral_interval(op: Hamiltonian) -> tuple[float, float]:
+    """The ``_interval`` of ``op``'s one-body parts."""
+    return _interval((np.linalg.eigvalsh(hop + pot[:, :, None] * np.eye(len(hop))), n)
+                     for hop, pot, n in op.parts)
+
+
 def _chebyshev(op: Hamiltonian, stage: tuple, src: np.ndarray, t: float,
-               slabs: int) -> np.ndarray:
+               threads: int) -> np.ndarray:
     """exp(-i*t*H) src as exp(-i*b*t) sum_k c_k T_k((H - b)/a) src on the
     operator's spectral interval [b - a, b + a], with c_k = (2 - delta_k0)
     (-i)^k J_k(a*t), in one expansion however long t is.  ``evolve`` hands
     over the stage (hop, other, D) in H1's layout, other the full H's second
-    hop or None, and the count of slabs it runs as.  The interval is computed
-    here, on the operator's first call, never for an eigen-path operator, and
-    folded into copies of the stage's hops and D; src has D's shape, which
-    ``evolve`` checks, and each hop matches D's side, which ``Hamiltonian``
-    checks; ``csr_matvecs`` checks neither.  t is refused, naming a and t,
+    hop or None, and the count of threads it runs on.  The interval is
+    computed here, on the operator's first call, never for an eigen-path
+    operator, and folded into copies of the stage's hops and D; src has D's
+    shape, which ``evolve`` checks, and each hop matches D's side, which
+    ``Hamiltonian`` checks; ``csr_matvecs`` checks neither.  t is refused, naming a and t,
     before any term is built when a*|t| reaches 2**52, where a phase keeps
     no significant bit, or when the coefficients would outgrow physical
-    memory.  More than one slab splits src into contiguous column slabs on
-    the pool's threads, each writing its columns of the result."""
+    memory.  More than one thread splits a one-hop stage's src into
+    contiguous column slabs on the pool, each writing its columns of the
+    result, and gives the full H's two ``_halves`` to the pool."""
     jv = _scipy()[1]
     derived = _DERIVED.setdefault(op, {})
     if "chebyshev" not in derived:
@@ -283,18 +344,42 @@ def _chebyshev(op: Hamiltonian, stage: tuple, src: np.ndarray, t: float,
     c = np.array([2, -2j, -2, 2j])[np.arange(n) % 4] * bessel[:n]
     c[0] /= 2
     phase = np.exp(-1j * b * t)
-    if slabs == 1:
+    if h[1] is not None:
+        return _halves(h, src, c, phase, threads)
+    if threads == 1:
         return _recurrence(h, src, c, phase)
     (hop, _, D), cols = h, src.shape[1]
     # in src's memory order, so H2's slabs write rows of gamma
     out = np.empty_like(src, dtype=np.complex128)
 
     def run(j: int) -> None:
-        s = np.s_[:, cols * j // slabs:cols * (j + 1) // slabs]
+        s = np.s_[:, cols * j // threads:cols * (j + 1) // threads]
         out[s] = _recurrence((hop, None, D[s]), src[s], c, phase)
 
     # reading each result raises the first error a slab met
-    list(_pool.map(run, range(slabs)))
+    list(_pool.map(run, range(threads)))
+    return out
+
+
+def _halves(h: tuple, src: np.ndarray, c: np.ndarray, phase: complex,
+            threads: int) -> np.ndarray:
+    """The full H's expansion as two real halves that never exchange data,
+    on src's real and imaginary parts, on the pool when ``threads`` > 1,
+    else in turn; its four sums, allocated here on the calling thread, give
+    Re = E_x - O_y and Im = E_y + O_x."""
+    sums = np.empty((2, 2, *src.shape))
+    parts = (src.real, src.imag)
+
+    def run(j: int) -> None:
+        _half(h, parts[j], c, *sums[j])
+
+    # reading each result raises the first error a half met
+    list((_pool.map if threads > 1 else map)(run, range(2)))
+    (even_x, odd_x), (even_y, odd_y) = sums
+    out = np.empty(src.shape, np.complex128)
+    out.real = np.subtract(even_x, odd_y, out=even_x)
+    out.imag = np.add(even_y, odd_x, out=even_y)
+    out *= phase
     return out
 
 
@@ -303,7 +388,9 @@ def evolve(gamma: np.ndarray, op: Hamiltonian, t: float) -> np.ndarray:
     C-contiguous complex array; negative t reverses the evolution.  Past the
     input checks it decides the stage: H2's layout on gamma^T, the method,
     cached block eigen for a small stepwise operator or Chebyshev, and
-    Chebyshev's slab count; either runs only on a state of op's shape."""
+    Chebyshev's threads, a one-hop stage's column slabs or, for the full H
+    past the eigen path's work bound, its two halves on the pool; either
+    method runs only on a state of op's shape."""
     if gamma.shape != op.D.shape:
         raise ValueError(f"operator dims {op.D.shape} do not match state "
                          f"dims {gamma.shape}")
@@ -315,11 +402,14 @@ def evolve(gamma: np.ndarray, op: Hamiltonian, t: float) -> np.ndarray:
     flip = op.hop_x is None
     hop, other, D = (op.hop_y, None, op.D.T) if flip else (op.hop_x, op.hop_y, op.D)
     src = gamma.T if flip else gamma
-    # the block path needs exactly one mobile hop, of dimension b
-    if other is None and D.size * hop.shape[0] ** 2 <= _EIGEN_WORK_MAX:
+    # the block path needs exactly one mobile hop, of dimension b; past its
+    # bound a one-hop stage splits its columns into slabs, and the full H's
+    # two halves go to the pool
+    big = D.size * hop.shape[0] ** 2 > _EIGEN_WORK_MAX
+    if other is None and not big:
         out = _eigen(op, src, t)
     else:
-        # the full H's second hop couples the columns, so it runs as one slab
-        slabs = 1 if other is not None else min(_THREADS, D.shape[1])
-        out = _chebyshev(op, (hop, other, D), src, t, slabs)
+        threads = (min(_THREADS, D.shape[1]) if other is None
+                   else _THREADS if big else 1)
+        out = _chebyshev(op, (hop, other, D), src, t, threads)
     return np.ascontiguousarray(out.T if flip else out)

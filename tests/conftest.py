@@ -51,15 +51,20 @@ def stepwise_generator(ctx) -> Hamiltonian:
 
 
 def apply(op: Hamiltonian, g) -> np.ndarray:
-    """H gamma by the Chebyshev recurrence's product, into a fresh buffer.
-    A frozen tau species takes an empty hop, which adds nothing, so H2's
-    hop_y acts on the real and the imaginary columns, as the full H's does."""
+    """H gamma by the Chebyshev recurrence's real product, on gamma's real
+    and imaginary parts, into a fresh buffer.  A frozen tau species takes an
+    empty hop, which adds nothing, so H2's hop_y acts on the transposed
+    rows, as the full H's does."""
     d_x = op.D.shape[0]
     hop_x = CSR(np.zeros(d_x + 1, np.intp), np.zeros(0, np.intp), np.zeros(0),
                 (d_x, d_x)) if op.hop_x is None else op.hop_x
-    g = np.ascontiguousarray(g, np.complex128)
-    return _product(hop_x, op.hop_y, op.D, g, np.empty(op.D.shape, np.complex128),
-                    np.empty((2, *op.D.shape[::-1])))
+    g = np.asarray(g, np.complex128)
+    out = np.empty(op.D.shape, np.complex128)
+    scratch = propagate._scratch(op.D.shape)
+    for part, x in ((out.real, g.real), (out.imag, g.imag)):
+        part[...] = _product(hop_x, op.hop_y, op.D, np.ascontiguousarray(x),
+                             np.zeros(op.D.shape), scratch)
+    return out
 
 
 def chebyshev(gamma, op: Hamiltonian, t: float) -> np.ndarray:

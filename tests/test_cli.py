@@ -220,6 +220,24 @@ def test_simulate_refuses_a_term_count_past_its_limits(t1, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_simulate_refuses_an_unresolvable_phase_on_the_eigen_path(tmp_path,
+                                                                 capsys):
+    # at L=4, 2+1 both stages take the eigen path; at j_tau = 1e200 H1's
+    # half-width is 2.24e200, so a*|t| passes the 2**52 at which Chebyshev
+    # refuses too.  validate still accepts the document
+    doc = {"lattice": {"sites": 4}, "particles": {"tau": 2, "upsilon": 1},
+           "params": {"j_tau": 1e200}}
+    path = _write_config(tmp_path, doc)
+    assert main(["validate", "--config", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(path),
+                 "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: t = 2.0: no phase resolves the spectral "
+                          "half-width a = 2.236")
+    assert "Traceback" not in err
+
+
 def test_overflowing_initial_amplitudes_exit_1_without_warning(tmp_path, capsys):
     doc = {"lattice": {"sites": 3, "chain": True},
            "particles": {"tau": 1, "upsilon": 1},

@@ -382,6 +382,29 @@ def test_factorization_is_lazy_and_shared(monkeypatch):
 
 
 @pytest.mark.parametrize("build", [build_h1, build_h2], ids=["h1", "h2"])
+def test_eigen_path_refuses_an_unresolvable_phase(build, monkeypatch):
+    # Chebyshev's rule on the eigen path: at j = 1e200 the half-width a is
+    # 2.2e200 (H1) or 1.6e200 (H2), so a*|t| passes 2**52 at t = 2 and U(|t|)
+    # is refused, naming t and a, before it is built; at t = 1e-190 it stays
+    # below, and the U built there serves -t without a second
+    # eigendecomposition
+    lattice = LatticeSpec.chain(4)
+    params = replace(ModelParams.defaults(4), j_tau=1e200, j_upsilon=1e200)
+    op = build(lattice, params, enumerate_basis(4, 2), enumerate_basis(4, 1))
+    psi = random_state(op.D.shape, 211)
+    for t in (2.0, -2.0):
+        with pytest.raises(ValueError, match=re.escape(f"t = {t}: ") + r"no "
+                           r"phase resolves the spectral half-width a = "
+                           r"\S+e\+200$"):
+            evolve(psi, op, t)
+    assert "stage" not in propagate._DERIVED[op]
+    out = evolve(psi, op, 1e-190)
+    assert np.isclose(np.linalg.norm(out), 1.0)
+    monkeypatch.setattr(np.linalg, "eigh", None)
+    assert np.allclose(evolve(out, op, -1e-190), psi)
+
+
+@pytest.mark.parametrize("build", [build_h1, build_h2], ids=["h1", "h2"])
 def test_stage_propagator_follows_abs_t(build):
     # one cached U(|t|) per operator: a new |t| rebuilds it, a stale U fails
     lattice, params, bt, bu = _chain_setup(6, 2, 2, seed=57)
@@ -634,11 +657,12 @@ def test_chebyshev_matches_dense_eigendecomposition(layout):
 
 
 def test_second_hop_matches_the_public_product():
-    # the full H's hop_y runs through csr_matvecs on transposed copies of
-    # gamma's real and imaginary columns, in two buffers that the
-    # recurrence owns; the product must be, bit for bit, D*gamma + hop_x
-    # gamma + (hop_y gamma^T)^T by scipy's public csr_array product.  gamma
-    # is 20 x 15, so a buffer of the swapped shape cannot pass
+    # the full H runs as two real halves, and each half's hop_y runs through
+    # csr_matvecs on a transposed copy of half of the rows at a time, in a
+    # scratch buffer that the half owns; the product of gamma's real and of
+    # its imaginary part must be, bit for bit, D*x + hop_x x + (hop_y x^T)^T
+    # by scipy's public csr_array product.  gamma is 20 x 15, so a buffer of
+    # the swapped shape cannot pass
     lattice = LatticeSpec(6, _ring(6).edges + ((0, 3),))
     rng = np.random.default_rng(191)
     params = ModelParams(j_tau=0.9, j_upsilon=1.2,
@@ -650,19 +674,24 @@ def test_second_hop_matches_the_public_product():
     hop_x, hop_y = (sp.csr_array((h.data, h.indices, h.indptr), shape=h.shape)
                     for h in (op.hop_x, op.hop_y))
     g = random_state(op.D.shape, 193)
-    gf = g.view(np.float64)
-    # the kernel adds hop_x's entries to D*gamma in place, row by row, so the
-    # public product takes D*gamma as the first column of each row, through
-    # an identity block in front of hop_x
+    # the kernel adds hop_x's entries to D*x in place, row by row, so the
+    # public product takes D*x as the first column of each row, through an
+    # identity block in front of hop_x
     first = sp.hstack([sp.eye_array(20), hop_x], format="csr")
-    want = first @ np.vstack([(op.D * g).view(np.float64), gf])
-    for c in range(2):
-        want[:, c::2] += (hop_y @ gf[:, c::2].T).T
-    assert np.array_equal(apply(op, g).view(np.float64), want)
-    # T_1 = H g / 2 is the recurrence's first term, made on its own buffers
-    one = propagate._recurrence((op.hop_x, op.hop_y, op.D), g,
-                                np.array([0, 1], np.complex128), 1.0)
-    assert np.array_equal((2 * one).view(np.float64), want)
+    wants = []
+    for x in (g.real, g.imag):
+        want = first @ np.vstack([op.D * x, x])
+        want += (hop_y @ x.T).T
+        wants.append(want)
+    got = apply(op, g)
+    assert np.array_equal(got.real, wants[0]) and np.array_equal(got.imag, wants[1])
+    # T_1 = H x / 2 is each half's first term, made on its own buffers, and
+    # weighted by Im(c_1) into the odd sum
+    for x, want in zip((g.real, g.imag), wants):
+        even, odd = np.empty((2, *op.D.shape))
+        propagate._half((op.hop_x, op.hop_y, op.D), x,
+                        np.array([0, 1j], np.complex128), even, odd)
+        assert np.array_equal(2 * odd, want) and not even.any()
 
 
 @pytest.mark.parametrize("mobile", ["h1", "h2"])
@@ -862,21 +891,24 @@ _STAGE_TIMES = (2.0, -2.0, 0.125)
 
 
 @pytest.mark.parametrize("sites,n,stages", [
-    (6, 2, {"h1": _EIGEN, "h2": _EIGEN, "full": _cheb([15], (39, 39, 14))}),
-    (8, 4, {"h1": _EIGEN, "h2": _EIGEN, "full": _cheb([70], (50, 50, 15))}),
+    (6, 2, {"h1": _EIGEN, "h2": _EIGEN,
+            "full": _cheb([15, 15], (39, 39, 14))}),
+    (8, 4, {"h1": _EIGEN, "h2": _EIGEN,
+            "full": _cheb([70, 70], (50, 50, 15))}),
     (10, 5, {"h1": _cheb([126, 126], (40, 40, 14)),
              "h2": _cheb([126, 126], (40, 40, 14)),
-             "full": _cheb([252], (58, 58, 17))}),
+             "full": _cheb([252, 252], (58, 58, 17))}),
     (12, 6, {"h1": _cheb([462, 462], (44, 44, 14)),
              "h2": _cheb([462, 462], (44, 44, 14)),
-             "full": _cheb([924], (65, 65, 18))}),
+             "full": _cheb([924, 924], (65, 65, 18))}),
 ], ids=["desk", "L8", "L10", "L12"])
 def test_each_stage_keeps_its_method_slabs_and_terms(sites, n, stages,
                                                      monkeypatch):
     # H1, H2 and the full H of each ladder chain, default params, at each t:
     # the method evolve picks, the column widths of the slabs it runs on two
-    # threads and the Chebyshev term count; both methods are stubbed, so
-    # nothing propagates and the whole ladder takes a fraction of a second
+    # threads, or of the full H's two halves, and the Chebyshev term count;
+    # both methods are stubbed, so nothing propagates and the whole ladder
+    # takes a fraction of a second
     runs = []
 
     def eigen(op, src, t):
@@ -887,8 +919,14 @@ def test_each_stage_keeps_its_method_slabs_and_terms(sites, n, stages,
         runs.append(("chebyshev", src.shape[1], len(c)))
         return np.zeros(src.shape, np.complex128)
 
+    def half(h, x, c, even, odd):
+        runs.append(("chebyshev", x.shape[1], len(c)))
+        even.fill(0.0)
+        odd.fill(0.0)
+
     monkeypatch.setattr(propagate, "_eigen", eigen)
     monkeypatch.setattr(propagate, "_recurrence", recurrence)
+    monkeypatch.setattr(propagate, "_half", half)
     monkeypatch.setattr(propagate, "_THREADS", 2)
     lattice, params = LatticeSpec.chain(sites), ModelParams.defaults(sites)
     basis = enumerate_basis(sites, n)
@@ -960,6 +998,114 @@ def test_slab_error_reaches_caller(chain10, monkeypatch):
     assert np.array_equal(two, evolve(psi, ops["h1"], 0.125))
 
 
+@pytest.fixture(scope="module")
+def full_ops():
+    """The full H of an L=10, 5+5 chain with random couplings, and of a ring
+    with a chord at 3+2 whose upsilon hop is negative, so that bonds that
+    skip an occupied site carry -1 signs, each with a random gamma."""
+    lattice, params, bt, bu = _chain_setup(10, 5, 5, seed=139)
+    chain = build_full(lattice, params, bt, bu)
+    lattice = LatticeSpec(6, _ring(6).edges + ((0, 3),))
+    rng = np.random.default_rng(197)
+    params = ModelParams(j_tau=0.8, j_upsilon=-1.1,
+                         u_tau=tuple(rng.uniform(-1, 1, 6)),
+                         u_upsilon=tuple(rng.uniform(-1, 1, 6)), u_cross=1.7)
+    ring = build_full(lattice, params, enumerate_basis(6, 3), enumerate_basis(6, 2))
+    assert ring.hop_y.data.min() < 0 < ring.hop_y.data.max()
+    assert any(hop_sign(mask, i, j) == -1 for mask in enumerate_basis(6, 3).configs
+               for i, j in lattice.edges if (mask >> i) & 1 != (mask >> j) & 1)
+    return {name: (op, random_state(op.D.shape, 199))
+            for name, op in (("chain10", chain), ("ring-chord-3-2", ring))}
+
+
+def _halves_on_pool_and_in_turn(monkeypatch, op, psi, t):
+    """The full H's result with two threads and with one, the bound patched
+    below the operator's, and for each call whether each of its two halves
+    ran on the calling thread."""
+    ran, half = [], propagate._half
+
+    def counting(*args):
+        ran[-1].append(threading.current_thread() is threading.main_thread())
+        return half(*args)
+
+    monkeypatch.setattr(propagate, "_half", counting)
+    results = []
+    for threads in (2, 1):
+        monkeypatch.setattr(propagate, "_THREADS", threads)
+        ran.append([])
+        results.append(chebyshev(psi, op, t))
+    return (*results, ran)
+
+
+@pytest.mark.parametrize("t", [2.0, -2.0, 0.125, -0.125])
+@pytest.mark.parametrize("name", ["chain10", "ring-chord-3-2"])
+def test_halves_match_one_thread(full_ops, name, t, monkeypatch):
+    # the halves never exchange data and each does the same arithmetic on
+    # the pool as on the calling thread, so the full H's result is exact to
+    # the bit at either thread count
+    op, psi = full_ops[name]
+    two, one, ran = _halves_on_pool_and_in_turn(monkeypatch, op, psi, t)
+    assert ran == [[False, False], [True, True]]
+    assert two.flags.c_contiguous and one.flags.c_contiguous
+    assert np.array_equal(two, one)
+
+
+def test_half_error_reaches_caller(full_ops, monkeypatch):
+    # an error inside either half on the pool is raised by evolve, and the
+    # pool still serves the next call
+    op, psi = full_ops["chain10"]
+    half = propagate._half
+    for failing_part in (0, 1):
+
+        def failing(h, x, c, even, odd):
+            # gamma's real part starts at its first byte, the imaginary at 8
+            if (x.ctypes.data - psi.ctypes.data) // 8 == failing_part:
+                raise RuntimeError("half failed")
+            return half(h, x, c, even, odd)
+
+        monkeypatch.setattr(propagate, "_half", failing)
+        monkeypatch.setattr(propagate, "_THREADS", 2)
+        with pytest.raises(RuntimeError, match="half failed"):
+            chebyshev(psi, op, 0.125)
+    monkeypatch.setattr(propagate, "_half", half)
+    two = chebyshev(psi, op, 0.125)
+    monkeypatch.setattr(propagate, "_THREADS", 1)
+    assert np.array_equal(two, chebyshev(psi, op, 0.125))
+
+
+def test_callers_share_the_pool_with_the_halves(full_ops, monkeypatch):
+    # more callers than CPUs give the full H's halves to the one pool at
+    # once, with the interpreter switching threads every microsecond; each
+    # caller gets its own result, bit for bit the serial one
+    op, psi = full_ops["ring-chord-3-2"]
+    monkeypatch.setattr(propagate, "_EIGEN_WORK_MAX", 0)
+    monkeypatch.setattr(propagate, "_THREADS", 2)
+    times = (1.9, -0.4, 0.125)
+    serial = {t: evolve(psi, op, t) for t in times}
+    start, results = threading.Barrier(3, timeout=60), {}
+
+    def caller(k):
+        start.wait()
+        for t in times:
+            results[k, t] = evolve(psi, op, t)
+
+    callers = [threading.Thread(target=caller, args=(k,), daemon=True)
+               for k in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in callers:
+            thread.start()
+        for thread in callers:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in callers)
+    assert results.keys() == {(k, t) for k in range(3) for t in times}
+    for (k, t), out in results.items():
+        assert np.array_equal(out, serial[t]), (k, t)
+
+
 def test_two_callers_share_the_pool(chain10, monkeypatch):
     # two threads split their stages on the one pool at once, and each gets
     # its own slabs back without waiting on the other's
@@ -1017,8 +1163,9 @@ def test_import_without_sched_getaffinity():
 
 
 def test_desk_run_starts_no_thread(monkeypatch):
-    # the desk's H1 and H2 take the eigen path, and its full H runs as one
-    # slab, so no work reaches the pool and its threads never start
+    # the desk's H1 and H2 take the eigen path, and its full H is below the
+    # work bound, so its two halves run in turn on the calling thread: no
+    # work reaches the pool and its threads never start
     from tsim.protocol import (ProtocolConfig, run_full_hamiltonian,
                                run_protocol, run_trotter)
 
