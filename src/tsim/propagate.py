@@ -1,13 +1,14 @@
 """Time evolution exp(-i*H*t) of a state, the coefficient matrix gamma.
 
-:func:`evolve` returns a new C-contiguous complex128 gamma, never its input,
-and is the one place that decides a stage: right after its input checks it
-lays the operator out, picks the method from the operator alone and, for
-Chebyshev, the slab count, and hands the method what it decided.  Both
-methods see one layout, H1's.  A stepwise operator moves one species, so it
-is block-diagonal over the frozen one, and H2's stage is (hop_y, None, D^T)
-on gamma^T: a one-hop operator's blocks are always the columns of the
-method's source.
+:func:`evolve` returns a new C-contiguous complex128 gamma, never its input.
+Past its input checks it lays the operator out and asks :func:`stage_rule`,
+the one place that decides and refuses a stage, for the method, the thread
+count and the Bessel array's length, and does what the rule returns;
+``ProtocolConfig`` asks the same rule about every stage of a run before any
+basis exists.  Both methods see one layout, H1's.  A stepwise operator
+moves one species, so it is block-diagonal over the frozen one, and H2's
+stage is (hop_y, None, D^T) on gamma^T: a one-hop operator's blocks are
+always the columns of the method's source.
 
 A stepwise operator with D.size * b**2 (b its hop's dimension) at most
 ``_EIGEN_WORK_MAX`` is solved exactly by one cached U(|t|), rebuilt when |t|
@@ -15,9 +16,10 @@ changes: block k of U is the n-th compound of exp(-i*h_k*|t|), for h_k its
 part's L x L one-body block (Thouless, Nucl. Phys. 21, 225 (1960)).  h_k is
 real, so each block is complex symmetric, U^T = U: each size's minors are
 formed on the triangle S <= A alone and mirrored into U, a chunk of blocks at
-a time whose last triangles take at most ``_CHUNK_BYTES``.  U is a
-function of the part (hop, pot, n) and |t| alone, so operators that share
-both share one array while any of them holds it: H2 takes H1's U when the
+a time whose last triangles take at most ``_CHUNK_BYTES``.  U, and the
+half-width a of the eigenvalues it is built from, are a function of the
+part (hop, pot, n) and |t| alone, so operators that share both share one
+array while any of them holds it: H2 takes H1's U when the
 species are interchangeable and t1 = t2.  U serves t and -t, all a cycle
 asks of H1 and H2, on the calling thread, where a handoff would cost more
 than the matmul.
@@ -45,14 +47,16 @@ threads, and below it in turn on the calling thread, so desk and L=8 runs
 start no thread; each half does the same arithmetic either way, so the
 result is bit-identical at any thread count.  No step renormalizes its
 output.
-What either method derives from an operator, U(|t|) or the folded interval,
-lives in ``_DERIVED`` for as long as the operator.
+What either method derives from an operator, U(|t|) with its a or the
+folded interval, lives in ``_DERIVED`` for as long as the operator.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import weakref
+from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from functools import cache, lru_cache
@@ -68,11 +72,11 @@ _EIGEN_WORK_MAX = 2**28
 # U is built a chunk of blocks at a time, whose triangles of n x n minors
 # take at most this many bytes: at L=8, 4+4 the build peaks at 1.37 U
 _CHUNK_BYTES = 7 * 2**16
-# each live U(|t|) by its one-body part (hop, pot, n) and |t|, for operators
-# that share both to share one array; it lives while an operator holds it
+# each live [|t|, U(|t|), a] by its one-body part (hop, pot, n) and |t|, for
+# operators that share both to share one array; it lives while one holds it
 _STAGE_U = weakref.WeakValueDictionary()
 # what propagation derives from each live operator, by identity: the eigen
-# path's (|t|, U) as "stage", the Chebyshev fold as "chebyshev"
+# path's [|t|, U, a] as "stage", the Chebyshev fold (h, a, b) as "chebyshev"
 _DERIVED = weakref.WeakKeyDictionary()
 # Chebyshev terms end at the last Bessel coefficient above _CHEB_CUTOFF
 _CHEB_CUTOFF = 1e-15
@@ -86,6 +90,46 @@ _SPECTRAL_PAD = 1e-12
 # reports them (macOS does not), else all CPUs
 _THREADS = min(2, len(os.sched_getaffinity(0))
                if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+
+
+class _Stage(list):
+    """[|t|, U(|t|), a], U the (w, phi) of the part's one eigh until
+    ``_eigen`` builds it: a list, which unlike a tuple takes a weak reference."""
+
+
+def _bessel_length(x: float) -> int:
+    """K, the Bessel array's length at x: the first k >= max(2, |x|/2) at
+    which (|x|/2)**k / k!, a bound on |J_k(x)| that falls with k past |x|/2,
+    is at most ``_CHEB_CUTOFF``, bisected up to 2*int(|x|) + 40."""
+    h = abs(x) / 2
+    ks = range(max(2, math.ceil(h)), 2 * int(abs(x)) + 41)
+    return ks[bisect_left(ks, True, key=lambda k: h == 0 or k * math.log(h)
+                          - math.lgamma(k + 1) <= math.log(_CHEB_CUTOFF))]
+
+
+def stage_rule(shape: tuple, b: int, coupled: bool, width, t: float
+               ) -> tuple[str, int, int]:
+    """The method, thread count and Bessel array length K of a stage in H1's
+    layout, D's ``shape`` and b its mobile hop's dimension, ``coupled`` when
+    a second hop couples the columns, at t; ``width(method)`` gives the
+    half-width a that the method derives, or a bound on it.  One hop with
+    D.size * b**2 at most ``_EIGEN_WORK_MAX`` takes the eigen path on the
+    calling thread; else Chebyshev, a one-hop stage on up to ``_THREADS``
+    column slabs, the full H's halves on the pool past that bound.  Refused:
+    an a that is not finite, or a*|t| of 2**52 or more, where a phase keeps
+    no significant bit; 24*K bytes of Bessel and coefficient arrays past
+    physical memory.  It allocates no array."""
+    big = shape[0] * shape[1] * b * b > _EIGEN_WORK_MAX
+    method = "chebyshev" if coupled or big else "eigen"
+    a = width(method)
+    x = a * abs(t)  # not below 2**52 when a is inf or nan
+    terms = _bessel_length(x) if method == "chebyshev" and x < 2**52 else 0
+    if not x < 2**52 or 24 * terms > _PHYSICAL_BYTES:
+        raise ValueError(f"t = {t}: " + (
+            f"no phase resolves the spectral half-width a = {a}" if method == "eigen"
+            else f"the Chebyshev expansion over the spectral half-width a = {a} "
+            "needs too many terms"))
+    return method, (_THREADS if coupled else min(_THREADS, shape[1])) if big else 1, terms
 
 
 def _pair(s: np.ndarray, a: np.ndarray, count: int) -> np.ndarray:
@@ -145,30 +189,35 @@ def _minors(u: np.ndarray, levels, full, sign, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _eigen(op: Hamiltonian, src: np.ndarray, t: float) -> np.ndarray:
-    derived = _DERIVED.setdefault(op, {})
-    key, u = derived.get("stage", (None, None))
-    if key != abs(t):
+def _eigen_stage(op: Hamiltonian, t: float) -> _Stage:
+    """op's [|t|, U, a]: its own, a live one of its part, else a new one in
+    ``_STAGE_U`` from the one eigh of the part's blocks, which lives while
+    its caller holds it."""
+    found = _DERIVED.setdefault(op, {}).get("stage")
+    if found is None or found[0] != abs(t):
         hop, pot, n = op.parts[0]
         part = (abs(t), n, pot.shape, hop.tobytes(), pot.tobytes())
-        u = _STAGE_U.get(part)
-        if u is None:
+        if (found := _STAGE_U.get(part)) is None:
             w, phi = np.linalg.eigh(hop + pot[:, :, None] * np.eye(len(hop)))
             lo, hi = _interval([(w, n)])
-            a = (hi - lo) / 2
-            # Chebyshev's rule: past 2**52 a phase keeps no significant bit
-            if not a * abs(t) < 2**52:
-                raise ValueError(f"t = {t}: no phase resolves the spectral "
-                                 f"half-width a = {a}")
-            one = (phi * np.exp(-1j * abs(t) * w)[:, None, :]) @ phi.swapaxes(1, 2)
-            u = np.empty((len(one), len(src), len(src)), dtype=np.complex128)
-            # a block's triangle holds C (C + 1) / 2 complex minors
-            step = max(1, _CHUNK_BYTES // (8 * len(src) * (len(src) + 1)))
-            for i in range(0, len(u), step):
-                _minors(one[i:i + step], *_minor_tables(len(hop), n), u[i:i + step])
-            u.flags.writeable = False  # shared by every operator of the part
-            _STAGE_U[part] = u
-        derived["stage"] = abs(t), u
+            found = _STAGE_U[part] = _Stage([abs(t), (w, phi), (hi - lo) / 2])
+    return found
+
+
+def _eigen(op: Hamiltonian, src: np.ndarray, t: float) -> np.ndarray:
+    stage = _eigen_stage(op, t)
+    if isinstance(u := stage[1], tuple):  # U is built from the part's eigh
+        w, phi = u
+        one = (phi * np.exp(-1j * abs(t) * w)[:, None, :]) @ phi.swapaxes(1, 2)
+        u = np.empty((len(one), len(src), len(src)), dtype=np.complex128)
+        # a block's triangle holds C (C + 1) / 2 complex minors
+        step = max(1, _CHUNK_BYTES // (8 * len(src) * (len(src) + 1)))
+        for i in range(0, len(u), step):
+            _minors(one[i:i + step], *_minor_tables(w.shape[1], op.parts[0][2]),
+                    u[i:i + step])
+        u.flags.writeable = False  # shared by every operator of the part
+        stage[1] = u
+    _DERIVED[op]["stage"] = stage
     # h is real, so U(-t) = conj(U(t)) and one propagator serves both
     sub = np.ascontiguousarray(src.T if t > 0 else src.T.conj())
     sub = (u @ sub[..., None])[..., 0]
@@ -305,23 +354,10 @@ def _spectral_interval(op: Hamiltonian) -> tuple[float, float]:
                      for hop, pot, n in op.parts)
 
 
-def _chebyshev(op: Hamiltonian, stage: tuple, src: np.ndarray, t: float,
-               threads: int) -> np.ndarray:
-    """exp(-i*t*H) src as exp(-i*b*t) sum_k c_k T_k((H - b)/a) src on the
-    operator's spectral interval [b - a, b + a], with c_k = (2 - delta_k0)
-    (-i)^k J_k(a*t), in one expansion however long t is.  ``evolve`` hands
-    over the stage (hop, other, D) in H1's layout, other the full H's second
-    hop or None, and the count of threads it runs on.  The interval is
-    computed here, on the operator's first call, never for an eigen-path
-    operator, and folded into copies of the stage's hops and D; src has D's
-    shape, which ``evolve`` checks, and each hop matches D's side, which
-    ``Hamiltonian`` checks; ``csr_matvecs`` checks neither.  t is refused, naming a and t,
-    before any term is built when a*|t| reaches 2**52, where a phase keeps
-    no significant bit, or when the coefficients would outgrow physical
-    memory.  More than one thread splits a one-hop stage's src into
-    contiguous column slabs on the pool, each writing its columns of the
-    result, and gives the full H's two ``_halves`` to the pool."""
-    jv = _scipy()[1]
+def _fold(op: Hamiltonian, stage: tuple) -> tuple:
+    """op's Chebyshev fold (h, a, b): its interval [b - a, b + a], computed
+    on op's first call, never for an eigen-path operator, and folded into
+    copies of the stage's hops and D as h."""
     derived = _DERIVED.setdefault(op, {})
     if "chebyshev" not in derived:
         lo, hi = _spectral_interval(op)
@@ -333,13 +369,24 @@ def _chebyshev(op: Hamiltonian, stage: tuple, src: np.ndarray, t: float,
         h = (*[None if x is None else replace(x, data=2 / a * x.data)
                for x in hops], D)
         derived["chebyshev"] = h, a, b
-    h, a, b = derived["chebyshev"]
-    # the Bessel and coefficient arrays take 24 bytes a term
-    if not a * abs(t) < 2**52 or 24 * (2 * int(a * abs(t)) + 40) > _PHYSICAL_BYTES:
-        raise ValueError(f"t = {t}: the Chebyshev expansion over the spectral "
-                         f"half-width a = {a} needs too many terms")
-    # J_k(x) falls off faster than exponentially once k exceeds |x|
-    bessel = jv(np.arange(2 * int(a * abs(t)) + 40), a * t)
+    return derived["chebyshev"]
+
+
+def _chebyshev(op: Hamiltonian, src: np.ndarray, t: float, threads: int,
+               terms: int) -> np.ndarray:
+    """exp(-i*t*H) src as exp(-i*b*t) sum_k c_k T_k((H - b)/a) src on the
+    operator's spectral interval [b - a, b + a], with c_k = (2 - delta_k0)
+    (-i)^k J_k(a*t) up to the last J_k above ``_CHEB_CUTOFF`` of the first
+    ``terms``, in one expansion however long t is, on the ``_fold`` (h, a,
+    b) of the stage (hop, other, D) in H1's layout, other the full H's
+    second hop or None.  src has D's shape, which ``evolve`` checks, and each hop matches D's
+    side, which ``Hamiltonian`` checks; ``csr_matvecs`` checks neither.
+    More than one thread splits a one-hop stage's src into contiguous column
+    slabs on the pool, each writing its columns of the result, and gives the
+    full H's two ``_halves`` to the pool."""
+    jv = _scipy()[1]
+    h, a, b = _DERIVED[op]["chebyshev"]
+    bessel = jv(np.arange(terms), a * t)
     n = max(2, np.flatnonzero(np.abs(bessel) > _CHEB_CUTOFF)[-1] + 1)
     c = np.array([2, -2j, -2, 2j])[np.arange(n) % 4] * bessel[:n]
     c[0] /= 2
@@ -386,11 +433,9 @@ def _halves(h: tuple, src: np.ndarray, c: np.ndarray, phase: complex,
 def evolve(gamma: np.ndarray, op: Hamiltonian, t: float) -> np.ndarray:
     """exp(-i*op*t) applied to the coefficient matrix ``gamma``, as a new
     C-contiguous complex array; negative t reverses the evolution.  Past the
-    input checks it decides the stage: H2's layout on gamma^T, the method,
-    cached block eigen for a small stepwise operator or Chebyshev, and
-    Chebyshev's threads, a one-hop stage's column slabs or, for the full H
-    past the eigen path's work bound, its two halves on the pool; either
-    method runs only on a state of op's shape."""
+    input checks it lays the stage out, H2's on gamma^T, asks ``stage_rule``
+    once, with the a that the chosen method derives, and runs what the rule
+    returns, only ever on a state of op's shape."""
     if gamma.shape != op.D.shape:
         raise ValueError(f"operator dims {op.D.shape} do not match state "
                          f"dims {gamma.shape}")
@@ -400,16 +445,18 @@ def evolve(gamma: np.ndarray, op: Hamiltonian, t: float) -> np.ndarray:
         return np.array(gamma, dtype=np.complex128, order="C")
     # H2 runs in H1's layout, on gamma^T: its hop first, with D^T
     flip = op.hop_x is None
-    hop, other, D = (op.hop_y, None, op.D.T) if flip else (op.hop_x, op.hop_y, op.D)
+    stage = (op.hop_y, None, op.D.T) if flip else (op.hop_x, op.hop_y, op.D)
     src = gamma.T if flip else gamma
-    # the block path needs exactly one mobile hop, of dimension b; past its
-    # bound a one-hop stage splits its columns into slabs, and the full H's
-    # two halves go to the pool
-    big = D.size * hop.shape[0] ** 2 > _EIGEN_WORK_MAX
-    if other is None and not big:
-        out = _eigen(op, src, t)
-    else:
-        threads = (min(_THREADS, D.shape[1]) if other is None
-                   else _THREADS if big else 1)
-        out = _chebyshev(op, (hop, other, D), src, t, threads)
+    # what the method derives, with the a it asks about, held until it runs:
+    # the eigen path's stage, which _eigen finds again, holds its eigh
+    held = []
+
+    def width(method: str) -> float:
+        held.append(_fold(op, stage) if method == "chebyshev" else _eigen_stage(op, t))
+        return held[0][1 if method == "chebyshev" else 2]
+
+    method, threads, terms = stage_rule(stage[2].shape, stage[0].shape[0],
+                                        stage[1] is not None, width, t)
+    out = (_eigen(op, src, t) if method == "eigen"
+           else _chebyshev(op, src, t, threads, terms))
     return np.ascontiguousarray(out.T if flip else out)

@@ -63,7 +63,7 @@ from . import model, observables
 from .fock import _PHYSICAL_BYTES, FockBasis, enumerate_basis
 from .model import (Hamiltonian, LatticeSpec, ModelParams, build_full,
                     build_h1, build_h2)
-from .propagate import evolve
+from .propagate import _SPECTRAL_PAD, evolve, stage_rule
 
 STAGE_INIT = "init"
 STAGE_FWD1 = "fwd1"
@@ -80,7 +80,9 @@ DOMAIN_WALL = "domain-wall"
 @dataclass(frozen=True)
 class ProtocolConfig:
     """One run.  Construction checks each range rule of a run not checked by
-    its parts' own types; every such ``ValueError`` reads ``"<field>: <rule>"``."""
+    its parts' own types, and asks ``propagate.stage_rule`` about every stage
+    the run makes, before any basis exists; every such ``ValueError`` reads
+    ``"<field>: <rule>"``."""
 
     lattice: LatticeSpec
     n_tau: int
@@ -118,6 +120,7 @@ class ProtocolConfig:
         for name in ("cycles", "trotter_steps"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name}: must be at least 1")
+        self._ask_stage_rule(comb(sites, self.n_tau), comb(sites, self.n_upsilon))
         if self.master_seed < 0:
             raise ValueError("master_seed: must be nonnegative")
         if self.erasure.site is not None and not 0 <= self.erasure.site < sites:
@@ -138,6 +141,57 @@ class ProtocolConfig:
             raise ValueError("initial: amplitudes are all zero")
         if not isfinite(norm):
             raise ValueError("initial: the amplitude norm overflows a float")
+
+    def _ask_stage_rule(self, d_x: int, d_y: int) -> None:
+        """Ask ``propagate.stage_rule`` about every stage the run makes: H1
+        at t1, H2 at t2 and, with ``full_hamiltonian_run``, the full H at
+        both and H1 and H2 at ``run_trotter``'s steps t * cycles /
+        trotter_steps, each with a bound on a that needs no basis.  A
+        one-body eigenvalue is at most |J| times the lattice's largest
+        degree, plus max |u_i| and |u_cross|; a part's half-width is at most
+        n times that, the full H's the sum over its two parts.  A refusal
+        names the parameter with the largest term if that term alone is
+        refused at unit time, else the key of t, or of the larger count for
+        a Trotter step."""
+        degree = max((sum(i in e for e in self.lattice.edges)
+                      for i in range(self.lattice.sites)), default=0)
+        p = self.params
+        # n * degree first: an int, so a zero count makes the term 0, not nan
+        tau, ups = ({f"j_{s}": n * degree * abs(j), f"u_{s}": n * max(map(abs, u)),
+                     "u_cross": n * abs(p.u_cross)} for s, n, j, u in (
+            ("tau", self.n_tau, p.j_tau, p.u_tau),
+            ("upsilon", self.n_upsilon, p.j_upsilon, p.u_upsilon)))
+        stages = [("t1", (d_x, d_y), False, tau, self.t1),
+                  ("t2", (d_y, d_x), False, ups, self.t2)]
+        if self.full_hamiltonian_run:
+            full = {**tau, **ups, "u_cross": tau["u_cross"] + ups["u_cross"]}
+            count = max(("cycles", "trotter_steps"), key=lambda k: getattr(self, k))
+            try:  # as run_trotter computes them
+                dt1, dt2 = (t * self.cycles / self.trotter_steps
+                            for t in (self.t1, self.t2))
+            except OverflowError:
+                raise ValueError(f"{count}: must be within a float's range") from None
+            stages += [("t1", (d_x, d_y), True, full, self.t1),
+                       ("t2", (d_x, d_y), True, full, self.t2),
+                       (count, (d_x, d_y), False, tau, dt1),
+                       (count, (d_y, d_x), False, ups, dt2)]
+        for key, shape, coupled, parts, t in stages:
+            if exc := _refusal(shape, coupled, sum(parts.values()), t):
+                name = max(parts, key=parts.get)
+                name = name if _refusal(shape, coupled, parts[name], 1.0) else key
+                raise ValueError(f"{name}: {exc}; a is bounded from the parameters")
+
+
+def _refusal(shape: tuple, coupled: bool, a: float, t: float) -> ValueError | None:
+    """What ``stage_rule`` refuses of a stage of D's ``shape``, in H1's
+    layout, whose half-width is at most a, padded as ``_spectral_interval``
+    pads and at least 1, the a of a point interval; None if it runs."""
+    a = max(1.0, (1 + 2 * _SPECTRAL_PAD) * a)
+    try:
+        stage_rule(shape, shape[0], coupled, lambda method: a, t)
+    except ValueError as exc:
+        return exc
+    return None
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from tsim import propagate
+from tsim import fock, propagate
 from tsim.fock import enumerate_basis
 from tsim.model import CSR, Hamiltonian, LatticeSpec, ModelParams
 from tsim.observables import measure
@@ -83,3 +84,15 @@ def chebyshev(gamma, op: Hamiltonian, t: float) -> np.ndarray:
         out = propagate.evolve(gamma, op, t)
     assert runs, "evolve did not run the Chebyshev method"
     return out
+
+
+def refuse_bases(mp: pytest.MonkeyPatch) -> None:
+    """Stub ``enumerate_basis`` to raise wherever a tsim module holds it, so
+    that a check made under ``mp`` shows it ran before any basis existed."""
+    def refuse(*args):
+        raise AssertionError(f"enumerate_basis{args} ran")
+
+    for name, module in list(sys.modules.items()):
+        if ((name == "tsim" or name.startswith("tsim."))
+                and getattr(module, "enumerate_basis", None) is fock.enumerate_basis):
+            mp.setattr(module, "enumerate_basis", refuse)

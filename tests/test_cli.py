@@ -1,8 +1,14 @@
+import contextlib
+import copy
 import importlib.util
+import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from dataclasses import replace
 from math import comb
@@ -10,10 +16,14 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import refuse_bases
 from oracles import sector_hamiltonian
 from tsim import fock
 from tsim.cli import main
+from tsim.config import _KEYS
 from tsim.model import LatticeSpec, ModelParams
 from tsim.protocol import ProtocolConfig
 
@@ -209,14 +219,15 @@ def test_simulate_rejects_nan_duration_without_traceback(tmp_path, capsys):
 @pytest.mark.parametrize("t1", [1e308, 1e9])
 def test_simulate_refuses_a_term_count_past_its_limits(t1, tmp_path, capsys):
     # at L=10, 5+5 H1 takes the Chebyshev expansion: t1 = 1e308 ended in an
-    # OverflowError traceback, and 1e9 asks for about 100 GiB of coefficients
+    # OverflowError traceback, and 1e9 asks for about 100 GiB of coefficients;
+    # both are refused before the run, at the key of t1
     doc = {"lattice": {"sites": 10, "chain": True},
            "particles": {"tau": 5, "upsilon": 5}, "protocol": {"t1": t1}}
     path = _write_config(tmp_path, doc)
     assert main(["simulate", "--config", str(path),
                  "--out", str(tmp_path / "run")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: t = {t1}: the Chebyshev expansion")
+    assert err.startswith(f"error: protocol.t1: t = {t1}: the Chebyshev expansion")
     assert "Traceback" not in err
 
 
@@ -224,18 +235,167 @@ def test_simulate_refuses_an_unresolvable_phase_on_the_eigen_path(tmp_path,
                                                                  capsys):
     # at L=4, 2+1 both stages take the eigen path; at j_tau = 1e200 H1's
     # half-width is 2.24e200, so a*|t| passes the 2**52 at which Chebyshev
-    # refuses too.  validate still accepts the document
+    # refuses too.  validate refuses the document, at j_tau, with the bound
+    # 2 * 2 * j_tau on a that needs no basis, and so does simulate
     doc = {"lattice": {"sites": 4}, "particles": {"tau": 2, "upsilon": 1},
            "params": {"j_tau": 1e200}}
     path = _write_config(tmp_path, doc)
-    assert main(["validate", "--config", str(path)]) == 0
-    capsys.readouterr()
-    assert main(["simulate", "--config", str(path),
-                 "--out", str(tmp_path / "run")]) == 1
+    for argv in (["validate"], ["simulate", "--out", str(tmp_path / "run")]):
+        assert main([*argv, "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: params.j_tau: t = 2.0: no phase resolves "
+                              "the spectral half-width a = 4.0")
+        assert "Traceback" not in err
+
+
+_L10 = {"lattice": {"sites": 10, "chain": True},
+        "particles": {"tau": 5, "upsilon": 5}}
+_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+_SHIPPED = [json.loads((_CONFIGS / f"{name}.json").read_text())
+            for name in ("desk", "comparison")]
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({**_L10, "protocol": {"t1": 1e308}}, "protocol.t1"),
+    ({**_L10, "protocol": {"t1": 1e9}}, "protocol.t1"),
+    ({**_L10, "params": {"u_cross": 1e308}}, "params.u_cross"),
+    ({**MINIMAL, "params": {"u_cross": 1e308}}, "params.u_cross"),
+    ({**_L10, "params": {"j_tau": 1e300}}, "params.j_tau"),
+    ({**_L10, "params": {"u_tau": [1e308] * 10}}, "params.u_tau"),
+    ({"lattice": {"sites": 4}, "particles": {"tau": 2, "upsilon": 1},
+      "params": {"j_tau": 1e200}}, "params.j_tau"),
+], ids=["t1-1e308", "t1-1e9", "u_cross-l10", "u_cross-desk", "j_tau-1e300",
+        "u_tau", "j_tau-eigen"])
+def test_validate_refuses_an_unrunnable_document_at_its_key(doc, key, tmp_path,
+                                                             capsys, monkeypatch):
+    # the stage rule, asked about every stage before any basis exists,
+    # refuses each at the key that makes a*|t| too long: t when a is
+    # ordinary, the parameter when its own term alone passes the limit
+    refuse_bases(monkeypatch)
+    assert main(["validate", "--config", str(_write_config(tmp_path, doc))]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: t = 2.0: no phase resolves the spectral "
-                          "half-width a = 2.236")
-    assert "Traceback" not in err
+    assert err.startswith(f"error: {key}: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("doc", [
+    {**_L10, "protocol": {"t1": 1e5}},
+    {**_L10, "protocol": {"t1": 1e5}, "controls": {"full_hamiltonian_run": True}},
+    *_SHIPPED,
+], ids=["t1-1e5", "t1-1e5-full", "desk", "comparison"])
+def test_validate_accepts_a_long_t_that_fits_and_the_shipped_configs(
+        doc, tmp_path, capsys, monkeypatch):
+    # at L=10 the bound on a is 15, 30 for the full H, so t1 = 1e5 takes
+    # about 2e6 and 4e6 Bessel terms: long, but within memory
+    refuse_bases(monkeypatch)
+    assert main(["validate", "--config", str(_write_config(tmp_path, doc))]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def _cli(argv: list) -> tuple[int, str, str]:
+    """``main(argv)``'s exit status, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# every key path of a document: each key of each section, an entry of each
+# potential, each section as a whole, and the initial state; the keys that
+# set a stage's a*|t| twice as often as the others
+_STAGE_KEYS = [("params", "j_tau"), ("params", "j_upsilon"), ("params", "u_cross"),
+               ("params", "u_tau", 0), ("params", "u_upsilon", 0),
+               ("protocol", "t1"), ("protocol", "t2")]
+_PATHS = ([(section, key) for section, keys in _KEYS.items() for key in keys]
+          + _STAGE_KEYS * 2 + [(section,) for section in _KEYS] + [("initial",)])
+# null, wrong types, 0 and negatives, huge floats and ints, NaN and
+# Infinity, the empty list; and ordinary values, which most keys accept
+_VALUES = [None, "x", True, [], {}, 0, -1, -2.5, 1e300, -1e300, 1e308, -1e308,
+           2**63, 10**30, -10**30, 10**400, math.nan, math.inf, -math.inf,
+           False, 1, 2, 0.5, "tau"]
+
+
+@st.composite
+def _documents(draw) -> str:
+    """A shipped config or a small lattice, with one or two mutations: a
+    key, or an entry of a potential, set to a value of ``_VALUES``, an
+    unknown key, or a repeated one."""
+    doc = copy.deepcopy(draw(st.one_of(st.sampled_from(_SHIPPED), st.builds(
+        lambda sites, tau, upsilon, full: {
+            "lattice": {"sites": sites},
+            "particles": {"tau": tau % (sites + 1), "upsilon": upsilon % (sites + 1)},
+            "controls": {"full_hamiltonian_run": full}},
+        st.integers(1, 8), st.integers(0, 8), st.integers(0, 8), st.booleans()))))
+    repeats = []
+    for kind, path, value in draw(st.lists(st.tuples(
+            st.sampled_from(["set"] * 4 + ["unknown", "repeat"]), st.sampled_from(_PATHS),
+            st.sampled_from(_VALUES)), min_size=1, max_size=2)):
+        if kind == "repeat":
+            repeats.append((path[:2], value))
+            continue
+        *parents, last = path if kind == "set" else (*path[:1], "bogus")
+        node = doc
+        for key in parents:
+            if not isinstance(node.get(key) if isinstance(node, dict) else None, dict):
+                if isinstance(node, dict) and isinstance(node.get(key), list):
+                    break
+                node[key] = {}
+            node = node[key]
+        if isinstance(last, int):  # an entry of the sites' potentials
+            sites = doc.get("lattice", {}).get("sites") if isinstance(
+                doc.get("lattice"), dict) else None
+            if isinstance(node, dict) and isinstance(sites, int) and 0 < sites < 64:
+                node[path[1]] = [value] + [0.0] * (sites - 1)
+            elif isinstance(node, list) and node:
+                node[last] = value
+        else:
+            node[last] = value
+    text = json.dumps(doc)
+    for (section, *key), value in repeats:
+        # the key written twice, first with the value: a top-level section
+        # at the start of the document, a key at the start of its section
+        text = (re.sub(rf'"{section}": \{{', lambda m: f'{m[0]}"{key[0]}": '
+                       f'{json.dumps(value)}, ', text, count=1)
+                if key and f'"{section}": {{' in text
+                else f'{{"{section}": {json.dumps(value)}, ' + text[1:])
+    return text
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_documents())
+def test_every_document_is_refused_at_a_key_or_runs(text):
+    # an accepted document runs: validate refuses it at a key path with no
+    # traceback and no basis enumerated, or accepts it, prints a resolved
+    # document that reparses to itself, and simulate, one cycle and at most
+    # 16 Trotter steps, where gamma has at most 1e5 entries, exits 0 with a
+    # finite value in every CSV cell
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(text)
+        with pytest.MonkeyPatch.context() as mp:
+            refuse_bases(mp)
+            code, out, err = _cli(["validate", "--config", str(path)])
+        if code == 1:
+            assert re.match(r"error: (top level|malformed document|[a-z_]\w*"
+                            r"(\.[a-z_]\w*)*(\[\d+\])?): ", err), (text, err)
+            assert "Traceback" not in err
+            return
+        assert (code, err) == (0, ""), text
+        path.write_text(out)
+        assert _cli(["validate", "--config", str(path)]) == (0, out, "")
+        doc = json.loads(out)
+        sites = doc["lattice"]["sites"]
+        if math.comb(sites, doc["particles"]["tau"]) * math.comb(
+                sites, doc["particles"]["upsilon"]) > 1e5:
+            return
+        doc["protocol"]["cycles"] = 1
+        doc["controls"]["trotter_steps"] = min(16, doc["controls"]["trotter_steps"])
+        path.write_text(json.dumps(doc))
+        code, _, err = _cli(["simulate", "--config", str(path), "--out", tmp])
+        assert (code, err) == (0, ""), (text, err)
+        for csv in Path(tmp).glob("*.csv"):
+            rows = csv.read_text().splitlines()[1:]
+            cells = [c for row in rows for c in row.split(",")[:1] + row.split(",")[2:]]
+            assert cells and all(math.isfinite(float(c)) for c in cells), csv
 
 
 def test_overflowing_initial_amplitudes_exit_1_without_warning(tmp_path, capsys):

@@ -7,12 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import refuse_bases
 from tsim import fock
 from tsim.config import (_KEYS, ConfigError, OutputOptions, parse_config,
                          serialize_config)
 from tsim.io import (TRAJECTORY_HEADER, read_state, write_phases, write_state,
                      write_trajectory)
 from tsim.model import LatticeSpec, ModelParams
+from tsim.propagate import evolve
 from tsim.protocol import _PHYSICAL_BYTES, ProtocolConfig, prepare, run_protocol
 
 MINIMAL = """
@@ -252,6 +254,79 @@ def test_state_beyond_physical_memory_is_refused(monkeypatch):
             f"lattice.sites: a run takes 11 states of {16 * comb(16, 8) ** 2} bytes")):
         parse_config(json.dumps({"lattice": {"sites": 16},
                                  "particles": {"tau": 8, "upsilon": 8}}))
+
+
+_DESK = {"lattice": {"sites": 6}, "particles": {"tau": 2, "upsilon": 2}}
+_CHAIN10 = {"lattice": {"sites": 10}, "particles": {"tau": 5, "upsilon": 5}}
+_FULL = {"full_hamiltonian_run": True}
+
+
+@pytest.mark.parametrize("doc, key", [
+    # the desk's H1 takes the eigen path, whose phases resolve t1 = 1e8; the
+    # full H, which only a full_hamiltonian_run makes, needs about 1.6e9
+    # Chebyshev terms there
+    ({**_DESK, "protocol": {"t1": 1e8}}, None),
+    ({**_DESK, "protocol": {"t1": 1e8}, "controls": _FULL}, "protocol.t1"),
+    ({**_DESK, "protocol": {"t2": 1e300}}, "protocol.t2"),
+    ({**_DESK, "params": {"j_upsilon": -1e300}}, "params.j_upsilon"),
+    ({**_DESK, "params": {"u_upsilon": [0, 0, 0, 0, 0, 1e17]}}, "params.u_upsilon"),
+    # a Trotter step is t * cycles / trotter_steps, so a run of many cycles
+    # in few steps makes long ones, which H1 and H2 at L=10 take by
+    # Chebyshev; a count past the float range is refused, not an overflow
+    ({**_CHAIN10, "protocol": {"cycles": 10**9}, "controls": _FULL}, "protocol.cycles"),
+    ({**_CHAIN10, "protocol": {"cycles": 10**400}, "controls": _FULL},
+     "protocol.cycles"),
+    ({**_CHAIN10, "protocol": {"cycles": 10**400}}, None),
+    ({**_CHAIN10, "protocol": {"cycles": 10**9},
+      "controls": {**_FULL, "trotter_steps": 10**9}}, None),
+    # run_trotter's t * cycles / trotter_steps raised OverflowError here
+    ({**_CHAIN10, "controls": {**_FULL, "trotter_steps": 10**400}},
+     "controls.trotter_steps"),
+], ids=["desk-t1", "desk-full-t1", "desk-t2", "j_upsilon", "u_upsilon",
+        "trotter", "trotter-overflow", "cycles", "trotter-short", "steps-overflow"])
+def test_every_stage_a_run_makes_is_asked_at_its_key(doc, key, monkeypatch):
+    refuse_bases(monkeypatch)
+    if key is None:
+        parse_config(json.dumps(doc))
+        return
+    with pytest.raises(ConfigError, match=f"^{re.escape(key)}: "):
+        parse_config(json.dumps(doc))
+
+
+@pytest.mark.parametrize("lattice, n_tau, n_upsilon", [
+    (LatticeSpec.chain(6), 2, 2),
+    (LatticeSpec(6, ((0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3), (0, 3))),
+     3, 2),
+    (LatticeSpec(5, ((0, 1), (0, 2), (0, 3), (0, 4))), 2, 3),
+], ids=["chain", "triangles", "star"])
+def test_the_bound_on_a_admits_only_stages_that_run(lattice, n_tau, n_upsilon):
+    # the guard's a bounds the run's: at the longest t1 and t2 it accepts,
+    # found by bisection, H1 and H2 run on the eigen path, whose exact a
+    # is the smaller, without the refusal that a*|t| of 2**52 would raise
+    rng = np.random.default_rng(lattice.sites + n_tau)
+    params = ModelParams(j_tau=-0.8, j_upsilon=1.3, u_cross=-0.9,
+                         u_tau=tuple(rng.uniform(-1, 1, lattice.sites)),
+                         u_upsilon=tuple(rng.uniform(-1, 1, lattice.sites)))
+
+    def config(t1, t2):
+        return ProtocolConfig(lattice=lattice, n_tau=n_tau, n_upsilon=n_upsilon,
+                              params=params, t1=t1, t2=t2)
+
+    def longest(name):
+        lo, hi = 1.0, 2.0**60
+        for _ in range(80):
+            mid = (lo + hi) / 2
+            try:
+                config(**{"t1": 1.0, "t2": 1.0, name: mid})
+                lo = mid
+            except ValueError as exc:
+                assert str(exc).startswith(f"{name}: "), exc
+                hi = mid
+        return lo
+
+    ctx = prepare(config(longest("t1"), longest("t2")))
+    for op, t in ((ctx.h1, ctx.config.t1), (ctx.h2, ctx.config.t2)):
+        assert np.isclose(np.linalg.norm(evolve(ctx.initial, op, t)), 1.0)
 
 
 def test_huge_initial_amplitudes_normalize():

@@ -777,13 +777,17 @@ def lockstep_slabs(monkeypatch):
 @pytest.mark.parametrize("build", [build_h1, build_h2, build_full],
                          ids=["h1", "h2", "full"])
 def test_chebyshev_peak_memory(build, t, monkeypatch, lockstep_slabs):
-    # one slab: three rotating buffers and one accumulator, each the size of
-    # gamma, plus the full H's hop_y product, numpy's cast buffer of D * gamma
-    # (all of gamma at this size) and H2's transposed result, made once the
-    # buffers are freed; two slabs: the result, held from the start, beside
-    # each slab's buffers and cast buffer, half of gamma's each, live at once
-    # since the slabs run in lockstep.  The folded operator is built once per
-    # operator, by the first call, and is not counted
+    # a one-hop stage on one slab: three rotating buffers and one
+    # accumulator, each the size of gamma, plus numpy's cast buffer of D *
+    # gamma (all of gamma at this size) and H2's transposed result, made once
+    # the buffers are freed; on two slabs: the result, held from the start,
+    # beside each slab's buffers and cast buffer, half of gamma's each, live
+    # at once since the slabs run in lockstep.  The full H runs as two real
+    # halves into four float64 sums that the caller holds (2 gamma), each
+    # half with its own float64 buffers and scratch: traced, about 3.8 gamma
+    # with the halves in turn and 5.7 gamma with both live on two threads at
+    # L=8, within the bound either way.  The folded operator is built once
+    # per operator, by the first call, and is not counted
     for threads in (1, 2):
         monkeypatch.setattr(propagate, "_THREADS", threads)
         peak, nbytes = _chebyshev_peak(build, 8, t)
@@ -941,6 +945,82 @@ def test_each_stage_keeps_its_method_slabs_and_terms(sites, n, stages,
             assert len(terms) == 1, (name, t, runs)
             got.append((method, sorted(r[1] for r in runs if r[1]), terms.pop()))
         assert got == stages[name], name
+
+
+def test_bessel_length_keeps_every_term_count():
+    # K, bisected from the bound (|x|/2)**k / k! with no array, is never
+    # longer than the 2*int(|x|) + 40 Bessel terms the expansion took before,
+    # and the cut at the last |J_k(x)| above the cutoff is the same over
+    # either array, so every term count and every output stays as it was;
+    # jv is elementwise, so the shorter array is the longer one's prefix
+    from scipy.special import jv
+    for x in np.concatenate([g := np.geomspace(1e-3, 1e4, 150), -g]):
+        k, old = propagate._bessel_length(x), 2 * int(abs(x)) + 40
+        assert 2 <= k <= old, x
+        big = np.abs(jv(np.arange(old), x)) > propagate._CHEB_CUTOFF
+        assert max(2, np.flatnonzero(big[:k])[-1] + 1) == max(
+            2, np.flatnonzero(big)[-1] + 1), x
+
+
+@pytest.mark.parametrize("sites,n,full_threads,stages", [
+    (6, 2, 1, {"h1": _EIGEN, "h2": _EIGEN,
+               "full": _cheb([15, 15], (39, 39, 14))}),
+    (8, 4, 1, {"h1": _EIGEN, "h2": _EIGEN,
+               "full": _cheb([70, 70], (50, 50, 15))}),
+    (10, 5, 2, {"h1": _cheb([126, 126], (40, 40, 14)),
+                "h2": _cheb([126, 126], (40, 40, 14)),
+                "full": _cheb([252, 252], (58, 58, 17))}),
+    (12, 6, 2, {"h1": _cheb([462, 462], (44, 44, 14)),
+                "h2": _cheb([462, 462], (44, 44, 14)),
+                "full": _cheb([924, 924], (65, 65, 18))}),
+], ids=["desk", "L8", "L10", "L12"])
+def test_stage_rule_returns_each_pinned_method_and_thread_count(
+        sites, n, full_threads, stages, monkeypatch):
+    # the rows of the stage pin, asked of the rule alone, from the stage's
+    # shape in H1's layout and the operator's half-width: the method; one
+    # thread on the eigen path, a thread per slab for a one-hop Chebyshev
+    # stage, and the full H's two halves on the pool only past the eigen
+    # path's work bound; a Bessel array whose cut is the pinned term count
+    from scipy.special import jv
+    monkeypatch.setattr(propagate, "_THREADS", 2)
+    lattice, params = LatticeSpec.chain(sites), ModelParams.defaults(sites)
+    basis = enumerate_basis(sites, n)
+    for name, build in (("h1", build_h1), ("h2", build_h2), ("full", build_full)):
+        lo, hi = _spectral_interval(build(lattice, params, basis, basis))
+        for t, (method, widths, terms) in zip(_STAGE_TIMES, stages[name]):
+            got, threads, k = propagate.stage_rule(
+                (basis.dim,) * 2, basis.dim, name == "full",
+                lambda m: (hi - lo) / 2, t)
+            assert (got, threads) == (method, full_threads if name == "full"
+                                      else max(1, len(widths))), (name, t)
+            if method == "chebyshev":
+                big = np.abs(jv(np.arange(k), (hi - lo) / 2 * t)) > 1e-15
+                assert np.flatnonzero(big)[-1] + 1 == terms, (name, t)
+
+
+def test_stage_rule_allocates_no_array():
+    # the rule is arithmetic on its arguments: no array, even for a Bessel
+    # array of a million terms, and none on the way to a refusal
+    import tracemalloc
+    stages = [((15, 15), 15, False, 3.4, 2.0), ((252, 252), 252, False, 7.5, 2.0),
+              ((252, 252), 252, True, 15.0, 1e5), ((6, 4), 6, False, 4e200, 2.0),
+              ((252, 252), 252, True, 15.0, 1e308)]
+    propagate.stage_rule(*stages[0][:3], lambda m: 1.0, 1.0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for shape, b, coupled, a, t in stages:
+            try:
+                propagate.stage_rule(shape, b, coupled, lambda m: a, t)
+            except ValueError:
+                pass
+        peak = tracemalloc.get_traced_memory()[1] - base
+        numpy = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+    finally:
+        tracemalloc.stop()
+    assert len(numpy.traces) == 0
+    assert peak < 4096
 
 
 @pytest.mark.parametrize("lattice,n_tau,n_upsilon,slabs", [
