@@ -45,7 +45,10 @@ one-hop stage leaves the eigen path, D.size * b**2 > ``_EIGEN_WORK_MAX``
 with b the first hop's dimension, the halves run on two of the pool's
 threads, and below it in turn on the calling thread, so desk and L=8 runs
 start no thread; each half does the same arithmetic either way, so the
-result is bit-identical at any thread count.  No step renormalizes its
+result is bit-identical at any thread count.  Every buffer a slab or a half
+computes in is allocated by the calling thread and handed to it as
+C-contiguous views, so a pool thread allocates nothing the size of gamma
+and its malloc arena keeps no freed buffer.  No step renormalizes its
 output.
 What either method derives from an operator, U(|t|) with its a or the
 folded interval, lives in ``_DERIVED`` for as long as the operator.
@@ -234,13 +237,12 @@ def _scipy() -> tuple:
     return csr_matvecs, jv
 
 
-def _scratch(shape: tuple) -> tuple:
-    """A real half's scratch for ``_product``: one float64 buffer of
-    rows*cols + cols entries, viewed as D*g's (rows, cols) and, for each
-    half of the rows, as their transposed copy and hop_y's product of it,
-    side by side."""
+def _scratch(shape: tuple, buf: np.ndarray) -> tuple:
+    """A real half's scratch for ``_product``, views of the caller's float64
+    ``buf`` of rows*cols + cols entries: D*g's (rows, cols) and, for each
+    half of the rows, their transposed copy and hop_y's product of it, side
+    by side."""
     rows, cols = shape
-    buf = np.empty(rows * cols + cols)
     step, pieces = (rows + 1) // 2, []
     for r in range(0, rows, step):
         n = min(step, rows - r)
@@ -277,18 +279,19 @@ def _product(hop_x, hop_y, D: np.ndarray, g: np.ndarray, out: np.ndarray,
     return out
 
 
-def _recurrence(h: tuple, src: np.ndarray, c: np.ndarray,
-                phase: complex) -> np.ndarray:
+def _recurrence(h: tuple, src: np.ndarray, c: np.ndarray, phase: complex,
+                work) -> np.ndarray:
     """phase * sum_k c_k T_k(h) src with T_k = h T_(k-1) - T_(k-2), T_1 =
-    h src / 2, for h a one-hop stage's folded (hop, None, D), in three
-    rotating buffers and an accumulator, each shaped like src, all allocated
-    by the thread that runs it: a slab thread's heap reuses the buffers it
-    freed, while at L=10 the calling thread's go back to the system and
-    fault in again."""
-    prev = np.array(src, dtype=np.complex128, order="C")
-    cur = _product(*h, prev, np.empty_like(prev))
+    h src / 2, for h a one-hop stage's folded (hop, None, D), into the last
+    of ``work``, four C-contiguous complex buffers shaped like src that the
+    caller allocated: three rotating ones, the first a copy of src, and the
+    accumulator, which it returns.  It allocates no buffer of its own, so a
+    slab thread's heap holds nothing once the slab is done."""
+    prev, cur, tmp, acc = work
+    np.copyto(prev, src)
+    _product(*h, prev, cur)
     cur *= 0.5
-    acc, tmp = c[0] * prev, np.empty_like(prev)
+    np.multiply(c[0], prev, out=acc)
     for k in range(1, len(c)):
         if k > 1:  # T_k over T_(k-2)
             np.subtract(_product(*h, cur, tmp), prev, out=prev)
@@ -299,15 +302,18 @@ def _recurrence(h: tuple, src: np.ndarray, c: np.ndarray,
 
 
 def _half(h: tuple, x: np.ndarray, c: np.ndarray, even: np.ndarray,
-          odd: np.ndarray) -> None:
+          odd: np.ndarray, work: np.ndarray) -> None:
     """The full H's expansion of a real x: sum_k Re(c_k) T_k(h) x over even
     k into ``even`` and sum_k Im(c_k) T_k(h) x over odd k into ``odd``,
-    since c_k is real for even k and imaginary for odd k.  Three float64
-    buffers: T_k is written over T_(k-2), and the scratch that each product
-    takes also holds each term's weighted copy."""
-    prev = np.array(x, dtype=np.float64, order="C")
-    scratch = _scratch(prev.shape)
-    cur = _product(*h, prev, np.zeros_like(prev), scratch)
+    since c_k is real for even k and imaginary for odd k.  ``work`` is the
+    caller's float64 buffer of 3*rows*cols + cols entries: T_k is written
+    over T_(k-2) in its first two thirds, and the rest is the ``_scratch``
+    that each product takes, which also holds each term's weighted copy."""
+    prev, cur = work[:2 * x.size].reshape(2, *x.shape)
+    np.copyto(prev, x)
+    scratch = _scratch(x.shape, work[2 * x.size:])
+    cur.fill(0.0)
+    _product(*h, prev, cur, scratch)
     cur *= 0.5
     np.multiply(prev, c[0].real, out=even)
     np.multiply(cur, c[1].imag, out=odd)
@@ -383,7 +389,10 @@ def _chebyshev(op: Hamiltonian, src: np.ndarray, t: float, threads: int,
     side, which ``Hamiltonian`` checks; ``csr_matvecs`` checks neither.
     More than one thread splits a one-hop stage's src into contiguous column
     slabs on the pool, each writing its columns of the result, and gives the
-    full H's two ``_halves`` to the pool."""
+    full H's two ``_halves`` to the pool.  Every buffer of the recurrence is
+    allocated here, on the calling thread: on one thread four arrays, the
+    accumulator the result; on slabs one block that holds each slab's four
+    side by side."""
     jv = _scipy()[1]
     h, a, b = _DERIVED[op]["chebyshev"]
     bessel = jv(np.arange(terms), a * t)
@@ -394,14 +403,23 @@ def _chebyshev(op: Hamiltonian, src: np.ndarray, t: float, threads: int,
     if h[1] is not None:
         return _halves(h, src, c, phase, threads)
     if threads == 1:
-        return _recurrence(h, src, c, phase)
-    (hop, _, D), cols = h, src.shape[1]
+        # four arrays of gamma's size, the accumulator the result: a block of
+        # the other three, mmapped at L=12, reuses no chunk the main heap
+        # keeps, and peaked 20 MiB higher there
+        prev, cur, acc, tmp = (np.empty(src.shape, np.complex128) for _ in range(4))
+        return _recurrence(h, src, c, phase, (prev, cur, tmp, acc))
+    (hop, _, D), (rows, cols) = h, src.shape
     # in src's memory order, so H2's slabs write rows of gamma
     out = np.empty_like(src, dtype=np.complex128)
+    # one block, which at L=10 stays in the main heap between calls, where
+    # arrays of a slab's size go back to the system and fault in again
+    work = np.empty(4 * src.size, np.complex128)
 
     def run(j: int) -> None:
-        s = np.s_[:, cols * j // threads:cols * (j + 1) // threads]
-        out[s] = _recurrence((hop, None, D[s]), src[s], c, phase)
+        lo, hi = cols * j // threads, cols * (j + 1) // threads
+        s = np.s_[:, lo:hi]
+        out[s] = _recurrence((hop, None, D[s]), src[s], c, phase,
+                             work[4 * rows * lo:4 * rows * hi].reshape(4, rows, hi - lo))
 
     # reading each result raises the first error a slab met
     list(_pool.map(run, range(threads)))
@@ -412,16 +430,19 @@ def _halves(h: tuple, src: np.ndarray, c: np.ndarray, phase: complex,
             threads: int) -> np.ndarray:
     """The full H's expansion as two real halves that never exchange data,
     on src's real and imaginary parts, on the pool when ``threads`` > 1,
-    else in turn; its four sums, allocated here on the calling thread, give
-    Re = E_x - O_y and Im = E_y + O_x."""
+    else in turn; its four sums give Re = E_x - O_y and Im = E_y + O_x.
+    The sums and a set of buffers per thread are allocated here, on the
+    calling thread, so halves in turn share one set."""
     sums = np.empty((2, 2, *src.shape))
     parts = (src.real, src.imag)
+    work = np.empty((threads, 3 * src.size + src.shape[1]))
 
     def run(j: int) -> None:
-        _half(h, parts[j], c, *sums[j])
+        _half(h, parts[j], c, *sums[j], work[j % threads])
 
     # reading each result raises the first error a half met
     list((_pool.map if threads > 1 else map)(run, range(2)))
+    del work  # before the result is allocated
     (even_x, odd_x), (even_y, odd_y) = sums
     out = np.empty(src.shape, np.complex128)
     out.real = np.subtract(even_x, odd_y, out=even_x)

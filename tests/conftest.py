@@ -61,7 +61,7 @@ def apply(op: Hamiltonian, g) -> np.ndarray:
                 (d_x, d_x)) if op.hop_x is None else op.hop_x
     g = np.asarray(g, np.complex128)
     out = np.empty(op.D.shape, np.complex128)
-    scratch = propagate._scratch(op.D.shape)
+    scratch = propagate._scratch(op.D.shape, np.empty(op.D.size + op.D.shape[1]))
     for part, x in ((out.real, g.real), (out.imag, g.imag)):
         part[...] = _product(hop_x, op.hop_y, op.D, np.ascontiguousarray(x),
                              np.zeros(op.D.shape), scratch)

@@ -690,7 +690,8 @@ def test_second_hop_matches_the_public_product():
     for x, want in zip((g.real, g.imag), wants):
         even, odd = np.empty((2, *op.D.shape))
         propagate._half((op.hop_x, op.hop_y, op.D), x,
-                        np.array([0, 1j], np.complex128), even, odd)
+                        np.array([0, 1j], np.complex128), even, odd,
+                        np.empty(3 * x.size + x.shape[1]))
         assert np.array_equal(2 * odd, want) and not even.any()
 
 
@@ -777,17 +778,19 @@ def lockstep_slabs(monkeypatch):
 @pytest.mark.parametrize("build", [build_h1, build_h2, build_full],
                          ids=["h1", "h2", "full"])
 def test_chebyshev_peak_memory(build, t, monkeypatch, lockstep_slabs):
-    # a one-hop stage on one slab: three rotating buffers and one
-    # accumulator, each the size of gamma, plus numpy's cast buffer of D *
-    # gamma (all of gamma at this size) and H2's transposed result, made once
-    # the buffers are freed; on two slabs: the result, held from the start,
-    # beside each slab's buffers and cast buffer, half of gamma's each, live
-    # at once since the slabs run in lockstep.  The full H runs as two real
-    # halves into four float64 sums that the caller holds (2 gamma), each
-    # half with its own float64 buffers and scratch: traced, about 3.8 gamma
-    # with the halves in turn and 5.7 gamma with both live on two threads at
-    # L=8, within the bound either way.  The folded operator is built once
-    # per operator, by the first call, and is not counted
+    # every buffer is allocated by the caller.  A one-hop stage on one slab:
+    # three rotating buffers and one accumulator, each the size of gamma,
+    # plus numpy's cast buffer of D * gamma (all of gamma at this size) and
+    # H2's transposed result, made once the buffers are freed; on two slabs:
+    # the result, held from the start, beside one block of each slab's four
+    # buffers (4 gamma) and each slab's cast buffer, half of gamma's, live at
+    # once since the slabs run in lockstep: traced, about 6.2 gamma at L=8.
+    # The full H runs as two real halves into four float64 sums (2 gamma),
+    # beside the halves' float64 buffers and scratch, a set per half on two
+    # threads and one set shared in turn: traced, about 3.8 gamma in turn
+    # and 5.7 gamma on two threads at L=8, within the bound either way.  The
+    # folded operator is built once per operator, by the first call, and is
+    # not counted
     for threads in (1, 2):
         monkeypatch.setattr(propagate, "_THREADS", threads)
         peak, nbytes = _chebyshev_peak(build, 8, t)
@@ -859,10 +862,10 @@ def _slabs_and_one_thread(monkeypatch, op, psi, t):
     that ran off the calling thread, and the result on one thread."""
     slabs, recurrence = [], propagate._recurrence
 
-    def counting(h, src, c, phase):
+    def counting(h, src, c, phase, work):
         if threading.current_thread() is not threading.main_thread():
             slabs.append(src.shape[1])
-        return recurrence(h, src, c, phase)
+        return recurrence(h, src, c, phase, work)
 
     monkeypatch.setattr(propagate, "_recurrence", counting)
     monkeypatch.setattr(propagate, "_THREADS", 2)
@@ -919,11 +922,11 @@ def test_each_stage_keeps_its_method_slabs_and_terms(sites, n, stages,
         runs.append(("eigen", None, None))
         return src
 
-    def recurrence(h, src, c, phase):
+    def recurrence(h, src, c, phase, work):
         runs.append(("chebyshev", src.shape[1], len(c)))
         return np.zeros(src.shape, np.complex128)
 
-    def half(h, x, c, even, odd):
+    def half(h, x, c, even, odd, work):
         runs.append(("chebyshev", x.shape[1], len(c)))
         even.fill(0.0)
         odd.fill(0.0)
@@ -1137,11 +1140,11 @@ def test_half_error_reaches_caller(full_ops, monkeypatch):
     half = propagate._half
     for failing_part in (0, 1):
 
-        def failing(h, x, c, even, odd):
+        def failing(h, x, c, even, odd, work):
             # gamma's real part starts at its first byte, the imaginary at 8
             if (x.ctypes.data - psi.ctypes.data) // 8 == failing_part:
                 raise RuntimeError("half failed")
-            return half(h, x, c, even, odd)
+            return half(h, x, c, even, odd, work)
 
         monkeypatch.setattr(propagate, "_half", failing)
         monkeypatch.setattr(propagate, "_THREADS", 2)
@@ -1151,6 +1154,46 @@ def test_half_error_reaches_caller(full_ops, monkeypatch):
     two = chebyshev(psi, op, 0.125)
     monkeypatch.setattr(propagate, "_THREADS", 1)
     assert np.array_equal(two, chebyshev(psi, op, 0.125))
+
+
+def test_recurrence_and_half_allocate_nothing_in_their_buffers(chain10, full_ops):
+    # what a slab or a half computes lives in the buffers its caller hands
+    # it, so a pool thread's heap keeps nothing once it is done; at L=10 a
+    # direct call traces only numpy's cast buffer of D * gamma (8192
+    # complex entries, 0.13 gamma), far below one gamma
+    import tracemalloc
+    ops, psi = chain10
+    full, _ = full_ops["chain10"]
+    h1 = propagate._fold(ops["h1"], (ops["h1"].hop_x, None, ops["h1"].D))[0]
+    hf = propagate._fold(full, (full.hop_x, full.hop_y, full.D))[0]
+    c = np.array([1, -1j, -1, 1j, 0.5, -0.5j])
+    work = np.empty((4, *psi.shape), np.complex128)
+    sums, half = np.empty((2, *psi.shape)), np.empty(3 * psi.size + psi.shape[1])
+    calls = (lambda: propagate._recurrence(h1, psi, c, 1j, work),
+             lambda: propagate._half(hf, psi.imag, c, *sums, half))
+    for call in calls:
+        call()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            call()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * psi.nbytes, peak / psi.nbytes
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_evolve_returns_no_view_of_its_workspace(chain10, full_ops, threads,
+                                                 monkeypatch):
+    # the result owns its memory, or views an array of its own size, so
+    # holding it keeps none of the workspace the expansion ran in alive
+    ops, psi = chain10
+    monkeypatch.setattr(propagate, "_THREADS", threads)
+    for op in (ops["h1"], ops["h2"], full_ops["chain10"][0]):
+        out = evolve(psi, op, 0.125)
+        assert out.flags.c_contiguous
+        assert (out if out.base is None else out.base).nbytes == psi.nbytes
 
 
 def test_callers_share_the_pool_with_the_halves(full_ops, monkeypatch):
